@@ -1,16 +1,18 @@
 """Deterministic explicit-state automata: star, Buchi and Rabin-Buchi layers.
 
 State identifiers are arbitrary hashable values (``None`` is reserved as the
-reject result of a run).  Operations that build new state spaces renumber
-states densely, breadth-first from the initial state, iterating events in
-alphabet order, so their outputs are reproducible.
+reject result of a run).  Every operation that builds a new state space does
+so with `explore`, the one place where the numbering policy lives: states are
+numbered densely, breadth-first from the initial state, iterating events in
+alphabet order, so the outputs are reproducible.  Liveness questions ("can
+this state reach a cycle through a good state?") all go through
+`states_reaching_cycle`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 State = Hashable
 Event = str
@@ -77,6 +79,17 @@ class StarAutomaton:
 
     def enabled(self, q: State) -> tuple[Event, ...]:
         return tuple(e for e in self.alphabet.events if (q, e) in self.transitions)
+
+    def moves(self, q: State) -> Iterator[tuple[Event, State]]:
+        """(event, target) pairs of the transitions leaving q, in alphabet order."""
+        for e in self.alphabet.events:
+            t = self.transitions.get((q, e))
+            if t is not None:
+                yield e, t
+
+    def targets(self, q: State) -> list[State]:
+        """Targets of the transitions leaving q, in alphabet order."""
+        return [t for _e, t in self.moves(q)]
 
     def step(self, q: State, e: Event) -> Optional[State]:
         if e not in self.alphabet:
@@ -215,20 +228,77 @@ def lasso_in_star(a: StarAutomaton, w: LassoWord) -> bool:
     return omega_visit_set(a, w) is not None
 
 
+def explore(init: State, succ: Callable[[State], Iterable[tuple[Event, State]]]
+            ) -> tuple[list[State], dict[tuple[int, Event], int]]:
+    """Breadth-first exploration of the nodes reachable from `init`.
+
+    `succ(v)` yields the (event, w) moves of node v in alphabet order.
+    Returns the nodes in visit order (`init` first) and the moves as edges
+    between visit indices, ``(i, event) -> j``, in the order they were
+    followed.  The indices are the dense breadth-first numbering that every
+    constructed state space uses, so ``StarAutomaton(alphabet,
+    tuple(range(len(order))), 0, edges)`` is the explored automaton.
+    """
+    num = {init: 0}
+    order = [init]
+    edges: dict[tuple[int, Event], int] = {}
+    for i, v in enumerate(order):  # `order` grows while it is walked: the queue
+        for e, w in succ(v):
+            j = num.get(w)
+            if j is None:
+                j = num[w] = len(order)
+                order.append(w)
+            edges[(i, e)] = j
+    return order, edges
+
+
+def bfs_word(edges: dict[tuple[int, Event], int], target: int) -> Word:
+    """The word leading from index 0 to `target` along the breadth-first tree
+    of an `explore` result (each index's first incoming edge)."""
+    parent: dict[int, tuple[int, Event]] = {}
+    for (i, e), j in edges.items():
+        parent.setdefault(j, (i, e))
+    word = []
+    while target != 0:
+        target, e = parent[target]
+        word.append(e)
+    return tuple(reversed(word))
+
+
+def pair_moves(a: StarAutomaton, b: StarAutomaton):
+    """Successor function of the synchronous product of two automata over the
+    same alphabet: the events defined in both, in alphabet order."""
+    ta, tb = a.transitions, b.transitions
+
+    def succ(v):
+        qa, qb = v
+        for e in a.alphabet.events:
+            na, nb = ta.get((qa, e)), tb.get((qb, e))
+            if na is not None and nb is not None:
+                yield e, (na, nb)
+    return succ
+
+
+def lockstep(lead: StarAutomaton, *followers: StarAutomaton) -> list[tuple]:
+    """Joint states reachable when `lead` moves on its defined events and every
+    follower takes the same event, in breadth-first order.
+
+    Requires L(lead) to be contained in every follower's language; a follower
+    undefined along a string of `lead` raises.
+    """
+    def succ(v):
+        for e, t in lead.moves(v[0]):
+            nxt = [f.transitions.get((q, e)) for f, q in zip(followers, v[1:])]
+            if None in nxt:
+                raise AutomatonError(f"a following automaton is undefined on event {e!r} "
+                                     "along a string of the leading one")
+            yield e, (t, *nxt)
+    return explore((lead.initial, *(f.initial for f in followers)), succ)[0]
+
+
 def reachable_states(a: StarAutomaton) -> list[State]:
     """Reachable states in BFS order (events iterated in alphabet order)."""
-    order = [a.initial]
-    seen = {a.initial}
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for e in a.alphabet.events:
-            t = a.transitions.get((q, e))
-            if t is not None and t not in seen:
-                seen.add(t)
-                order.append(t)
-                queue.append(t)
-    return order
+    return explore(a.initial, a.moves)[0]
 
 
 def reachable_trim(a: StarAutomaton) -> StarAutomaton:
@@ -246,18 +316,8 @@ def reachable_trim(a: StarAutomaton) -> StarAutomaton:
 
 def renumber_bfs(a: StarAutomaton) -> StarAutomaton:
     """Renumber reachable states densely 0..n-1 in BFS order."""
-    order = reachable_states(a)
-    num = {q: i for i, q in enumerate(order)}
-    return StarAutomaton(
-        a.alphabet,
-        tuple(range(len(order))),
-        0,
-        {(num[q], e): num[t] for (q, e), t in a.transitions.items() if q in num},
-    )
-
-
-def relabel_map(a: StarAutomaton) -> dict[State, int]:
-    return {q: i for i, q in enumerate(reachable_states(a))}
+    order, edges = explore(a.initial, a.moves)
+    return StarAutomaton(a.alphabet, tuple(range(len(order))), 0, edges)
 
 
 def totalize(a: StarAutomaton) -> StarAutomaton:
@@ -281,6 +341,39 @@ def totalize(a: StarAutomaton) -> StarAutomaton:
     return StarAutomaton(a.alphabet, a.states + (sink,), a.initial, trans)
 
 
+def sink_tracker(a: StarAutomaton) -> tuple[StarAutomaton, Optional[State]]:
+    """The trim part of `a`, totalized; returns it with its sink state, or
+    None as the sink when the trim part is already total."""
+    trimmed = reachable_trim(a)
+    tracker = totalize(trimmed)
+    return tracker, (None if tracker is trimmed else tracker.states[-1])
+
+
+def alphabet_union(alphabets: Iterable[Alphabet]) -> Alphabet:
+    """Union of event sets, in order of first appearance.  Raises when two
+    alphabets disagree on whether an event is controllable."""
+    events: dict[Event, bool] = {}
+    for al in alphabets:
+        for e in al.events:
+            ctrl = e in al.controllable
+            if events.setdefault(e, ctrl) != ctrl:
+                raise AutomatonError(f"event {e!r} is controllable in one component only")
+    return Alphabet.make(events, [e for e, ctrl in events.items() if ctrl])
+
+
+def extend_alphabet(a: StarAutomaton | BuchiAutomaton, alphabet: Alphabet):
+    """Re-declare `a` over `alphabet`, a superset of its events; every added
+    event self-loops at every state, so the automaton ignores it."""
+    if isinstance(a, BuchiAutomaton):
+        return BuchiAutomaton(extend_alphabet(a.core, alphabet), a.accepting)
+    added = [e for e in alphabet.events if e not in a.alphabet]
+    trans = dict(a.transitions)
+    for q in a.states:
+        for e in added:
+            trans[(q, e)] = q
+    return StarAutomaton(alphabet, a.states, a.initial, trans)
+
+
 def sync_product(components: Sequence[StarAutomaton], alphabet: Alphabet) -> StarAutomaton:
     """Synchronous product over a global alphabet.
 
@@ -292,33 +385,20 @@ def sync_product(components: Sequence[StarAutomaton], alphabet: Alphabet) -> Sta
         missing = set(c.alphabet.events) - set(alphabet.events)
         if missing:
             raise AutomatonError(f"component event(s) {sorted(missing)} not in global alphabet")
-    init = tuple(c.initial for c in components)
-    trans: dict[tuple[State, Event], State] = {}
-    num: dict[tuple, int] = {init: 0}
-    queue = deque([init])
-    while queue:
-        vec = queue.popleft()
-        src = num[vec]
+
+    def succ(vec):
         for e in alphabet.events:
             nxt = []
-            ok = True
             for c, q in zip(components, vec):
-                if e in c.alphabet:
-                    t = c.transitions.get((q, e))
-                    if t is None:
-                        ok = False
-                        break
-                    nxt.append(t)
-                else:
-                    nxt.append(q)
-            if not ok:
-                continue
-            tv = tuple(nxt)
-            if tv not in num:
-                num[tv] = len(num)
-                queue.append(tv)
-            trans[(src, e)] = num[tv]
-    return StarAutomaton(alphabet, tuple(range(len(num))), 0, trans)
+                t = c.transitions.get((q, e)) if e in c.alphabet else q
+                if t is None:
+                    break
+                nxt.append(t)
+            else:
+                yield e, tuple(nxt)
+
+    order, edges = explore(tuple(c.initial for c in components), succ)
+    return StarAutomaton(alphabet, tuple(range(len(order))), 0, edges)
 
 
 def all_accepting(a: StarAutomaton) -> BuchiAutomaton:
@@ -343,54 +423,23 @@ def buchi_intersection(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     """
     if a.alphabet.events != b.alphabet.events:
         raise AutomatonError("alphabet mismatch")
-    alphabet = a.alphabet
-    ta, tb = a.core.transitions, b.core.transitions
+    pairs = pair_moves(a.core, b.core)
     if _is_trivially_accepting(a) or _is_trivially_accepting(b):
-        init = (a.core.initial, b.core.initial)
-        num: dict[tuple, int] = {init: 0}
-        trans: dict[tuple[State, Event], State] = {}
-        acc: set[int] = set()
-        queue = deque([init])
-        while queue:
-            qa, qb = queue.popleft()
-            src = num[(qa, qb)]
-            marked = (qa in a.accepting) and (qb in b.accepting)
-            if marked:
-                acc.add(src)
-            for e in alphabet.events:
-                na, nb = ta.get((qa, e)), tb.get((qb, e))
-                if na is None or nb is None:
-                    continue
-                tv = (na, nb)
-                if tv not in num:
-                    num[tv] = len(num)
-                    queue.append(tv)
-                trans[(src, e)] = num[tv]
-        core = StarAutomaton(alphabet, tuple(range(len(num))), 0, trans)
-        return BuchiAutomaton(core, frozenset(acc))
+        order, edges = explore((a.core.initial, b.core.initial), pairs)
+        acc = (i for i, (qa, qb) in enumerate(order)
+               if qa in a.accepting and qb in b.accepting)
+    else:
+        def hit(qa, qb, phase):
+            return (qa in a.accepting) if phase == 0 else (qb in b.accepting)
 
-    init = (a.core.initial, b.core.initial, 0)
-    num = {init: 0}
-    trans = {}
-    acc = set()
-    queue = deque([init])
-    while queue:
-        qa, qb, phase = queue.popleft()
-        src = num[(qa, qb, phase)]
-        hit = (qa in a.accepting) if phase == 0 else (qb in b.accepting)
-        if hit:
-            acc.add(src)
-        nphase = (1 - phase) if hit else phase
-        for e in alphabet.events:
-            na, nb = ta.get((qa, e)), tb.get((qb, e))
-            if na is None or nb is None:
-                continue
-            tv = (na, nb, nphase)
-            if tv not in num:
-                num[tv] = len(num)
-                queue.append(tv)
-            trans[(src, e)] = num[tv]
-    core = StarAutomaton(alphabet, tuple(range(len(num))), 0, trans)
+        def succ(v):
+            nphase = 1 - v[2] if hit(*v) else v[2]
+            for e, w in pairs(v[:2]):
+                yield e, (*w, nphase)
+
+        order, edges = explore((a.core.initial, b.core.initial, 0), succ)
+        acc = (i for i, v in enumerate(order) if hit(*v))
+    core = StarAutomaton(a.alphabet, tuple(range(len(order))), 0, edges)
     return BuchiAutomaton(core, frozenset(acc))
 
 
@@ -403,24 +452,8 @@ def buchi_lift(target: StarAutomaton, reference: BuchiAutomaton) -> frozenset[St
     """
     if target.alphabet.events != reference.alphabet.events:
         raise AutomatonError("alphabet mismatch")
-    start = (target.initial, reference.core.initial)
-    seen = {start}
-    queue = deque([start])
-    marked: set[State] = set()
-    while queue:
-        qt, qr = queue.popleft()
-        if qr in reference.accepting:
-            marked.add(qt)
-        for e in target.enabled(qt):
-            tr = reference.core.transitions.get((qr, e))
-            if tr is None:
-                raise AutomatonError(
-                    f"reference automaton undefined on event {e!r} along a target string")
-            pair = (target.transitions[(qt, e)], tr)
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return frozenset(marked)
+    return frozenset(qt for qt, qr in lockstep(target, reference.core)
+                     if qr in reference.accepting)
 
 
 def minimize_prefix_closed(a: StarAutomaton) -> StarAutomaton:
@@ -505,3 +538,43 @@ def tarjan_scc(states: Iterable[State], succ) -> list[list[State]]:
                         break
                 sccs.append(comp)
     return sccs
+
+
+def cyclic_sccs(states: Iterable[State], succ) -> Iterator[list[State]]:
+    """The strongly connected components that carry a cycle (more than one
+    state, or one state with a self-loop), in discovery order."""
+    for comp in tarjan_scc(states, succ):
+        if len(comp) > 1 or comp[0] in succ(comp[0]):
+            yield comp
+
+
+def states_reaching_cycle(states: Sequence[State], succ, good, inside=None) -> set[State]:
+    """States from which `succ` reaches a cycle through a state of `good`.
+
+    `succ` must map `states` into `states`.  With `inside`, only cycles that
+    stay within that set count; the path leading to the cycle may leave it.
+    """
+    if inside is None:
+        cyc_states, cyc_succ = states, succ
+    else:
+        cyc_states = [q for q in states if q in inside]
+
+        def cyc_succ(q):
+            return [t for t in succ(q) if t in inside]
+    found: set[State] = set()
+    for comp in cyclic_sccs(cyc_states, cyc_succ):
+        if not good.isdisjoint(comp):
+            found.update(comp)
+    if not found:
+        return found
+    preds: dict[State, list[State]] = {q: [] for q in states}
+    for q in states:
+        for t in succ(q):
+            preds[t].append(q)
+    stack = list(found)
+    while stack:
+        for q in preds[stack.pop()]:
+            if q not in found:
+                found.add(q)
+                stack.append(q)
+    return found

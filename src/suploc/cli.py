@@ -12,13 +12,18 @@ from .automata import (
     BuchiAutomaton,
     RabinBuchiAutomaton,
     StarAutomaton,
+    alphabet_union,
     all_accepting,
     buchi_intersection,
+    extend_alphabet,
+    lockstep,
+    sink_tracker,
     sync_product,
 )
 from .localization import Kind, LocalController, Part, localize_all
 from .omega import StarLanguageHandle
 from .omegasynth import (
+    OmegaSupervisor,
     assemble_fomega,
     build_rabin_buchi,
     controllability_subset,
@@ -27,8 +32,8 @@ from .omegasynth import (
     restrict_sup,
 )
 from .safety import SafetySupervisor, controlled_plant, sup_con_star
-from .textio import ParseError, load_automaton, save_automaton, serialize_automaton, to_dot
-from .verify import check_finite_equivalence, check_infinite_equivalence
+from .textio import ParseError, load_automaton, save_automaton, to_dot
+from .verify import check_infinite_equivalence
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -59,7 +64,10 @@ def _write_dot(path, name, aut):
 def cmd_product(args) -> int:
     comps = [_load(p)[1] for p in args.component]
     cores = [c.core if not isinstance(c, StarAutomaton) else c for c in comps]
-    global_alpha = cores[0].alphabet
+    try:
+        global_alpha = alphabet_union(c.alphabet for c in cores)
+    except AutomatonError as exc:
+        raise ParseError(0, str(exc)) from exc
     prod = sync_product(cores, global_alpha)
     save_automaton(args.out, "product", prod)
     if args.dot:
@@ -89,7 +97,13 @@ def cmd_synth_safety(args) -> int:
     return EXIT_OK
 
 
+INITIAL_LOST = "the controllability game loses the initial state"
+
+
 def _synth_omega(plant: BuchiAutomaton, legal, minimal: BuchiAutomaton):
+    """SUPw with the legal product and the game's result; when no supervisor
+    exists, None and in its place the reason: the existence check's witness
+    lasso, or INITIAL_LOST."""
     product = build_rabin_buchi(plant, legal)
     ctr = controllability_subset(product, plant.alphabet)
     asup = restrict_sup(product, ctr)
@@ -97,18 +111,30 @@ def _synth_omega(plant: BuchiAutomaton, legal, minimal: BuchiAutomaton):
     ok, witness = existence_check(infa, asup)
     if not ok:
         return None, witness, product, ctr
+    if product.core.initial not in ctr.subset:
+        return None, INITIAL_LOST, product, ctr
     sup = assemble_fomega(asup, ctr, minimal, existence_verified=True)
     return sup, None, product, ctr
+
+
+def _no_supervisor(reason) -> str:
+    if reason == INITIAL_LOST:
+        return f"no liveness supervisor: {INITIAL_LOST}"
+    return f"existence check failed; witness lasso {list(reason.stem)} ; {list(reason.cycle)}"
 
 
 def cmd_synth_omega(args) -> int:
     _, plant = _load(args.plant, BuchiAutomaton)
     _, legal = _load(args.legal)
     _, minimal = _load(args.minimal, BuchiAutomaton)
-    sup, witness, product, ctr = _synth_omega(plant, legal, minimal)
+    sup, reason, product, ctr = _synth_omega(plant, legal, minimal)
     if sup is None:
-        _emit(args, {"existence": False,
-                     "witness": {"stem": list(witness.stem), "cycle": list(witness.cycle)}})
+        if reason == INITIAL_LOST:
+            _emit(args, {"existence": False, "initial_lost": True})
+        else:
+            _emit(args, {"existence": False,
+                         "witness": {"stem": list(reason.stem), "cycle": list(reason.cycle)}})
+        print(_no_supervisor(reason), file=sys.stderr)
         return EXIT_EXISTENCE
     closed = BuchiAutomaton(sup.automaton, sup.buchi_lift)
     save_automaton(args.out, "sup-omega", closed)
@@ -224,30 +250,19 @@ def _rebuild_supervisors(plant_path, sup_star_path, sup_omega_path, minimal_path
     """Reload pipeline artifacts for localization/verification runs.
 
     The supervisors are stored as Buchi automata (structure + lift); the
-    liveness supervisor's tracker is rebuilt from the minimal behavior.
+    liveness supervisor's tracker is rebuilt from the minimal behavior, and
+    each supervisor state's tracker component by a joint walk.
     """
-    from .automata import reachable_trim, totalize
-    from .omegasynth import OmegaSupervisor
-
     _, plant = _load(plant_path, BuchiAutomaton)
     _, star_b = _load(sup_star_path, BuchiAutomaton)
     _, omega_b = _load(sup_omega_path, BuchiAutomaton)
     _, minimal = _load(minimal_path, BuchiAutomaton)
     sup_star = SafetySupervisor(star_b.core, star_b.accepting)
-    trimmed = reachable_trim(minimal.core)
-    tracker = totalize(trimmed)
-    sink = tracker.states[-1] if not trimmed.is_total() else None
-    # psi is only needed for exports; reconstruct z by joint walk
-    from collections import deque
-    z_comp = {omega_b.core.initial: tracker.initial}
-    queue = deque([omega_b.core.initial])
-    while queue:
-        x = queue.popleft()
-        for e in omega_b.core.enabled(x):
-            t = omega_b.core.transitions[(x, e)]
-            if t not in z_comp:
-                z_comp[t] = tracker.transitions[(z_comp[x], e)]
-                queue.append(t)
+    tracker, sink = sink_tracker(minimal.core)
+    z_comp: dict = {}
+    for x, z in lockstep(omega_b.core, tracker):
+        z_comp.setdefault(x, z)
+    # psi is only needed for exports
     psi = {x: frozenset(omega_b.core.enabled(x)) for x in omega_b.core.states}
     sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, psi, tracker, sink, z_comp)
     return plant, sup_star, sup_omega, minimal
@@ -258,22 +273,7 @@ def cmd_localize(args) -> int:
         args.plant, args.sup_star, args.sup_omega, args.minimal)
     closed = controlled_plant(plant, sup_star)
     controllers = localize_all(plant, sup_star, closed, sup_omega)
-    os.makedirs(args.out_dir, exist_ok=True)
-    manifest = []
-    for c in controllers:
-        name = _controller_name(c)
-        save_automaton(os.path.join(args.out_dir, name + ".aut"), name, c.automaton)
-        if args.dot:
-            _write_dot(os.path.join(args.out_dir, name + ".dot"), name, c.automaton)
-        manifest.append({
-            "name": name,
-            "event": c.event,
-            "kind": c.kind.value,
-            "part": c.part.value,
-            "states": len(c.automaton.states),
-        })
-    with open(os.path.join(args.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    manifest = _write_controllers(controllers, args.out_dir, args.dot)
     _emit(args, {"controllers": manifest})
     return EXIT_OK
 
@@ -283,6 +283,23 @@ def _controller_name(c: LocalController) -> str:
         return f"loc_{c.event}_safety"
     suffix = "c1" if c.part is Part.C1 else "c2"
     return f"loc_{c.event}_live_{suffix}"
+
+
+def _write_controllers(controllers: list[LocalController], out_dir, dot: bool) -> list[dict]:
+    """Save each controller (and its DOT rendering) plus ``manifest.json``;
+    returns the manifest."""
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = []
+    for c in controllers:
+        name = _controller_name(c)
+        save_automaton(os.path.join(out_dir, name + ".aut"), name, c.automaton)
+        if dot:
+            _write_dot(os.path.join(out_dir, name + ".dot"), name, c.automaton)
+        manifest.append({"name": name, "event": c.event, "kind": c.kind.value,
+                         "part": c.part.value, "states": len(c.automaton.states)})
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    return manifest
 
 
 def _load_controllers(directory) -> list[LocalController]:
@@ -331,24 +348,14 @@ def cmd_pipeline(args) -> int:
     if "alphabet_from" in cfg:
         global_alpha = _load(rel(cfg["alphabet_from"]))[1].alphabet
 
-    def lift_star(s: StarAutomaton) -> StarAutomaton:
-        trans = dict(s.transitions)
-        for q in s.states:
-            for e in global_alpha.events:
-                if e not in s.alphabet.events:
-                    trans[(q, e)] = q
-        return StarAutomaton(global_alpha, s.states, s.initial, trans)
-
-    plant_star = sync_product([lift_star(s) for s in star_parts], global_alpha)
-    plant = all_accepting(plant_star)
+    plant = all_accepting(sync_product(star_parts, global_alpha))
     for live in liveness:
-        lifted = BuchiAutomaton(lift_star(live.core), live.accepting)
-        plant = buchi_intersection(plant, lifted)
+        plant = buchi_intersection(plant, extend_alphabet(live, global_alpha))
     save_automaton(os.path.join(out_dir, "plant.aut"), "plant", plant)
 
     specs = [_load(rel(p))[1] for p in cfg["safety_specs"]]
     spec_cores = [s.core if not isinstance(s, StarAutomaton) else s for s in specs]
-    spec = StarLanguageHandle(sync_product([lift_star(s) for s in spec_cores], global_alpha))
+    spec = StarLanguageHandle(sync_product(spec_cores, global_alpha))
 
     sup = sup_con_star(plant, spec)
     if sup.is_empty:
@@ -359,28 +366,16 @@ def cmd_pipeline(args) -> int:
 
     _, legal = _load(rel(cfg["legal_spec"]))
     _, minimal = _load(rel(cfg["minimal_spec"]), BuchiAutomaton)
-    supw, witness, product, ctr = _synth_omega(closed, legal, minimal)
+    supw, reason, product, ctr = _synth_omega(closed, legal, minimal)
     save_automaton(os.path.join(out_dir, "legal_product.aut"), "legal-product", product)
     if supw is None:
-        print("existence check failed; witness lasso "
-              f"{list(witness.stem)} ; {list(witness.cycle)}", file=sys.stderr)
+        print(_no_supervisor(reason), file=sys.stderr)
         return EXIT_EXISTENCE
     save_automaton(os.path.join(out_dir, "sup_omega.aut"), "sup-omega",
                    BuchiAutomaton(supw.automaton, supw.buchi_lift))
 
     controllers = localize_all(plant, sup, closed, supw)
-    loc_dir = os.path.join(out_dir, "controllers")
-    os.makedirs(loc_dir, exist_ok=True)
-    manifest = []
-    for c in controllers:
-        name = _controller_name(c)
-        save_automaton(os.path.join(loc_dir, name + ".aut"), name, c.automaton)
-        if args.dot:
-            _write_dot(os.path.join(loc_dir, name + ".dot"), name, c.automaton)
-        manifest.append({"name": name, "event": c.event, "kind": c.kind.value,
-                         "part": c.part.value, "states": len(c.automaton.states)})
-    with open(os.path.join(loc_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    manifest = _write_controllers(controllers, os.path.join(out_dir, "controllers"), args.dot)
 
     report = check_infinite_equivalence(
         plant, sup, supw, controllers, lasso_budget=args.lassos, seed=args.seed)

@@ -28,6 +28,7 @@ from .automata import (
     Event,
     StarAutomaton,
     State,
+    lockstep,
     reachable_states,
 )
 from .omegasynth import OmegaSupervisor
@@ -79,11 +80,7 @@ def profile_safety(plant: BuchiAutomaton, sup: SafetySupervisor, alpha: Event) -
         raise AutomatonError(f"event {alpha!r} is not controllable")
     if sup.is_empty:
         raise AutomatonError("empty supervisor has no profile")
-    aut = sup.automaton
-    enable = {x: (x, alpha) in aut.transitions for x in aut.states}
-    plant_allows = _jointly_allowing(aut, plant.core, alpha)
-    disable = {x: (not enable[x]) and (x in plant_allows) for x in aut.states}
-    return EnableDisableProfile(alpha, enable, disable, Part.NONE)
+    return _profile(sup.automaton, alpha, Part.NONE, plant.core)
 
 
 def profile_liveness(
@@ -101,49 +98,23 @@ def profile_liveness(
     """
     if alpha not in controlled_plant.alphabet.controllable:
         raise AutomatonError(f"event {alpha!r} is not controllable")
-    aut = sup.automaton
+    return _profile(sup.automaton, alpha, part, controlled_plant.core, sup.tracker,
+                    sup.tracker_sink)
+
+
+def _profile(aut: StarAutomaton, alpha: Event, part: Part, plant: StarAutomaton,
+             tracker: Optional[StarAutomaton] = None, sink: State = None) -> EnableDisableProfile:
+    """Profile of `aut` for alpha.  A state disables alpha when alpha is
+    undefined there and some string reaching it, run jointly in the plant
+    (and in the tracker, inside the scope `part` names), reaches a plant
+    state where alpha is defined."""
+    followers = (plant,) if tracker is None else (plant, tracker)
+    witness = {v[0] for v in lockstep(aut, *followers)
+               if (v[1], alpha) in plant.transitions
+               and (part is Part.NONE or (v[2] != sink) == (part is Part.C1))}
     enable = {x: (x, alpha) in aut.transitions for x in aut.states}
-    witness: set[State] = set()
-    start = (aut.initial, controlled_plant.core.initial, sup.tracker.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x, g, z = queue.popleft()
-        in_c1 = z != sup.tracker_sink
-        scope_ok = part is Part.NONE or (part is Part.C1) == in_c1
-        if scope_ok and (g, alpha) in controlled_plant.core.transitions:
-            witness.add(x)
-        for e in aut.enabled(x):
-            gn = controlled_plant.core.transitions.get((g, e))
-            if gn is None:
-                raise AutomatonError("supervisor leaves the controlled plant's language")
-            nxt = (aut.transitions[(x, e)], gn, sup.tracker.transitions[(z, e)])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
     disable = {x: (not enable[x]) and (x in witness) for x in aut.states}
     return EnableDisableProfile(alpha, enable, disable, part)
-
-
-def _jointly_allowing(sup_aut: StarAutomaton, plant_core: StarAutomaton, alpha: Event) -> set[State]:
-    """Supervisor states jointly reachable with a plant state where alpha is defined."""
-    out: set[State] = set()
-    start = (sup_aut.initial, plant_core.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x, q = queue.popleft()
-        if (q, alpha) in plant_core.transitions:
-            out.add(x)
-        for e in sup_aut.enabled(x):
-            qn = plant_core.transitions.get((q, e))
-            if qn is None:
-                raise AutomatonError("supervisor leaves the plant's language")
-            nxt = (sup_aut.transitions[(x, e)], qn)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return out
 
 
 def consistent(p: EnableDisableProfile, x: State, y: State) -> bool:

@@ -20,6 +20,7 @@ from .automata import (
     StarAutomaton,
     all_accepting,
     buchi_intersection,
+    extend_alphabet,
     sync_product,
 )
 from .omega import StarLanguageHandle
@@ -70,22 +71,9 @@ def plant() -> BuchiAutomaton:
     """The factory as one Buchi automaton: limit of the composed finite
     behavior intersected with both removal fairness assumptions."""
     sf = all_accepting(plant_core())
-    f1 = _lift_full(removal_fairness(1))
-    f2 = _lift_full(removal_fairness(2))
+    f1 = extend_alphabet(removal_fairness(1), alphabet())
+    f2 = extend_alphabet(removal_fairness(2), alphabet())
     return buchi_intersection(buchi_intersection(sf, f1), f2)
-
-
-def _lift_full(b: BuchiAutomaton) -> BuchiAutomaton:
-    """Re-declare a component Buchi automaton over the full event set,
-    self-looping the absent events."""
-    full = alphabet()
-    trans = dict(b.core.transitions)
-    for q in b.core.states:
-        for e in full.events:
-            if e not in b.core.alphabet.events:
-                trans[(q, e)] = q
-    core = StarAutomaton(full, b.core.states, b.core.initial, trans)
-    return BuchiAutomaton(core, b.accepting)
 
 
 def buffer_spec(i: int) -> StarAutomaton:

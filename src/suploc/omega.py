@@ -12,24 +12,24 @@ accepting on one side and rejecting on the other.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .automata import (
     AutomatonError,
     BuchiAutomaton,
-    Event,
     LassoWord,
     RabinBuchiAutomaton,
     StarAutomaton,
-    State,
     Word,
-    lasso_in_star,
+    bfs_word,
+    cyclic_sccs,
+    explore,
     omega_visit_set,
+    pair_moves,
     reachable_states,
     reachable_trim,
-    tarjan_scc,
+    states_reaching_cycle,
     totalize,
 )
 
@@ -55,70 +55,6 @@ class StarLanguageHandle:
         return self.automaton.alphabet
 
 
-def states_reaching_accepting_cycle(b: BuchiAutomaton) -> set[State]:
-    """States from which some cycle through an accepting state is reachable."""
-    a = b.core
-    reach = reachable_states(a)
-
-    def succ(q):
-        return [a.transitions[(q, e)] for e in a.enabled(q)]
-
-    on_acc_cycle: set[State] = set()
-    for comp in tarjan_scc(reach, succ):
-        compset = set(comp)
-        nontrivial = len(comp) > 1 or any(
-            a.transitions.get((comp[0], e)) == comp[0] for e in a.alphabet.events
-        )
-        if nontrivial and compset & b.accepting:
-            on_acc_cycle |= compset
-    # backward closure over reachable states
-    preds: dict[State, list[State]] = {q: [] for q in reach}
-    reachset = set(reach)
-    for (q, _e), t in a.transitions.items():
-        if q in reachset and t in reachset:
-            preds[t].append(q)
-    good = set(on_acc_cycle)
-    queue = deque(good)
-    while queue:
-        t = queue.popleft()
-        for q in preds[t]:
-            if q not in good:
-                good.add(q)
-                queue.append(q)
-    return good
-
-
-def states_reaching_pair_cycle(core: StarAutomaton, r_set, i_set) -> set[State]:
-    """States from which some cycle inside I through an R state is reachable."""
-    reach = reachable_states(core)
-    inside = [q for q in reach if q in i_set]
-
-    def succ_i(q):
-        return [core.transitions[(q, e)] for e in core.enabled(q)
-                if core.transitions[(q, e)] in i_set]
-
-    on_cycle: set[State] = set()
-    for comp in tarjan_scc(inside, succ_i):
-        compset = set(comp)
-        nontrivial = len(comp) > 1 or comp[0] in succ_i(comp[0])
-        if nontrivial and compset & r_set:
-            on_cycle |= compset
-    preds: dict[State, list[State]] = {q: [] for q in reach}
-    reachset = set(reach)
-    for (q, _e), t in core.transitions.items():
-        if q in reachset and t in reachset:
-            preds[t].append(q)
-    good = set(on_cycle)
-    queue = deque(good)
-    while queue:
-        t = queue.popleft()
-        for q in preds[t]:
-            if q not in good:
-                good.add(q)
-                queue.append(q)
-    return good
-
-
 def pre_automaton(a: BuchiAutomaton | StarAutomaton | StarLanguageHandle) -> StarLanguageHandle:
     """Automaton for the set of finite prefixes of the declared language.
 
@@ -132,10 +68,10 @@ def pre_automaton(a: BuchiAutomaton | StarAutomaton | StarLanguageHandle) -> Sta
         return StarLanguageHandle(reachable_trim(a.automaton))
     if isinstance(a, StarAutomaton):
         return StarLanguageHandle(reachable_trim(a))
-    good = states_reaching_accepting_cycle(a)
-    if a.core.initial not in good:
-        return StarLanguageHandle(None)
     core = a.core
+    good = states_reaching_cycle(reachable_states(core), core.targets, a.accepting)
+    if core.initial not in good:
+        return StarLanguageHandle(None)
     trans = {k: t for k, t in core.transitions.items() if k[0] in good and t in good}
     pruned = StarAutomaton(core.alphabet, tuple(q for q in core.states if q in good),
                            core.initial, trans)
@@ -153,8 +89,8 @@ def clo_automaton(a: BuchiAutomaton) -> BuchiAutomaton:
 
 def is_deadlock_free(a: BuchiAutomaton) -> bool:
     """True iff every reachable state reaches an accepting cycle."""
-    good = states_reaching_accepting_cycle(a)
-    return all(q in good for q in reachable_states(a.core))
+    reach = reachable_states(a.core)
+    return len(states_reaching_cycle(reach, a.core.targets, a.accepting)) == len(reach)
 
 
 def star_equal(a: StarLanguageHandle, b: StarLanguageHandle) -> tuple[bool, Optional[Word]]:
@@ -179,27 +115,12 @@ def star_contained(a: StarLanguageHandle, b: StarLanguageHandle) -> tuple[bool, 
 def _star_compare(a: StarAutomaton, b: StarAutomaton, containment: bool):
     if a.alphabet.events != b.alphabet.events:
         raise AutomatonError("alphabet mismatch")
-    start = (a.initial, b.initial)
-    parent: dict[tuple, Optional[tuple]] = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        qa, qb = pair
+    order, edges = explore((a.initial, b.initial), pair_moves(a, b))
+    for i, (qa, qb) in enumerate(order):
         ea, eb = set(a.enabled(qa)), set(b.enabled(qb))
         bad = (ea - eb) if containment else (ea ^ eb)
         if bad:
-            e = min(bad, key=a.alphabet.index)
-            word: list[Event] = [e]
-            cur = pair
-            while parent[cur] is not None:
-                cur, ev = parent[cur]
-                word.append(ev)
-            return False, tuple(reversed(word))
-        for e in sorted(ea & eb, key=a.alphabet.index):
-            nxt = (a.transitions[(qa, e)], b.transitions[(qb, e)])
-            if nxt not in parent:
-                parent[nxt] = (pair, e)
-                queue.append(nxt)
+            return False, bfs_word(edges, i) + (min(bad, key=a.alphabet.index),)
     return True, None
 
 
@@ -233,132 +154,77 @@ def omega_contained_single_pair(
         raise AutomatonError("alphabet mismatch")
     ra, ia = _acceptance_pair(a, a_layer)
     rb, ib = _acceptance_pair(b, b_layer)
-    was_total = b.core.is_total()
     bt = totalize(b.core)
-    sink = None if was_total else bt.states[-1]
+    sink = None if bt is b.core else bt.states[-1]
+    # the product, on visit indices: node i is the state pair order[i]
+    order, edges = explore((a.core.initial, bt.initial), pair_moves(a.core, bt))
+    events = a.core.alphabet.events
 
-    alphabet = a.core.alphabet
-    edges: dict[tuple[tuple, Event], tuple] = {}
-    start = (a.core.initial, bt.initial)
-    parent: dict[tuple, Optional[tuple]] = {start: None}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        qa, qb = pair
-        for e in alphabet.events:
-            na = a.core.transitions.get((qa, e))
-            if na is None:
-                continue
-            nxt = (na, bt.transitions[(qb, e)])
-            edges[(pair, e)] = nxt
-            if nxt not in parent:
-                parent[nxt] = (pair, e)
-                order.append(nxt)
-                queue.append(nxt)
+    def b_outside_i(i):
+        return order[i][1] == sink or order[i][1] not in ib
 
-    def b_outside_i(pair):
-        return pair[1] == sink or pair[1] not in ib
+    def b_in_r(i):
+        return order[i][1] != sink and order[i][1] in rb
 
-    def b_in_r(pair):
-        return pair[1] != sink and pair[1] in rb
+    def a_in_r(i):
+        return order[i][0] in ra
 
-    def a_in_r(pair):
-        return pair[0] in ra
+    def moves_in(region):
+        def moves(i):
+            for e in events:
+                j = edges.get((i, e))
+                if j is not None and j in region:
+                    yield e, j
+        return moves
 
-    def restricted_succ(region):
-        def succ(pair):
-            return [edges[(pair, e)] for e in alphabet.events
-                    if (pair, e) in edges and edges[(pair, e)] in region]
-        return succ
+    def targets_in(region):
+        moves = moves_in(region)
+        return lambda i: [j for _e, j in moves(i)]
 
-    def cycle_through(region, anchor, waypoints):
+    def path(region, src, dst) -> Word:
+        """Shortest non-empty event path src -> dst inside region."""
+        sub_order, sub_edges = explore(src, moves_in(region))
+        if dst != src:
+            return bfs_word(sub_edges, sub_order.index(dst))
+        i, e = next(k for k, j in sub_edges.items() if j == 0)
+        return bfs_word(sub_edges, i) + (e,)
+
+    def cycle_through(region, anchor, waypoints) -> Word:
         """Event path: anchor -> each waypoint in turn -> anchor, inside region."""
-        word: list[Event] = []
+        word: Word = ()
         cur = anchor
         for goal in list(waypoints) + [anchor]:
             if cur == goal and word:
                 continue
-            seg = _bfs_path(edges, alphabet, region, cur, goal)
-            word.extend(seg)
+            word += path(region, cur, goal)
             cur = goal
-        if not word:  # anchor on a self-loop
-            for e in alphabet.events:
-                if edges.get((anchor, e)) == anchor:
-                    return [e]
         return word
 
     witness_cycle = None
     anchor = None
+    indices = range(len(order))
     # shape 1: cycle inside I_a, avoiding R_b, hitting R_a
-    region1 = {p for p in order if p[0] in ia and not b_in_r(p)}
-    for comp in tarjan_scc([p for p in order if p in region1], restricted_succ(region1)):
-        compset = set(comp)
-        succ = restricted_succ(compset)
-        nontrivial = len(compset) > 1 or comp[0] in succ(comp[0])
-        hits = [p for p in order if p in compset and a_in_r(p)]
-        if nontrivial and hits:
-            anchor = hits[0]
-            witness_cycle = cycle_through(compset, anchor, [])
+    region1 = {i for i in indices if order[i][0] in ia and not b_in_r(i)}
+    for comp in cyclic_sccs(sorted(region1), targets_in(region1)):
+        hits = [i for i in comp if a_in_r(i)]
+        if hits:
+            anchor = min(hits)
+            witness_cycle = cycle_through(set(comp), anchor, [])
             break
     if witness_cycle is None:
         # shape 2: cycle inside I_a hitting R_a and leaving I_b
-        region2 = {p for p in order if p[0] in ia}
-        for comp in tarjan_scc([p for p in order if p in region2], restricted_succ(region2)):
-            compset = set(comp)
-            succ = restricted_succ(compset)
-            if len(compset) == 1 and comp[0] not in succ(comp[0]):
-                continue
-            hits = [p for p in order if p in compset and a_in_r(p)]
-            outs = [p for p in order if p in compset and b_outside_i(p)]
+        region2 = {i for i in indices if order[i][0] in ia}
+        for comp in cyclic_sccs(sorted(region2), targets_in(region2)):
+            hits = [i for i in comp if a_in_r(i)]
+            outs = [i for i in comp if b_outside_i(i)]
             if hits and outs:
-                anchor = hits[0]
-                witness_cycle = cycle_through(compset, anchor, [outs[0]])
+                anchor = min(hits)
+                witness_cycle = cycle_through(set(comp), anchor, [min(outs)])
                 break
     if witness_cycle is None:
         return True, None
-
-    stem: list[Event] = []
-    cur = anchor
-    while parent[cur] is not None:
-        cur, e = parent[cur]
-        stem.append(e)
-    stem.reverse()
-    lasso = LassoWord(tuple(stem), tuple(witness_cycle))
-    lasso = _shrink_lasso(lasso, a, b, a_layer, b_layer)
-    return False, lasso
-
-
-def _bfs_path(edges, alphabet, region, src, dst) -> list[Event]:
-    """Shortest non-empty event path src -> dst within region."""
-    local: dict[tuple, Optional[tuple]] = {}
-    queue = deque()
-    for e in alphabet.events:
-        t = edges.get((src, e))
-        if t is not None and t in region:
-            if t == dst:
-                return [e]
-            if t not in local:
-                local[t] = (None, e)
-                queue.append(t)
-    while queue:
-        p = queue.popleft()
-        for e in alphabet.events:
-            t = edges.get((p, e))
-            if t is None or t not in region:
-                continue
-            if t == dst:
-                word = [e]
-                cur = p
-                while cur is not None:
-                    prev, ev = local[cur]
-                    word.append(ev)
-                    cur = prev
-                return list(reversed(word))
-            if t not in local:
-                local[t] = (p, e)
-                queue.append(t)
-    raise AutomatonError("no path inside strongly connected region")
+    lasso = LassoWord(bfs_word(edges, anchor), witness_cycle)
+    return False, _shrink_lasso(lasso, a, b, a_layer, b_layer)
 
 
 def lasso_accepted(aut, w: LassoWord, layer: str) -> bool:

@@ -40,19 +40,13 @@ from .automata import (
     State,
     buchi_intersection,
     buchi_lift,
+    explore,
+    pair_moves,
     reachable_states,
-    reachable_trim,
-    renumber_bfs,
-    tarjan_scc,
-    totalize,
+    sink_tracker,
+    states_reaching_cycle,
 )
-from .omega import (
-    StarLanguageHandle,
-    clo_automaton,
-    omega_contained_single_pair,
-    pre_automaton,
-    states_reaching_pair_cycle,
-)
+from .omega import clo_automaton, omega_contained_single_pair
 
 
 @dataclass(frozen=True)
@@ -118,39 +112,19 @@ def build_rabin_buchi(
     # the pruned tracker is then made total with an absorbing dead sink so
     # the product's star layer accepts the plant's finite behavior exactly
     # (strings outside pre(E_l) run into the sink, which satisfies nothing)
-    good = states_reaching_pair_cycle(rl.core, r_set, i_set)
+    good = states_reaching_cycle(reachable_states(rl.core), rl.core.targets, r_set,
+                                 inside=i_set)
     if rl.core.initial not in good:
         raise AutomatonError("legal specification has empty omega-language")
-    pruned = reachable_trim(StarAutomaton(
+    tracker, sink = sink_tracker(StarAutomaton(
         alphabet,
         tuple(q for q in rl.core.states if q in good),
         rl.core.initial,
         {k: t for k, t in rl.core.transitions.items() if k[0] in good and t in good},
     ))
-    tracker = totalize(pruned)
-    sink = tracker.states[-1] if not pruned.is_total() else None
+    origin, trans = explore((plant.core.initial, tracker.initial), pair_moves(plant.core, tracker))
 
-    init = (plant.core.initial, tracker.initial)
-    num: dict[tuple, int] = {init: 0}
-    origin: list[tuple] = [init]
-    trans: dict[tuple[State, Event], State] = {}
-    queue = deque([init])
-    while queue:
-        vec = queue.popleft()
-        src = num[vec]
-        q, l = vec
-        for e in alphabet.events:
-            tq = plant.core.transitions.get((q, e))
-            if tq is None:
-                continue
-            nxt = (tq, tracker.transitions[(l, e)])
-            if nxt not in num:
-                num[nxt] = len(num)
-                origin.append(nxt)
-                queue.append(nxt)
-            trans[(src, e)] = num[nxt]
-
-    core = StarAutomaton(alphabet, tuple(range(len(num))), 0, trans)
+    core = StarAutomaton(alphabet, tuple(range(len(origin))), 0, trans)
     rabin_r = frozenset(i for i, (q, l) in enumerate(origin) if l in r_set and l != sink)
     rabin_i = frozenset(i for i, (q, l) in enumerate(origin) if l in i_set and l != sink)
     if liveness_reference is None:
@@ -195,34 +169,33 @@ def _zielonka(nodes, edges, owner, priority):
 
     owner[v] in {0, 1} (0 = controller); a player stuck at its own node
     loses.  Strategies map a node of the winning player to a chosen
-    successor.
+    successor.  `nodes` is a list, and every node set is walked in its
+    order, so the strategies do not depend on how nodes hash.
     """
-    nodes = set(nodes)
     if not nodes:
         return set(), set(), {}, {}
     p = max(priority[v] for v in nodes)
     player = p % 2
-    target = {v for v in nodes if priority[v] == p}
+    target = [v for v in nodes if priority[v] == p]
     attr, attr_strat = _attractor(player, target, nodes, edges, owner)
-    rest = nodes - attr
-    w0, w1, s0, s1 = _zielonka(rest, edges, owner, priority)
+    w0, w1, s0, s1 = _zielonka([v for v in nodes if v not in attr], edges, owner, priority)
     wins = (w0, w1)
     strats = (s0, s1)
     if not wins[1 - player]:
         strat = dict(strats[player])
         strat.update(attr_strat)
+        inside = set(nodes)
         for v in target:
             if owner[v] == player:
-                succ = [t for t in edges.get(v, ()) if t in nodes]
+                succ = [t for t in edges.get(v, ()) if t in inside]
                 if succ:
                     strat.setdefault(v, succ[0])
         if player == 0:
-            return nodes, set(), strat, {}
-        return set(), nodes, {}, strat
+            return inside, set(), strat, {}
+        return set(), inside, {}, strat
     opp = 1 - player
-    b_attr, b_strat = _attractor(opp, wins[opp], nodes, edges, owner)
-    rest2 = nodes - b_attr
-    w0b, w1b, s0b, s1b = _zielonka(rest2, edges, owner, priority)
+    b_attr, b_strat = _attractor(opp, [v for v in nodes if v in wins[opp]], nodes, edges, owner)
+    w0b, w1b, s0b, s1b = _zielonka([v for v in nodes if v not in b_attr], edges, owner, priority)
     if opp == 0:
         strat0 = dict(s0)
         strat0.update(b_strat)
@@ -235,19 +208,20 @@ def _zielonka(nodes, edges, owner, priority):
 
 
 def _attractor(player, target, nodes, edges, owner):
-    """Attractor of `target` for `player` within `nodes`, with a strategy for
-    the player's nodes that move toward the target."""
-    attr = set(target) & nodes
+    """Attractor of `target` (a list inside the list `nodes`) for `player`,
+    with a strategy for the player's nodes that move toward the target."""
+    inside = set(nodes)
+    attr = set(target)
     strat = {}
     # count remaining escapes for opponent nodes
     out_count = {}
     preds: dict = {}
     for v in nodes:
-        succ = [t for t in edges.get(v, ()) if t in nodes]
+        succ = [t for t in edges.get(v, ()) if t in inside]
         out_count[v] = len(succ)
         for t in succ:
             preds.setdefault(t, []).append(v)
-    queue = deque(attr)
+    queue = deque(target)
     while queue:
         t = queue.popleft()
         for v in preds.get(t, ()):  # v in nodes by construction
@@ -284,7 +258,8 @@ def controllability_subset(a: RabinBuchiAutomaton, alphabet: Alphabet) -> Contro
     allowed = set(core.states)
     while True:
         winning, phi = _solve_pattern_game(core, alphabet, allowed, r_set, i_set, a.buchi)
-        live = _states_reaching_live_cycle(core, phi, winning, a.buchi)
+        live = states_reaching_cycle([q for q in core.states if q in winning],
+                                     _pattern_succ(core, phi, winning), a.buchi)
         if live == winning:
             return ControllabilityResult(frozenset(winning), phi)
         allowed = live
@@ -323,7 +298,7 @@ def _solve_pattern_game(core, alphabet, allowed, r_set, i_set, b_set):
             succs.append(pnode)
         edges[cnode] = succs or [dead]
 
-    w0, _w1, strat0, _s1 = _zielonka(set(nodes), edges, owner, priority)
+    w0, _w1, strat0, _s1 = _zielonka(nodes, edges, owner, priority)
     winning = {q for q in core.states if ("c", q) in w0}
 
     # base pattern map from the game strategy, then greedy maximal enlargement
@@ -352,70 +327,27 @@ def _solve_pattern_game(core, alphabet, allowed, r_set, i_set, b_set):
     return winning, phi
 
 
-def _states_reaching_live_cycle(core, phi, region, b_set) -> set[State]:
-    """States of `region` from which the pattern map keeps a continuation
-    that visits the Buchi layer infinitely often."""
-
-    def succ(q):
-        return [core.transitions[(q, e)] for e in sorted(phi[q], key=core.alphabet.index)
-                if core.transitions[(q, e)] in region]
-
-    on_live: set[State] = set()
-    ordered = [q for q in core.states if q in region]
-    for comp in tarjan_scc(ordered, succ):
-        compset = set(comp)
-        nontrivial = len(comp) > 1 or comp[0] in succ(comp[0])
-        if nontrivial and compset & b_set:
-            on_live |= compset
-    preds: dict[State, list[State]] = {q: [] for q in ordered}
-    for q in ordered:
-        for t in succ(q):
-            preds[t].append(q)
-    good = set(on_live)
-    queue = deque(good)
-    while queue:
-        t = queue.popleft()
-        for q in preds[t]:
-            if q not in good:
-                good.add(q)
-                queue.append(q)
-    return good
+def _pattern_succ(core, phi, region):
+    """Successors under the pattern map, kept inside `region`."""
+    return lambda q: [core.transitions[(q, e)] for e in sorted(phi[q], key=core.alphabet.index)
+                      if core.transitions[(q, e)] in region]
 
 
 def _pattern_map_wins(core, phi, region, r_set, i_set, b_set) -> bool:
     """Check that the fixed memoryless pattern map wins from every state of
     `region`: no deadlock, plays stay in the region, and no reachable cycle
-    has odd maximal priority."""
+    has odd maximal priority: none passes outside I, and none avoids R while
+    meeting the Buchi layer."""
     for q in region:
         if not phi.get(q):
             return False
         for e in phi[q]:
             if core.transitions.get((q, e)) is None or core.transitions[(q, e)] not in region:
                 return False
-
-    def succ(q):
-        return [core.transitions[(q, e)] for e in sorted(phi[q], key=core.alphabet.index)]
-
     ordered = [q for q in core.states if q in region]
-    # cycles through a state outside I are losing outright
-    for comp in tarjan_scc(ordered, succ):
-        compset = set(comp)
-        nontrivial = len(comp) > 1 or comp[0] in succ(comp[0])
-        if not nontrivial:
-            continue
-        if any(q not in i_set for q in comp):
-            return False
-        # within I: a cycle avoiding R but meeting the Buchi layer is losing
-        sub = compset - r_set
-        for inner in tarjan_scc([q for q in ordered if q in sub],
-                                lambda s: [t for t in succ(s) if t in sub]):
-            innerset = set(inner)
-            inner_nontrivial = len(inner) > 1 or inner[0] in [
-                t for t in succ(inner[0]) if t in innerset
-            ]
-            if inner_nontrivial and innerset & b_set:
-                return False
-    return True
+    succ = _pattern_succ(core, phi, region)
+    return not (states_reaching_cycle(ordered, succ, region - i_set)
+                or states_reaching_cycle(ordered, succ, b_set, inside=region - r_set))
 
 
 def restrict_sup(a: RabinBuchiAutomaton, c: ControllabilityResult) -> RabinBuchiAutomaton:
@@ -477,7 +409,8 @@ def assemble_fomega(
         {k: t for k, t in asup.core.transitions.items()
          if k[0] in c.subset and t in c.subset},
     )
-    prefix_region = states_reaching_pair_cycle(sub_core, r_set, i_set)
+    prefix_region = states_reaching_cycle(reachable_states(sub_core), sub_core.targets, r_set,
+                                          inside=i_set)
     if asup.core.initial not in prefix_region:
         raise AutomatonError("restricted legal behavior is empty")
     for q in prefix_region:
@@ -488,43 +421,28 @@ def assemble_fomega(
                     "prefix region of the restricted legal behavior is not "
                     "controllable; the controllability subset is inconsistent")
 
-    trimmed = reachable_trim(minimal.core)
-    tracker = totalize(trimmed)
     # with a total tracker every string stays a prefix of the minimal
     # behavior and the pattern branch is never taken
-    sink = tracker.states[-1] if not trimmed.is_total() else None
-    alphabet = asup.alphabet
+    tracker, sink = sink_tracker(minimal.core)
+    core = asup.core
 
-    init = (asup.core.initial, tracker.initial)
-    num: dict[tuple, int] = {init: 0}
-    origin: list[tuple] = [init]
-    trans: dict[tuple[State, Event], State] = {}
-    psi_raw: dict[tuple, frozenset[Event]] = {}
-    queue = deque([init])
-    while queue:
-        vec = queue.popleft()
-        src = num[vec]
-        q, z = vec
+    def psi_at(v) -> frozenset[Event]:
+        q, z = v
         if z == sink:
-            enabled = frozenset(asup.core.enabled(q)) & c.phi[q]
-        else:
-            enabled = frozenset(
-                e for e in asup.core.enabled(q)
-                if asup.core.transitions[(q, e)] in prefix_region)
-        psi_raw[vec] = enabled
-        for e in sorted(enabled, key=alphabet.index):
-            nxt = (asup.core.transitions[(q, e)], tracker.transitions[(z, e)])
-            if nxt not in num:
-                num[nxt] = len(num)
-                origin.append(nxt)
-                queue.append(nxt)
-            trans[(src, e)] = num[nxt]
+            return frozenset(core.enabled(q)) & c.phi[q]
+        return frozenset(e for e in core.enabled(q) if core.transitions[(q, e)] in prefix_region)
 
-    aut = StarAutomaton(alphabet, tuple(range(len(num))), 0, trans)
+    def succ(v):
+        q, z = v
+        for e in sorted(psi_at(v), key=core.alphabet.index):
+            yield e, (core.transitions[(q, e)], tracker.transitions[(z, e)])
+
+    origin, trans = explore((core.initial, tracker.initial), succ)
+    aut = StarAutomaton(asup.alphabet, tuple(range(len(origin))), 0, trans)
     if buchi_reference is None:
         lift = frozenset(i for i, (q, z) in enumerate(origin) if q in asup.buchi)
     else:
         lift = buchi_lift(aut, buchi_reference)
-    psi = {num[vec]: psi_raw[vec] for vec in origin}
-    z_comp = {num[vec]: vec[1] for vec in origin}
+    psi = {i: psi_at(v) for i, v in enumerate(origin)}
+    z_comp = {i: v[1] for i, v in enumerate(origin)}
     return OmegaSupervisor(aut, lift, psi, tracker, sink, z_comp)

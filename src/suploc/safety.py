@@ -24,8 +24,9 @@ from .automata import (
     StarAutomaton,
     State,
     buchi_lift,
+    explore,
     minimize_prefix_closed,
-    reachable_states,
+    pair_moves,
     reachable_trim,
 )
 from .omega import StarLanguageHandle
@@ -73,31 +74,16 @@ def sup_con_star(
         raise AutomatonError("alphabet mismatch")
     alphabet = p.alphabet
 
-    # reachable product
-    init = (p.initial, s.initial)
-    states = {init}
-    trans: dict[tuple[tuple, Event], tuple] = {}
-    queue = deque([init])
-    while queue:
-        q, x = queue.popleft()
-        for e in alphabet.events:
-            tp, ts = p.transitions.get((q, e)), s.transitions.get((x, e))
-            if tp is None or ts is None:
-                continue
-            nxt = (tp, ts)
-            trans[((q, x), e)] = nxt
-            if nxt not in states:
-                states.add(nxt)
-                queue.append(nxt)
-
-    preds: dict[tuple, set[tuple]] = {st: set() for st in states}
+    # reachable product, on visit indices: node i is the state pair order[i]
+    order, trans = explore((p.initial, s.initial), pair_moves(p, s))
+    preds: list[set[int]] = [set() for _ in order]
     for (src, _e), dst in trans.items():
         preds[dst].add(src)
 
-    dead: set[tuple] = set()
+    dead: set[int] = set()
 
-    def violates(st) -> bool:
-        q, _x = st
+    def violates(st: int) -> bool:
+        q = order[st][0]
         for u in alphabet.uncontrollable:
             if (q, u) in p.transitions:
                 t = trans.get((st, u))
@@ -105,7 +91,7 @@ def sup_con_star(
                     return True
         return False
 
-    worklist = list(states)
+    worklist = list(range(len(order)))
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(worklist)
     pending = deque(worklist)
@@ -121,15 +107,15 @@ def sup_con_star(
                 pending.append(pr)
                 enqueued.add(pr)
 
-    if init in dead:
+    if 0 in dead:
         return SafetySupervisor(None, frozenset())
 
-    live = states - dead
+    live = [st for st in range(len(order)) if st not in dead]
     aut = StarAutomaton(
         alphabet,
-        tuple(st for st in live),
-        init,
-        {k: t for k, t in trans.items() if k[0] in live and t in live},
+        tuple(live),
+        0,
+        {k: t for k, t in trans.items() if k[0] not in dead and t not in dead},
     )
     aut = minimize_prefix_closed(reachable_trim(aut))
     lift = buchi_lift(aut, plant)
@@ -160,20 +146,8 @@ def check_star_controllability(
     s = k.automaton
     if p.alphabet.events != s.alphabet.events:
         raise AutomatonError("alphabet mismatch")
-    alphabet = p.alphabet
-    seen = {(p.initial, s.initial)}
-    queue = deque(seen)
-    while queue:
-        q, x = queue.popleft()
-        for u in alphabet.uncontrollable:
+    for q, x in explore((p.initial, s.initial), pair_moves(p, s))[0]:
+        for u in p.alphabet.uncontrollable:
             if (q, u) in p.transitions and (x, u) not in s.transitions:
                 return False, (x, u)
-        for e in alphabet.events:
-            tp, ts = p.transitions.get((q, e)), s.transitions.get((x, e))
-            if tp is None or ts is None:
-                continue
-            nxt = (tp, ts)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
     return True, None

@@ -13,7 +13,7 @@ Format (UTF-8, '#' comments and blank lines ignored, strict keys):
 
 from __future__ import annotations
 
-from typing import Optional, TextIO, Union
+from typing import Optional, Union
 
 from .automata import (
     Alphabet,
@@ -21,8 +21,7 @@ from .automata import (
     BuchiAutomaton,
     RabinBuchiAutomaton,
     StarAutomaton,
-    relabel_map,
-    renumber_bfs,
+    explore,
 )
 
 AnyAutomaton = Union[StarAutomaton, BuchiAutomaton, RabinBuchiAutomaton]
@@ -145,8 +144,9 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
 def _canonical(aut: AnyAutomaton):
     """Renumber states densely in BFS order, mapping acceptance sets along."""
     core = aut if isinstance(aut, StarAutomaton) else aut.core
-    num = relabel_map(core)
-    new_core = renumber_bfs(core)
+    order, edges = explore(core.initial, core.moves)
+    num = {q: i for i, q in enumerate(order)}
+    new_core = StarAutomaton(core.alphabet, tuple(range(len(order))), 0, edges)
     if isinstance(aut, StarAutomaton):
         return new_core, None, None
     if isinstance(aut, BuchiAutomaton):

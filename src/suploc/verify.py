@@ -30,7 +30,6 @@ from .automata import (
     reachable_states,
     reachable_trim,
     run_lasso,
-    run_star,
     sync_product,
     tarjan_scc,
 )
@@ -39,10 +38,9 @@ from .localization import (
     EnableDisableProfile,
     LocalController,
     check_congruence,
-    consistent,
 )
 from .omega import StarLanguageHandle, star_equal
-from .omegasynth import OmegaSupervisor, _pattern_map_wins, _patterns
+from .omegasynth import OmegaSupervisor, _patterns
 from .safety import SafetySupervisor
 
 
@@ -71,10 +69,6 @@ class EquivalenceReport:
         }
 
 
-def _intersection_language(automata: list[StarAutomaton], alphabet: Alphabet) -> StarAutomaton:
-    return sync_product(automata, alphabet)
-
-
 def check_finite_equivalence(
     plant: BuchiAutomaton,
     sup_star: SafetySupervisor,
@@ -90,14 +84,14 @@ def check_finite_equivalence(
     sup_star_h = sup_star.handle()
     sup_omega_h = StarLanguageHandle(reachable_trim(sup_omega.automaton))
 
-    star_side = _intersection_language([plant.core] + [c.automaton for c in safety], alphabet)
+    star_side = sync_product([plant.core] + [c.automaton for c in safety], alphabet)
     ok_star, ce_star = star_equal(StarLanguageHandle(star_side), sup_star_h)
 
-    live_side = _intersection_language(
+    live_side = sync_product(
         [sup_star.automaton] + [c.automaton for c in liveness], alphabet)
     ok_live, ce_live = star_equal(StarLanguageHandle(live_side), sup_omega_h)
 
-    full = _intersection_language(
+    full = sync_product(
         [plant.core] + [c.automaton for c in controllers], alphabet)
     ok_full, ce_full = star_equal(StarLanguageHandle(full), sup_omega_h)
 
@@ -237,11 +231,9 @@ def brute_force_controllability(a: RabinBuchiAutomaton, alphabet: Alphabet) -> f
         per_state.append([(q, pat) for pat in pats] or [(q, None)])
     winning: set[State] = set()
     for combo in iproduct(*per_state):
+        # a state with no valid pattern (None) loses; others may still win
+        # by avoiding it
         phi = {q: pat for q, pat in combo}
-        if any(pat is None for pat in phi.values()):
-            # states with no valid pattern can never be assigned; they simply
-            # lose, but other states may still win if they avoid them
-            pass
         wins = _winning_under(core, phi, r_set, i_set, a.buchi)
         winning |= wins
         if len(winning) == len(core.states):
@@ -434,9 +426,6 @@ def random_pipeline(rng: random.Random, max_states: int = 5):
         supw = assemble_fomega(asup, ctr, minimal, existence_verified=True)
     except AutomatonError:
         return None
-    if not any((x, e) in supw.automaton.transitions
-               for x in supw.automaton.states for e in al.controllable):
-        pass  # fine: controllers may still exist for never-enabled events
     return {"alphabet": al, "plant": plant, "spec": spec, "sup": sup,
             "closed": closed, "legal": legal, "prod": prod, "ctr": ctr,
             "asup": asup, "minimal": minimal, "supw": supw}

@@ -125,6 +125,15 @@ def _reach(start, succ, within=None) -> set:
     return seen
 
 
+def states_reaching_good_cycle(states, succ, good, inside=None) -> set:
+    """States v of `states` that reach (or are) some g in `good` which
+    reaches itself by a non-empty path through states of `inside` (every
+    state when None); g must lie in `inside` too."""
+    region = set(states) if inside is None else set(inside)
+    cyclic = {g for g in good if g in region and g in _reach(g, succ, region)}
+    return {v for v in states if v in cyclic or cyclic & _reach(v, succ)}
+
+
 def valid_patterns(a: RabinBuchiAutomaton, alphabet, q) -> list[frozenset]:
     """Every valid control pattern at q (none when q has no defined event)."""
     defined = [e for e in alphabet.events if (q, e) in a.core.transitions]

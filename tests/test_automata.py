@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from oracles import enumerate_language, in_projected_product, language_equal_upto
+from oracles import (
+    enumerate_language,
+    in_projected_product,
+    language_equal_upto,
+    states_reaching_good_cycle,
+)
 
 from suploc.automata import (
     Alphabet,
@@ -12,11 +17,13 @@ from suploc.automata import (
     StarAutomaton,
     all_accepting,
     buchi_intersection,
+    extend_alphabet,
     lasso_in_star,
     omega_visit_set,
     reachable_trim,
     run_lasso,
     run_star,
+    states_reaching_cycle,
     sync_product,
     totalize,
 )
@@ -189,8 +196,8 @@ def test_buchi_intersection_idempotent_on_lassos():
 
 
 def test_buchi_intersection_fairness_pair():
-    f1 = models._lift_full(models.removal_fairness(1))
-    f2 = models._lift_full(models.removal_fairness(2))
+    f1 = extend_alphabet(models.removal_fairness(1), models.alphabet())
+    f2 = extend_alphabet(models.removal_fairness(2), models.alphabet())
     both = buchi_intersection(f1, f2)
     assert run_lasso(both, LassoWord((), ("a1", "b1", "g1", "a2", "b2", "g2")))
     # g2 never occurs after b2: the second fairness condition fails
@@ -229,3 +236,22 @@ def test_lasso_prefix_helper():
     assert w.prefix(5) == ("a", "b", "c", "b", "c")
     with pytest.raises(AutomatonError):
         LassoWord(("a",), ())
+
+
+def test_states_reaching_cycle_matches_reachability_oracle():
+    rng = random.Random(2718)
+    for _ in range(300):
+        al = random_alphabet(rng, rng.randint(1, 4))
+        a = random_star_automaton(rng, al, rng.randint(1, 8), density=rng.random())
+        states = list(a.states)
+        region = set(rng.sample(states, rng.randint(1, len(states))))
+        good = set(rng.sample(states, rng.randint(0, len(states))))
+        inside = set(rng.sample(states, rng.randint(0, len(states))))
+        ordered = [q for q in states if q in region]
+
+        def succ(q):
+            return [t for t in a.targets(q) if t in region]
+
+        for cut in (None, inside):
+            assert states_reaching_cycle(ordered, succ, good, inside=cut) == \
+                states_reaching_good_cycle(ordered, succ, good, inside=cut)

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from suploc.automata import Alphabet, sync_product
 from suploc.cli import main
+from suploc.textio import load_automaton, serialize_automaton
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus" / "small-factory"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture()
@@ -151,3 +154,35 @@ def test_product_command(corpus, tmp_path, capsys):
                    "--out", tmp_path / "p.aut") == 0
     out = json.loads(capsys.readouterr().out)
     assert out["states"] >= 6
+
+
+def test_pipeline_initial_state_lost(tmp_path, capsys):
+    # instance r0002 of the random-small benchmark, seed 1: the existence
+    # check passes, but the control game loses the initial state
+    data = tmp_path / "r0002"
+    shutil.copytree(DATA / "r0002", data)
+    assert run_cli("--quiet", "pipeline", data / "pipeline.cfg") == 3
+    assert "controllability game loses the initial state" in capsys.readouterr().err
+    assert run_cli("synth-omega", "--plant", data / "out" / "sup_star.aut",
+                   "--legal", data / "legal.aut", "--minimal", data / "minimal.aut",
+                   "--out", tmp_path / "supw.aut") == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"existence": False, "initial_lost": True}
+    assert "controllability game loses the initial state" in captured.err
+    assert not (tmp_path / "supw.aut").exists()
+
+
+def test_product_of_components_with_different_alphabets(corpus, tmp_path, capsys):
+    assert run_cli("--quiet", "product", corpus / "m1.aut", corpus / "m2.aut",
+                   "--out", tmp_path / "p.aut") == 0
+    m1, m2 = load_automaton(corpus / "m1.aut")[1], load_automaton(corpus / "m2.aut")[1]
+    both = Alphabet.make(("a1", "b1", "a2", "b2"), ("a1", "a2"))
+    expected = serialize_automaton("product", sync_product([m1, m2], both))
+    assert (tmp_path / "p.aut").read_text() == expected
+
+
+def test_product_rejects_conflicting_controllability(corpus, tmp_path, capsys):
+    flipped = tmp_path / "m1u.aut"
+    flipped.write_text((corpus / "m1.aut").read_text().replace("a1:c", "a1:u"))
+    assert run_cli("product", corpus / "m1.aut", flipped, "--out", tmp_path / "p.aut") == 2
+    assert "'a1'" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from suploc.automata import (
     BuchiAutomaton,
     LassoWord,
     StarAutomaton,
+    extend_alphabet,
     lasso_in_star,
     run_lasso,
 )
@@ -171,8 +172,8 @@ def test_omega_containment_reflexive(sf):
 
 
 def test_omega_containment_counterexample():
-    f1 = models._lift_full(models.removal_fairness(1))
-    f2 = models._lift_full(models.removal_fairness(2))
+    f1 = extend_alphabet(models.removal_fairness(1), models.alphabet())
+    f2 = extend_alphabet(models.removal_fairness(2), models.alphabet())
     from suploc.automata import buchi_intersection
     both = buchi_intersection(f1, f2)
     ok, witness = omega_contained_single_pair(f1, both, a_layer="buchi", b_layer="buchi")

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import suploc
 
 from suploc.automata import (
     Alphabet,
@@ -387,3 +393,44 @@ def test_supervisor_total_tracker_degenerate():
     ok, _ = star_equal(StarLanguageHandle(supw.automaton),
                        StarLanguageHandle(prod.core))
     assert ok
+
+
+# Synthesis up to the control game on a pipeline input directory; prints the
+# controllability subset and the pattern map.
+GAME_SCRIPT = """
+import sys
+from suploc.automata import BuchiAutomaton, StarAutomaton, all_accepting, buchi_intersection, sync_product
+from suploc.omega import StarLanguageHandle
+from suploc.omegasynth import build_rabin_buchi, controllability_subset
+from suploc.safety import controlled_plant, sup_con_star
+from suploc.textio import load_automaton
+
+aut = {n: load_automaton(f"{sys.argv[1]}/{n}.aut")[1]
+       for n in ("plant", "fair", "spec", "legal", "minimal")}
+al = aut["minimal"].alphabet
+fair = aut["fair"].core
+loops = {(q, e): q for q in fair.states for e in al.events if e not in fair.alphabet}
+fair = BuchiAutomaton(StarAutomaton(al, fair.states, fair.initial, {**fair.transitions, **loops}),
+                      aut["fair"].accepting)
+plant = buchi_intersection(all_accepting(sync_product([aut["plant"]], al)), fair)
+sup = sup_con_star(plant, StarLanguageHandle(sync_product([aut["spec"]], al)))
+ctr = controllability_subset(build_rabin_buchi(controlled_plant(plant, sup), aut["legal"]), al)
+print(sorted(ctr.subset))
+print(sorted((q, sorted(p)) for q, p in ctr.phi.items()))
+"""
+
+
+def test_controllability_independent_of_hash_seed():
+    # instance r0932 of the random-small benchmark, seed 1: iterating game
+    # nodes in hash order gave pattern maps that varied with PYTHONHASHSEED
+    data = Path(__file__).parent / "data" / "r0932"
+    src = str(Path(suploc.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", GAME_SCRIPT, str(data)],
+                             env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0].strip()
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
