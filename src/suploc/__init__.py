@@ -59,6 +59,7 @@ from .safety import (
 )
 from .verify import (
     EquivalenceReport,
+    VerificationError,
     brute_force_controllability,
     brute_force_min_congruence,
     check_finite_equivalence,

@@ -33,21 +33,30 @@ from .omegasynth import (
 )
 from .safety import SafetySupervisor, controlled_plant, sup_con_star
 from .textio import ParseError, load_automaton, save_automaton, to_dot
-from .verify import check_infinite_equivalence
+from .verify import VerificationError, check_infinite_equivalence
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_EXISTENCE = 3
 EXIT_VERIFY = 4
 
+# a legal specification carries liveness: a Buchi or a Rabin-Buchi automaton
+LEGAL_TYPES = (BuchiAutomaton, RabinBuchiAutomaton)
+
+NO_SAFETY_SUPERVISOR = "no safety supervisor: SUP* is empty"
+
 
 def _load(path, expect=None):
+    """Parse an automaton file; `expect` is a type or a tuple of types the
+    automaton must have."""
     try:
         name, aut = load_automaton(path)
     except FileNotFoundError:
         raise ParseError(0, f"no such file: {path}")
     if expect is not None and not isinstance(aut, expect):
-        raise ParseError(0, f"{path}: expected {expect.__name__}")
+        kinds = expect if isinstance(expect, tuple) else (expect,)
+        raise ParseError(0, f"{path}: expected {' or '.join(k.__name__ for k in kinds)}, "
+                            f"got {type(aut).__name__}")
     return name, aut
 
 
@@ -84,7 +93,8 @@ def cmd_synth_safety(args) -> int:
     sup = sup_con_star(plant, spec)
     if sup.is_empty:
         _emit(args, {"empty": True})
-        return EXIT_OK
+        print(NO_SAFETY_SUPERVISOR, file=sys.stderr)
+        return EXIT_EXISTENCE
     closed = controlled_plant(plant, sup)
     save_automaton(args.out, "sup-star", closed)
     if args.dot:
@@ -125,7 +135,7 @@ def _no_supervisor(reason) -> str:
 
 def cmd_synth_omega(args) -> int:
     _, plant = _load(args.plant, BuchiAutomaton)
-    _, legal = _load(args.legal)
+    _, legal = _load(args.legal, LEGAL_TYPES)
     _, minimal = _load(args.minimal, BuchiAutomaton)
     sup, reason, product, ctr = _synth_omega(plant, legal, minimal)
     if sup is None:
@@ -241,9 +251,14 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except AutomatonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except VerificationError as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except AutomatonError as exc:
+        # inputs that parse but do not fit together, e.g. a specification
+        # over foreign events or supervisors given in the wrong order
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def _rebuild_supervisors(plant_path, sup_star_path, sup_omega_path, minimal_path):
@@ -338,6 +353,9 @@ def cmd_pipeline(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     plant_parts = [_load(rel(p))[1] for p in cfg["plant_components"]]
+    specs = [_load(rel(p))[1] for p in cfg["safety_specs"]]
+    _, legal = _load(rel(cfg["legal_spec"]), LEGAL_TYPES)
+    _, minimal = _load(rel(cfg["minimal_spec"]), BuchiAutomaton)
     liveness = [p for p in plant_parts if isinstance(p, BuchiAutomaton)]
     star_parts = [p for p in plant_parts if isinstance(p, StarAutomaton)]
     global_alpha = None
@@ -353,19 +371,16 @@ def cmd_pipeline(args) -> int:
         plant = buchi_intersection(plant, extend_alphabet(live, global_alpha))
     save_automaton(os.path.join(out_dir, "plant.aut"), "plant", plant)
 
-    specs = [_load(rel(p))[1] for p in cfg["safety_specs"]]
     spec_cores = [s.core if not isinstance(s, StarAutomaton) else s for s in specs]
     spec = StarLanguageHandle(sync_product(spec_cores, global_alpha))
 
     sup = sup_con_star(plant, spec)
     if sup.is_empty:
-        print("empty safety supervisor", file=sys.stderr)
-        return EXIT_VERIFY
+        print(NO_SAFETY_SUPERVISOR, file=sys.stderr)
+        return EXIT_EXISTENCE
     closed = controlled_plant(plant, sup)
     save_automaton(os.path.join(out_dir, "sup_star.aut"), "sup-star", closed)
 
-    _, legal = _load(rel(cfg["legal_spec"]))
-    _, minimal = _load(rel(cfg["minimal_spec"]), BuchiAutomaton)
     supw, reason, product, ctr = _synth_omega(closed, legal, minimal)
     save_automaton(os.path.join(out_dir, "legal_product.aut"), "legal-product", product)
     if supw is None:

@@ -6,8 +6,12 @@ enable function (the event is defined at the state) and a disable function
 a string of the relevant scope).  States whose enable/disable decisions never
 conflict can share a cell of a control congruence: a partition that is
 pairwise consistent inside every cell and whose cells map into single cells
-under every event.  The quotient of the supervisor by such a congruence is a
-local controller for the event.
+under every event.  Pairwise consistency of a cell reduces to two flags: the
+cell is consistent unless some member enables the event and some member must
+disable it.  The quotient of the supervisor by such a congruence is a local
+controller for the event.  The greedy construction is the congruence step of
+Su & Wonham's supervisor reduction (DEDS 2004) as used by Cai & Wonham's
+supervisor localization (IEEE TAC 2010).
 
 Liveness supervisors are split into two scopes per event: strings inside the
 prefixes of the minimal acceptable behavior and strings outside them.  Each
@@ -17,7 +21,6 @@ localized from the undivided disablement information.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -132,80 +135,72 @@ def build_congruence(
     p: EnableDisableProfile,
     seed: Optional[ControlCongruence] = None,
 ) -> ControlCongruence:
-    """Greedy pairwise merging into a control congruence.
+    """Greedy merging into a control congruence, by congruence closure.
 
-    State pairs are visited in canonical (BFS numbering) order; a merge is
-    kept when the merged cell stays pairwise consistent and its transitive
-    forward-closure consequences do too, otherwise it is rolled back.  The
-    singleton partition is always valid, so the procedure cannot fail.
+    State pairs are visited in canonical (BFS numbering) order.  Joining a
+    pair also joins the cells' successors event by event until the
+    partition is forward-closed again; the merge is kept when no cell has
+    both flags set (some member enables, some member must disable) and is
+    undone otherwise.  Each outcome depends only on the least forward-closed
+    coarsening that joins the pair, not on the order of the joins.
 
-    A `seed` congruence valid for this profile may be given as the starting
-    partition; merging then only coarsens it, so the result never has more
-    cells than the seed.
+    A `seed` congruence is joined by the same closure first; AutomatonError
+    is raised when it is not consistent with the profile.  Merging only
+    coarsens it, so the result never has more cells than the seed.
     """
     order = reachable_states(sup_automaton)
     pos = {x: i for i, x in enumerate(order)}
-    events = sup_automaton.alphabet.events
-    if seed is None:
-        cell_of = {x: i for i, x in enumerate(order)}
-        members: dict[int, set[State]] = {i: {x} for i, x in enumerate(order)}
-    else:
-        cell_of = {}
-        members = {}
-        for cell in seed.cells:
-            rep = min(pos[x] for x in cell)
-            members[rep] = set(cell)
-            for x in cell:
-                cell_of[x] = rep
+    trans = sup_automaton.transitions
+    # per cell root (its least position): the two flags and, per event, the
+    # position of one successor of the cell
+    parent = list(range(len(order)))
+    enables = [p.enable.get(x, False) for x in order]
+    disables = [p.disable.get(x, False) for x in order]
+    succ = [[pos.get(trans.get((x, e))) for e in sup_automaton.alphabet.events]
+            for x in order]
 
-    def try_merge(x0: State, y0: State) -> Optional[tuple[dict, dict]]:
-        cell = dict(cell_of)
-        mem = {k: set(v) for k, v in members.items()}
-        pending = deque([(x0, y0)])
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    def merge(i: int, j: int) -> bool:
+        """Join the cells of i and j and close; undo it all from the log and
+        return False when some cell gets both flags."""
+        log = []
+        pending = [(i, j)]
         while pending:
-            x, y = pending.popleft()
-            ra, rb = cell[x], cell[y]
+            ra, rb = sorted(map(find, pending.pop()))
             if ra == rb:
                 continue
-            if rb < ra:
-                ra, rb = rb, ra
-            for u in mem[ra]:
-                for v in mem[rb]:
-                    if not consistent(p, u, v):
-                        return None
-            mem[ra] |= mem[rb]
-            for u in mem[rb]:
-                cell[u] = ra
-            del mem[rb]
-            # propagate forward closure: successors of the grown cell must
-            # share a cell, event by event
-            for e in events:
-                succs = [sup_automaton.transitions[(u, e)] for u in sorted(mem[ra], key=pos.get)
-                         if (u, e) in sup_automaton.transitions]
-                for s2 in succs[1:]:
-                    if cell[s2] != cell[succs[0]]:
-                        pending.append((succs[0], s2))
-        return cell, mem
+            log.append((ra, rb, enables[ra], disables[ra], succ[ra]))
+            parent[rb] = ra
+            enables[ra] |= enables[rb]
+            disables[ra] |= disables[rb]
+            if enables[ra] and disables[ra]:
+                for a, b, en, dis, row in reversed(log):
+                    parent[b], enables[a], disables[a], succ[a] = b, en, dis, row
+                return False
+            pending.extend((s, t) for s, t in zip(succ[ra], succ[rb])
+                           if s is not None and t is not None)
+            succ[ra] = [t if s is None else s for s, t in zip(succ[ra], succ[rb])]
+        return True
 
-    n = len(order)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cell_of[order[i]] == cell_of[order[j]]:
-                continue
-            merged = try_merge(order[i], order[j])
-            if merged is not None:
-                cell_of, members = merged
+    for cell in (seed.cells if seed is not None else ()):
+        first, *rest = sorted(pos[x] for x in cell)
+        if not all(merge(first, i) for i in rest):
+            raise AutomatonError(f"seed congruence is not consistent with the profile of {p.event!r}")
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            if find(i) != find(j):
+                merge(i, j)
 
-    cells = []
-    seen_rep = {}
-    for x in order:
-        rep = cell_of[x]
-        if rep not in seen_rep:
-            seen_rep[rep] = len(cells)
-            cells.append(set())
-        cells[seen_rep[rep]].add(x)
-    index = {x: seen_rep[cell_of[x]] for x in order}
-    return ControlCongruence(tuple(frozenset(c) for c in cells), index)
+    # roots are least positions: numbered in order, cells go by first member
+    roots = [find(i) for i in range(len(order))]
+    number = {r: k for k, r in enumerate(sorted(set(roots)))}
+    index = {x: number[r] for x, r in zip(order, roots)}
+    cells = tuple(frozenset(x for x in order if index[x] == k) for k in range(len(number)))
+    return ControlCongruence(cells, index)
 
 
 def check_congruence(sup_automaton: StarAutomaton, p: EnableDisableProfile,
@@ -266,9 +261,11 @@ def localize_all(
     controllers (one per scope) per controllable event.
 
     Each scoped liveness merging starts from the undivided congruence for its
-    event (which is always valid for the scoped profile, since restricting
-    the scope only removes disablement witnesses); this guarantees the scoped
-    controllers never exceed the undivided localization in size.
+    event.  That seed is always consistent with the scoped profile, since
+    restricting the scope only removes disablement witnesses and so only
+    clears "must disable" flags; `build_congruence` checks this and raises
+    AutomatonError otherwise.  This guarantees the scoped controllers never
+    exceed the undivided localization in size.
     """
     out: list[LocalController] = []
     for alpha in sorted(plant.alphabet.controllable, key=plant.alphabet.index):

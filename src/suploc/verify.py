@@ -44,6 +44,11 @@ from .omegasynth import OmegaSupervisor, _patterns
 from .safety import SafetySupervisor
 
 
+class VerificationError(AutomatonError):
+    """A check contradicts a result the library has already proved, so the
+    implementation, not the input, is at fault."""
+
+
 @dataclass
 class EquivalenceReport:
     finite_ok: bool
@@ -155,7 +160,7 @@ def check_infinite_equivalence(
     if first_bad is not None and report.counterexample is None:
         report.counterexample = first_bad
     if tier1 and disagreements:
-        raise AutomatonError(
+        raise VerificationError(
             f"tier-2 sampling found {disagreements} disagreements against a "
             f"tier-1 proof; this indicates an implementation bug (seed={seed})")
     return report

@@ -290,3 +290,65 @@ def disabling_states(sup: StarAutomaton, plant: StarAutomaton, alpha, max_len: i
     same string of length <= max_len, allows it."""
     return {x for x, g in joint_states(sup, plant, max_len)
             if (x, alpha) not in sup.transitions and (g, alpha) in plant.transitions}
+
+
+def bfs_order(aut: StarAutomaton) -> list:
+    """Reachable states in breadth-first order, events in alphabet order."""
+    order = [aut.initial]
+    queue = deque(order)
+    while queue:
+        q = queue.popleft()
+        for e in aut.alphabet.events:
+            t = aut.transitions.get((q, e))
+            if t is not None and t not in order:
+                order.append(t)
+                queue.append(t)
+    return order
+
+
+def greedy_congruence(aut: StarAutomaton, consistent_pair, seed_cells=None):
+    """Greedy control congruence on plain partitions (lists of sets).
+
+    Pairs of states are tried in breadth-first order.  A trial joins the
+    pair's cells and then, as long as two members of one cell have
+    e-successors in different cells, joins those two cells; it is kept
+    when `consistent_pair` holds for every pair inside every cell.  The
+    start is `seed_cells`, or singletons.  Returns (cells, index) with the
+    cells numbered by their first state in breadth-first order.
+    """
+    order = bfs_order(aut)
+
+    def cell_of(part, x):
+        return next(c for c in part if x in c)
+
+    def join(part, c, d):
+        return [k for k in part if k is not c and k is not d] + [c | d]
+
+    def cells_apart(part):
+        """Two cells holding e-successors of members of one cell, or None."""
+        for c in part:
+            for e in aut.alphabet.events:
+                succ_cells = [cell_of(part, aut.transitions[(s, e)])
+                              for s in c if (s, e) in aut.transitions]
+                for d in succ_cells[1:]:
+                    if d is not succ_cells[0]:
+                        return succ_cells[0], d
+        return None
+
+    def close(part):
+        while (pair := cells_apart(part)) is not None:
+            part = join(part, *pair)
+        return part
+
+    part = [set(c) for c in seed_cells] if seed_cells is not None else [{x} for x in order]
+    for i, x in enumerate(order):
+        for y in order[i + 1:]:
+            cx, cy = cell_of(part, x), cell_of(part, y)
+            if cx is cy:
+                continue
+            trial = close(join(part, cx, cy))
+            if all(consistent_pair(u, v) for c in trial for u in c for v in c):
+                part = trial
+    cells = sorted(part, key=lambda c: min(order.index(x) for x in c))
+    index = {x: k for k, c in enumerate(cells) for x in c}
+    return [frozenset(c) for c in cells], index

@@ -186,3 +186,76 @@ def test_product_rejects_conflicting_controllability(corpus, tmp_path, capsys):
     flipped.write_text((corpus / "m1.aut").read_text().replace("a1:c", "a1:u"))
     assert run_cli("product", corpus / "m1.aut", flipped, "--out", tmp_path / "p.aut") == 2
     assert "'a1'" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def corpus_run(corpus):
+    """The corpus with its pipeline artifacts under out/."""
+    assert run_cli("--quiet", "pipeline", corpus / "pipeline.cfg") == 0
+    return corpus
+
+
+def test_star_legal_spec_rejected(corpus_run, tmp_path, capsys):
+    # a star automaton carries no liveness, so it cannot be a legal spec
+    out_dir = corpus_run / "out"
+    assert run_cli("synth-omega", "--plant", out_dir / "sup_star.aut",
+                   "--legal", corpus_run / "m1.aut", "--minimal", corpus_run / "minspec.aut",
+                   "--out", tmp_path / "supw.aut") == 2
+    assert "m1.aut: expected BuchiAutomaton or RabinBuchiAutomaton" in capsys.readouterr().err
+    cfg = json.loads((corpus_run / "pipeline.cfg").read_text())
+    cfg["legal_spec"] = "m1.aut"
+    (corpus_run / "star.cfg").write_text(json.dumps(cfg))
+    assert run_cli("pipeline", corpus_run / "star.cfg") == 2
+    assert "m1.aut: expected BuchiAutomaton or RabinBuchiAutomaton" in capsys.readouterr().err
+
+
+def test_empty_safety_supervisor_is_negative_verdict(tmp_path, capsys):
+    # the uncontrollable u leaves the initial state and the spec forbids it
+    (tmp_path / "plant.aut").write_text(
+        "automaton plant\ntype star\nevents c:c u:u\ninitial 0\n"
+        "trans 0 c 0\ntrans 0 u 1\n")
+    (tmp_path / "spec.aut").write_text(
+        "automaton spec\ntype star\nevents c:c u:u\ninitial 0\ntrans 0 c 0\n")
+    (tmp_path / "live.aut").write_text(
+        "automaton live\ntype buchi\nevents c:c u:u\ninitial 0\ntrans 0 c 0\nbuchi 0\n")
+    (tmp_path / "p.cfg").write_text(json.dumps({
+        "plant_components": ["plant.aut"], "safety_specs": ["spec.aut"],
+        "legal_spec": "live.aut", "minimal_spec": "live.aut", "output_dir": "out"}))
+    assert run_cli("pipeline", tmp_path / "p.cfg") == 3
+    assert "no safety supervisor" in capsys.readouterr().err
+    assert run_cli("synth-safety", "--plant", tmp_path / "out" / "plant.aut",
+                   "--spec", tmp_path / "spec.aut", "--out", tmp_path / "sup.aut") == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"empty": True}
+    assert "no safety supervisor" in captured.err
+    assert not (tmp_path / "sup.aut").exists()
+
+
+def test_spec_over_foreign_events_is_input_error(corpus_run, tmp_path, capsys):
+    spec = tmp_path / "zz.aut"
+    spec.write_text("automaton zz\ntype star\nevents a1:c zz:u\ninitial 0\ntrans 0 a1 0\n")
+    assert run_cli("synth-safety", "--plant", corpus_run / "out" / "plant.aut",
+                   "--spec", spec, "--out", tmp_path / "sup.aut") == 2
+    assert "['zz'] not in global alphabet" in capsys.readouterr().err
+
+
+def test_swapped_supervisors_are_input_error(corpus_run, tmp_path, capsys):
+    out_dir = corpus_run / "out"
+    assert run_cli("localize", "--plant", out_dir / "plant.aut",
+                   "--sup-star", out_dir / "sup_omega.aut",
+                   "--sup-omega", out_dir / "sup_star.aut",
+                   "--minimal", corpus_run / "minspec.aut",
+                   "--out-dir", tmp_path / "locs") == 2
+    assert "following automaton is undefined" in capsys.readouterr().err
+
+
+def test_verification_error_keeps_exit_4(corpus_run, tmp_path, monkeypatch, capsys):
+    # an internal contradiction is not an input error
+    import suploc.cli as cli
+    from suploc.verify import VerificationError
+
+    def contradiction(*args, **kwargs):
+        raise VerificationError("tier-2 sampling contradicts tier 1")
+    monkeypatch.setattr(cli, "check_infinite_equivalence", contradiction)
+    assert run_cli("pipeline", corpus_run / "pipeline.cfg") == 4
+    assert "verification error" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import enumerate_language
+from oracles import enumerate_language, greedy_congruence
 
 from suploc.automata import (
     Alphabet,
@@ -308,3 +308,44 @@ def test_seeded_congruence_matches_shipped_controllers(sf):
         undiv = profile_liveness(sf["closed"], sf["supw"], c.event, Part.NONE)
         cu = build_congruence(sf["supw"].automaton, undiv)
         assert len(c.automaton.states) <= len(cu.cells)
+
+
+def random_profile(rng, states, disable_from=None):
+    """Each state enables, must disable, or neither; with `disable_from`,
+    the enables are kept and a random subset of its disablements is."""
+    if disable_from is not None:
+        return EnableDisableProfile(
+            "e0", dict(disable_from.enable),
+            {x: v and rng.random() < 0.5 for x, v in disable_from.disable.items()})
+    kinds = {x: rng.choice("edn") for x in states}
+    return EnableDisableProfile("e0", {x: k == "e" for x, k in kinds.items()},
+                                {x: k == "d" for x, k in kinds.items()})
+
+
+def test_congruence_matches_greedy_oracle():
+    # exact cells and numbering against plain partition merging, unseeded
+    # and seeded with the congruence of a profile with more disablements
+    rng = random.Random(4)
+    for _ in range(200):
+        al = random_alphabet(rng, rng.randint(1, 4))
+        aut = random_star_automaton(rng, al, rng.randint(3, 10), density=rng.random())
+        big = random_profile(rng, aut.states)
+        small = random_profile(rng, aut.states, disable_from=big)
+        cong = build_congruence(aut, big)
+        cells, index = greedy_congruence(aut, lambda x, y: consistent(big, x, y))
+        assert (list(cong.cells), cong.index) == (cells, index)
+        seeded = build_congruence(aut, small, seed=cong)
+        cells, index = greedy_congruence(aut, lambda x, y: consistent(small, x, y),
+                                         seed_cells=cells)
+        assert (list(seeded.cells), seeded.index) == (cells, index)
+        assert check_congruence(aut, small, seeded)
+
+
+def test_congruence_rejects_inconsistent_seed():
+    al = Alphabet.make(("c", "x"), ("c",))
+    aut = StarAutomaton(al, (0, 1, 2), 0, {(0, "x"): 1, (1, "x"): 2, (0, "c"): 0})
+    prof = EnableDisableProfile(
+        "c", {0: True, 1: False, 2: False}, {0: False, 1: False, 2: True})
+    seed = ControlCongruence((frozenset({0, 1, 2}),), {0: 0, 1: 0, 2: 0})
+    with pytest.raises(AutomatonError, match="seed congruence"):
+        build_congruence(aut, prof, seed=seed)
