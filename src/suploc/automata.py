@@ -301,17 +301,24 @@ def reachable_states(a: StarAutomaton) -> list[State]:
     return explore(a.initial, a.moves)[0]
 
 
+def restrict(a: StarAutomaton, keep) -> StarAutomaton:
+    """The part of `a` on the states in `keep` (which must hold the initial
+    state): those states and the transitions between them, both in `a`'s
+    order; ids are kept."""
+    return StarAutomaton(
+        a.alphabet,
+        tuple(q for q in a.states if q in keep),
+        a.initial,
+        {k: t for k, t in a.transitions.items() if k[0] in keep and t in keep},
+    )
+
+
 def reachable_trim(a: StarAutomaton) -> StarAutomaton:
     """Restrict to states reachable from the initial state; ids are kept."""
     reach = set(reachable_states(a))
     if len(reach) == len(a.states):
         return a
-    return StarAutomaton(
-        a.alphabet,
-        tuple(q for q in a.states if q in reach),
-        a.initial,
-        {k: t for k, t in a.transitions.items() if k[0] in reach},
-    )
+    return restrict(a, reach)
 
 
 def renumber_bfs(a: StarAutomaton) -> StarAutomaton:

@@ -52,11 +52,11 @@ def _load(path, expect=None):
     try:
         name, aut = load_automaton(path)
     except FileNotFoundError:
-        raise ParseError(0, f"no such file: {path}")
+        raise AutomatonError(f"no such file: {path}")
     if expect is not None and not isinstance(aut, expect):
         kinds = expect if isinstance(expect, tuple) else (expect,)
-        raise ParseError(0, f"{path}: expected {' or '.join(k.__name__ for k in kinds)}, "
-                            f"got {type(aut).__name__}")
+        raise AutomatonError(f"{path}: expected {' or '.join(k.__name__ for k in kinds)}, "
+                             f"got {type(aut).__name__}")
     return name, aut
 
 
@@ -73,10 +73,7 @@ def _write_dot(path, name, aut):
 def cmd_product(args) -> int:
     comps = [_load(p)[1] for p in args.component]
     cores = [c.core if not isinstance(c, StarAutomaton) else c for c in comps]
-    try:
-        global_alpha = alphabet_union(c.alphabet for c in cores)
-    except AutomatonError as exc:
-        raise ParseError(0, str(exc)) from exc
+    global_alpha = alphabet_union(c.alphabet for c in cores)
     prod = sync_product(cores, global_alpha)
     save_automaton(args.out, "product", prod)
     if args.dot:
@@ -154,7 +151,7 @@ def cmd_synth_omega(args) -> int:
         with open(args.psi_table, "w", encoding="utf-8") as fh:
             fh.write("product_state,z_state,enabled_events\n")
             for x in sup.automaton.states:
-                evs = " ".join(sorted(sup.psi[x], key=plant.alphabet.index))
+                evs = " ".join(sup.automaton.enabled(x))
                 fh.write(f"{x},{sup.z_component[x]},{evs}\n")
     _emit(args, {
         "product_states": len(product.core.states),
@@ -277,9 +274,7 @@ def _rebuild_supervisors(plant_path, sup_star_path, sup_omega_path, minimal_path
     z_comp: dict = {}
     for x, z in lockstep(omega_b.core, tracker):
         z_comp.setdefault(x, z)
-    # psi is only needed for exports
-    psi = {x: frozenset(omega_b.core.enabled(x)) for x in omega_b.core.states}
-    sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, psi, tracker, sink, z_comp)
+    sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, tracker, sink, z_comp)
     return plant, sup_star, sup_omega, minimal
 
 
@@ -358,11 +353,9 @@ def cmd_pipeline(args) -> int:
     _, minimal = _load(rel(cfg["minimal_spec"]), BuchiAutomaton)
     liveness = [p for p in plant_parts if isinstance(p, BuchiAutomaton)]
     star_parts = [p for p in plant_parts if isinstance(p, StarAutomaton)]
-    global_alpha = None
-    for p in plant_parts:
-        al = p.alphabet
-        if global_alpha is None or len(al.events) > len(global_alpha.events):
-            global_alpha = al
+    # the legal product needs the legal specification over exactly the
+    # global alphabet, so that is the default
+    global_alpha = legal.alphabet
     if "alphabet_from" in cfg:
         global_alpha = _load(rel(cfg["alphabet_from"]))[1].alphabet
 

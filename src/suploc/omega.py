@@ -29,6 +29,7 @@ from .automata import (
     pair_moves,
     reachable_states,
     reachable_trim,
+    restrict,
     states_reaching_cycle,
     totalize,
 )
@@ -72,10 +73,7 @@ def pre_automaton(a: BuchiAutomaton | StarAutomaton | StarLanguageHandle) -> Sta
     good = states_reaching_cycle(reachable_states(core), core.targets, a.accepting)
     if core.initial not in good:
         return StarLanguageHandle(None)
-    trans = {k: t for k, t in core.transitions.items() if k[0] in good and t in good}
-    pruned = StarAutomaton(core.alphabet, tuple(q for q in core.states if q in good),
-                           core.initial, trans)
-    return StarLanguageHandle(reachable_trim(pruned))
+    return StarLanguageHandle(reachable_trim(restrict(core, good)))
 
 
 def clo_automaton(a: BuchiAutomaton) -> BuchiAutomaton:

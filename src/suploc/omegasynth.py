@@ -39,10 +39,10 @@ from .automata import (
     StarAutomaton,
     State,
     buchi_intersection,
-    buchi_lift,
     explore,
     pair_moves,
     reachable_states,
+    restrict,
     sink_tracker,
     states_reaching_cycle,
 )
@@ -61,15 +61,15 @@ class ControllabilityResult:
 class OmegaSupervisor:
     """Liveness supervisor realized over (legal-region state, tracker state).
 
-    `psi` gives the enabled-event set per supervisor state; `tracker` is the
-    totalized automaton of the minimal acceptable behavior whose sink state
-    (`tracker_sink`) flags strings that have left that behavior's prefixes.
-    `z_component` maps each supervisor state to its tracker component.
+    The events enabled at a supervisor state are the ones `automaton`
+    defines there.  `tracker` is the totalized automaton of the minimal
+    acceptable behavior whose sink state (`tracker_sink`) flags strings that
+    have left that behavior's prefixes.  `z_component` maps each supervisor
+    state to its tracker component.
     """
 
     automaton: StarAutomaton
     buchi_lift: frozenset[State]
-    psi: dict[State, frozenset[Event]]
     tracker: StarAutomaton
     tracker_sink: State
     z_component: dict[State, State]
@@ -86,16 +86,14 @@ def _as_rabin(legal: BuchiAutomaton | RabinBuchiAutomaton) -> RabinBuchiAutomato
 def build_rabin_buchi(
     plant: BuchiAutomaton,
     legal: BuchiAutomaton | RabinBuchiAutomaton,
-    liveness_reference: Optional[BuchiAutomaton] = None,
 ) -> RabinBuchiAutomaton:
     """Product of the controlled plant with the legal specification.
 
     The star layer accepts L(plant) ^ pre(E_l); the Buchi layer accepts the
-    plant's accepted infinite behavior restricted to the closure of E_l; the
-    Rabin pair of the legal automaton is lifted through the product.  When a
-    `liveness_reference` is given, the Buchi layer is re-marked by joint
-    reachability against it (states reachable by some string accepted there),
-    mirroring how the plant's own marking was obtained.
+    plant's accepted infinite behavior restricted to the closure of E_l (a
+    product state is marked when its plant state is accepting and its legal
+    state is off the sink); the Rabin pair of the legal automaton is lifted
+    through the product.
 
     The Buchi layer is only as exact as the plant's marking.  With the
     lifted marking of `controlled_plant` it over-approximates
@@ -116,23 +114,14 @@ def build_rabin_buchi(
                                  inside=i_set)
     if rl.core.initial not in good:
         raise AutomatonError("legal specification has empty omega-language")
-    tracker, sink = sink_tracker(StarAutomaton(
-        alphabet,
-        tuple(q for q in rl.core.states if q in good),
-        rl.core.initial,
-        {k: t for k, t in rl.core.transitions.items() if k[0] in good and t in good},
-    ))
+    tracker, sink = sink_tracker(restrict(rl.core, good))
     origin, trans = explore((plant.core.initial, tracker.initial), pair_moves(plant.core, tracker))
 
     core = StarAutomaton(alphabet, tuple(range(len(origin))), 0, trans)
     rabin_r = frozenset(i for i, (q, l) in enumerate(origin) if l in r_set and l != sink)
     rabin_i = frozenset(i for i, (q, l) in enumerate(origin) if l in i_set and l != sink)
-    if liveness_reference is None:
-        buchi = frozenset(i for i, (q, l) in enumerate(origin)
-                          if q in plant.accepting and l != sink)
-    else:
-        buchi = frozenset(q for q in buchi_lift(core, liveness_reference)
-                          if origin[q][1] != sink)
+    buchi = frozenset(i for i, (q, l) in enumerate(origin)
+                      if q in plant.accepting and l != sink)
     return RabinBuchiAutomaton(core, buchi, ((rabin_r, rabin_i),))
 
 
@@ -165,46 +154,43 @@ def _priority(q, r_set, i_set, b_set) -> int:
 
 
 def _zielonka(nodes, edges, owner, priority):
-    """Memoryless parity game solver; returns winning sets and strategies.
+    """Memoryless parity game solver; returns both players' winning sets and
+    the controller's strategy.
 
     owner[v] in {0, 1} (0 = controller); a player stuck at its own node
-    loses.  Strategies map a node of the winning player to a chosen
-    successor.  `nodes` is a list, and every node set is walked in its
-    order, so the strategies do not depend on how nodes hash.
+    loses.  The strategy maps controller nodes of the controller's winning
+    set to a chosen successor.  `nodes` is a list, and every node set is
+    walked in its order, so the strategy does not depend on how nodes hash.
     """
     if not nodes:
-        return set(), set(), {}, {}
+        return set(), set(), {}
     p = max(priority[v] for v in nodes)
     player = p % 2
     target = [v for v in nodes if priority[v] == p]
     attr, attr_strat = _attractor(player, target, nodes, edges, owner)
-    w0, w1, s0, s1 = _zielonka([v for v in nodes if v not in attr], edges, owner, priority)
+    w0, w1, s0 = _zielonka([v for v in nodes if v not in attr], edges, owner, priority)
     wins = (w0, w1)
-    strats = (s0, s1)
     if not wins[1 - player]:
-        strat = dict(strats[player])
-        strat.update(attr_strat)
         inside = set(nodes)
+        if player == 1:
+            return set(), inside, {}
+        strat = dict(s0)
+        strat.update(attr_strat)
         for v in target:
-            if owner[v] == player:
+            if owner[v] == 0:
                 succ = [t for t in edges.get(v, ()) if t in inside]
                 if succ:
                     strat.setdefault(v, succ[0])
-        if player == 0:
-            return inside, set(), strat, {}
-        return set(), inside, {}, strat
+        return inside, set(), strat
     opp = 1 - player
     b_attr, b_strat = _attractor(opp, [v for v in nodes if v in wins[opp]], nodes, edges, owner)
-    w0b, w1b, s0b, s1b = _zielonka([v for v in nodes if v not in b_attr], edges, owner, priority)
-    if opp == 0:
-        strat0 = dict(s0)
-        strat0.update(b_strat)
-        strat0.update(s0b)
-        return w0b | b_attr, w1b, strat0, s1b
-    strat1 = dict(s1)
-    strat1.update(b_strat)
-    strat1.update(s1b)
-    return w0b, w1b | b_attr, s0b, strat1
+    w0b, w1b, s0b = _zielonka([v for v in nodes if v not in b_attr], edges, owner, priority)
+    if opp == 1:
+        return w0b, w1b | b_attr, s0b
+    strat0 = dict(s0)
+    strat0.update(b_strat)
+    strat0.update(s0b)
+    return w0b | b_attr, w1b, strat0
 
 
 def _attractor(player, target, nodes, edges, owner):
@@ -298,7 +284,7 @@ def _solve_pattern_game(core, alphabet, allowed, r_set, i_set, b_set):
             succs.append(pnode)
         edges[cnode] = succs or [dead]
 
-    w0, _w1, strat0, _s1 = _zielonka(nodes, edges, owner, priority)
+    w0, _w1, strat0 = _zielonka(nodes, edges, owner, priority)
     winning = {q for q in core.states if ("c", q) in w0}
 
     # base pattern map from the game strategy, then greedy maximal enlargement
@@ -381,7 +367,6 @@ def assemble_fomega(
     minimal: BuchiAutomaton,
     *,
     existence_verified: bool,
-    buchi_reference: Optional[BuchiAutomaton] = None,
 ) -> OmegaSupervisor:
     """Realize the piecewise liveness supervisor as one automaton.
 
@@ -389,8 +374,8 @@ def assemble_fomega(
     the totalized automaton of the minimal behavior.  While the tracker is
     off its sink the string is a prefix of the minimal behavior and every
     defined event stays enabled; once the sink is reached, the maximal
-    winning pattern of the legal region takes over.  The Buchi marking is
-    lifted from the legal region's Buchi layer (or from `buchi_reference`).
+    winning pattern of the legal region takes over.  A supervisor state is
+    marked when its legal-region state is in the Buchi layer.
     """
     if not existence_verified:
         raise AutomatonError("assemble_fomega requires a passed existence check")
@@ -402,13 +387,7 @@ def assemble_fomega(
     # reachable state and the branch enables every defined event.
     if asup.core.initial not in c.subset:
         raise AutomatonError("restricted legal behavior is empty")
-    sub_core = StarAutomaton(
-        asup.alphabet,
-        tuple(q for q in asup.core.states if q in c.subset),
-        asup.core.initial,
-        {k: t for k, t in asup.core.transitions.items()
-         if k[0] in c.subset and t in c.subset},
-    )
+    sub_core = restrict(asup.core, c.subset)
     prefix_region = states_reaching_cycle(reachable_states(sub_core), sub_core.targets, r_set,
                                           inside=i_set)
     if asup.core.initial not in prefix_region:
@@ -439,10 +418,6 @@ def assemble_fomega(
 
     origin, trans = explore((core.initial, tracker.initial), succ)
     aut = StarAutomaton(asup.alphabet, tuple(range(len(origin))), 0, trans)
-    if buchi_reference is None:
-        lift = frozenset(i for i, (q, z) in enumerate(origin) if q in asup.buchi)
-    else:
-        lift = buchi_lift(aut, buchi_reference)
-    psi = {i: psi_at(v) for i, v in enumerate(origin)}
+    lift = frozenset(i for i, (q, z) in enumerate(origin) if q in asup.buchi)
     z_comp = {i: v[1] for i, v in enumerate(origin)}
-    return OmegaSupervisor(aut, lift, psi, tracker, sink, z_comp)
+    return OmegaSupervisor(aut, lift, tracker, sink, z_comp)

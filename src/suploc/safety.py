@@ -1,19 +1,17 @@
 """Supremal controllable sublanguage synthesis for safety specifications.
 
-The supervisor is computed by the standard pruning fixpoint on the
-plant x spec product: a product state dies when some uncontrollable event is
-possible in the plant but not in the product.  Deleting a state can expose
-new violations at its predecessors, so a worklist runs to the global
-fixpoint; the result is order-independent (the supremal element is unique)
-and we expose the visit order for randomized testing.  The surviving part is
+For a prefix-closed specification the supremal controllable sublanguage
+(Wonham & Ramadge, SIAM J. Control Optim. 1987) drops every state of the
+plant x spec product from which a string of uncontrollable events reaches an
+uncontrollable event that the plant allows and the product lacks.  Those
+states are found by one backward closure along uncontrollable product moves,
+so the result does not depend on any visit order.  The surviving part is
 trimmed, state-minimized and renumbered, which makes the supervisor
 canonical regardless of how the plant's liveness layers were composed.
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +25,7 @@ from .automata import (
     explore,
     minimize_prefix_closed,
     pair_moves,
-    reachable_trim,
+    restrict,
 )
 from .omega import StarLanguageHandle
 
@@ -60,12 +58,13 @@ class SafetySupervisor:
         return StarLanguageHandle(self.automaton)
 
 
-def sup_con_star(
-    plant: BuchiAutomaton,
-    spec: StarLanguageHandle,
-    shuffle_seed: Optional[int] = None,
-) -> SafetySupervisor:
-    """Supremal controllable (and prefix-closed) sublanguage of spec ^ L(plant)."""
+def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> SafetySupervisor:
+    """Supremal controllable (and prefix-closed) sublanguage of spec ^ L(plant).
+
+    A product state is lost when the plant allows an uncontrollable event
+    there that the product lacks, or when an uncontrollable product move
+    leads to a lost state; the supervisor is the trimmed, minimized rest.
+    """
     if spec.is_empty:
         return SafetySupervisor(None, frozenset())
     p = plant.core
@@ -76,50 +75,25 @@ def sup_con_star(
 
     # reachable product, on visit indices: node i is the state pair order[i]
     order, trans = explore((p.initial, s.initial), pair_moves(p, s))
-    preds: list[set[int]] = [set() for _ in order]
-    for (src, _e), dst in trans.items():
-        preds[dst].add(src)
-
-    dead: set[int] = set()
-
-    def violates(st: int) -> bool:
-        q = order[st][0]
-        for u in alphabet.uncontrollable:
-            if (q, u) in p.transitions:
-                t = trans.get((st, u))
-                if t is None or t in dead:
-                    return True
-        return False
-
-    worklist = list(range(len(order)))
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(worklist)
-    pending = deque(worklist)
-    enqueued = set(worklist)
-    while pending:
-        st = pending.popleft()
-        enqueued.discard(st)
-        if st in dead or not violates(st):
-            continue
-        dead.add(st)
-        for pr in preds[st]:
-            if pr not in dead and pr not in enqueued:
-                pending.append(pr)
-                enqueued.add(pr)
-
-    if 0 in dead:
+    lost = {st for st, (q, _x) in enumerate(order)
+            if any((q, u) in p.transitions and (st, u) not in trans
+                   for u in alphabet.uncontrollable)}
+    preds: list[list[int]] = [[] for _ in order]
+    for (src, e), dst in trans.items():
+        if e in alphabet.uncontrollable:
+            preds[dst].append(src)
+    stack = list(lost)
+    while stack:
+        for pr in preds[stack.pop()]:
+            if pr not in lost:
+                lost.add(pr)
+                stack.append(pr)
+    if 0 in lost:
         return SafetySupervisor(None, frozenset())
 
-    live = [st for st in range(len(order)) if st not in dead]
-    aut = StarAutomaton(
-        alphabet,
-        tuple(live),
-        0,
-        {k: t for k, t in trans.items() if k[0] not in dead and t not in dead},
-    )
-    aut = minimize_prefix_closed(reachable_trim(aut))
-    lift = buchi_lift(aut, plant)
-    return SafetySupervisor(aut, lift)
+    product = StarAutomaton(alphabet, tuple(range(len(order))), 0, trans)
+    aut = minimize_prefix_closed(restrict(product, set(range(len(order))) - lost))
+    return SafetySupervisor(aut, buchi_lift(aut, plant))
 
 
 def controlled_plant(plant: BuchiAutomaton, sup: SafetySupervisor) -> BuchiAutomaton:

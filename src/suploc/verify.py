@@ -140,11 +140,10 @@ def check_infinite_equivalence(
     checked = 0
     for _ in range(lasso_budget):
         w = random_lasso(rng, alphabet, max_stem=8, max_cycle=max_cycle)
-        lhs = run_lasso(plant, w)
-        for c in controllers:
-            lhs = lhs and lasso_in_star(c.automaton, w)
+        in_plant = run_lasso(plant, w)
+        lhs = in_plant and all(lasso_in_star(c.automaton, w) for c in controllers)
         rhs = (
-            run_lasso(plant, w)
+            in_plant
             and lasso_in_star(sup_star.automaton, w)
             and lasso_in_star(sup_omega.automaton, w)
         )

@@ -259,3 +259,30 @@ def test_verification_error_keeps_exit_4(corpus_run, tmp_path, monkeypatch, caps
     monkeypatch.setattr(cli, "check_infinite_equivalence", contradiction)
     assert run_cli("pipeline", corpus_run / "pipeline.cfg") == 4
     assert "verification error" in capsys.readouterr().err
+
+
+def test_pipeline_without_alphabet_from(corpus_run):
+    # the legal specification's alphabet is the global one by default
+    cfg = json.loads((corpus_run / "pipeline.cfg").read_text())
+    del cfg["alphabet_from"]
+    cfg["output_dir"] = "noalpha"
+    (corpus_run / "noalpha.cfg").write_text(json.dumps(cfg))
+    assert run_cli("--quiet", "pipeline", corpus_run / "noalpha.cfg") == 0
+    ref, got = corpus_run / "out", corpus_run / "noalpha"
+    files = sorted(f.relative_to(ref) for f in ref.rglob("*") if f.is_file())
+    assert files == sorted(f.relative_to(got) for f in got.rglob("*") if f.is_file())
+    for f in files:
+        assert (ref / f).read_bytes() == (got / f).read_bytes(), f
+
+
+def test_input_errors_name_no_line(corpus, tmp_path, capsys):
+    # a missing file or a wrong automaton type is no error of a parsed line
+    assert run_cli("info", tmp_path / "nofile.aut") == 2
+    err = capsys.readouterr().err
+    assert "no such file" in err and "line 0" not in err
+    assert run_cli("synth-omega", "--plant", corpus / "minspec.aut",
+                   "--legal", corpus / "m1.aut", "--minimal", corpus / "minspec.aut",
+                   "--out", tmp_path / "supw.aut") == 2
+    err = capsys.readouterr().err
+    assert "m1.aut: expected BuchiAutomaton or RabinBuchiAutomaton" in err
+    assert "line 0" not in err

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import prefix_region
+
 import suploc
 
 from suploc.automata import (
@@ -17,6 +19,7 @@ from suploc.automata import (
     StarAutomaton,
     all_accepting,
     lasso_in_star,
+    lockstep,
     reachable_states,
     run_lasso,
 )
@@ -301,9 +304,14 @@ def test_supervisor_split_branches(sf):
     off_track = [x for x in supw.automaton.states if supw.z_component[x] == sink]
     assert len(on_track) == 10
     assert off_track
-    # full enablement holds along the minimal behavior's prefixes
-    for x in on_track:
-        assert supw.psi[x] == frozenset(dict.fromkeys(supw.automaton.enabled(x)))
+    # along the minimal behavior's prefixes the supervisor enables exactly
+    # the events that stay in the prefix region of the restricted legal behavior
+    core = sf["asup"].core
+    region = prefix_region(sf["asup"], sf["ctr"].subset)
+    for x, q, z in lockstep(supw.automaton, core, supw.tracker):
+        if z != sink:
+            assert set(supw.automaton.enabled(x)) == {
+                e for e, t in core.moves(q) if t in region}
 
 
 def walk_lasso(rng, aut):

@@ -69,16 +69,6 @@ def test_supremal_fixpoint(sf):
     assert ok
 
 
-def test_supremal_order_independent(sf):
-    plant = sf["plant"]
-    spec = sf["spec"]
-    baseline = sup_con_star(plant, spec)
-    for seed in (1, 2, 3, 4):
-        shuffled = sup_con_star(plant, spec, shuffle_seed=seed)
-        ok, _ = star_equal(shuffled.handle(), baseline.handle())
-        assert ok
-
-
 def test_supremal_maximality_bruteforce_random():
     rng = random.Random(9)
     done = 0
