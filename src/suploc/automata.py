@@ -11,7 +11,7 @@ this state reach a cycle through a good state?") all go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 State = Hashable
@@ -25,14 +25,20 @@ class AutomatonError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Global event set with a controllable/uncontrollable partition."""
+    """Global event set with a controllable/uncontrollable partition.
+
+    `position` maps each event to its place in `events`; it is derived from
+    `events`, so it takes no part in construction, equality, hashing or repr.
+    """
 
     events: tuple[Event, ...]
     controllable: frozenset[Event]
     uncontrollable: frozenset[Event]
+    position: dict[Event, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.events)) != len(self.events):
+        object.__setattr__(self, "position", {e: i for i, e in enumerate(self.events)})
+        if len(self.position) != len(self.events):
             raise AutomatonError("duplicate event labels")
         if any(not e for e in self.events):
             raise AutomatonError("empty event label")
@@ -50,10 +56,10 @@ class Alphabet:
         return cls(events, ctrl, frozenset(events) - ctrl)
 
     def index(self, event: Event) -> int:
-        return self.events.index(event)
+        return self.position[event]
 
     def __contains__(self, event: Event) -> bool:
-        return event in self.events
+        return event in self.position
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,18 @@ def build_congruence(
     A `seed` congruence is joined by the same closure first; AutomatonError
     is raised when it is not consistent with the profile.  Merging only
     coarsens it, so the result never has more cells than the seed.
+
+    Only pairs of current roots are tried, in the order of the plain
+    pairwise scan; every trial skipped would be refused.  A refused trial
+    leaves the partition as it was, and a trial refused on a partition
+    stays refused on any coarser one: the closure from a coarser partition
+    is coarser, and flags only accumulate.  So once row i of the scan is
+    done, the cell of i has been joined with, or refused against, the cell
+    of every later position.  A non-root position stands for its root's
+    cell, and that root's own row, or its earlier column in the current
+    row, has settled the pair.  Two roots with opposite flags (one
+    enables, the other must disable) are refused at the first step.  Once
+    i stops being a root, the rest of its row is settled the same way.
     """
     order = reachable_states(sup_automaton)
     pos = {x: i for i, x in enumerate(order)}
@@ -192,8 +204,11 @@ def build_congruence(
             raise AutomatonError(f"seed congruence is not consistent with the profile of {p.event!r}")
     for i in range(len(order)):
         for j in range(i + 1, len(order)):
-            if find(i) != find(j):
-                merge(i, j)
+            if parent[i] != i:
+                break
+            if parent[j] != j or (enables[i] and disables[j]) or (disables[i] and enables[j]):
+                continue
+            merge(i, j)
 
     # roots are least positions: numbered in order, cells go by first member
     roots = [find(i) for i in range(len(order))]

@@ -161,36 +161,46 @@ def _zielonka(nodes, edges, owner, priority):
     loses.  The strategy maps controller nodes of the controller's winning
     set to a chosen successor.  `nodes` is a list, and every node set is
     walked in its order, so the strategy does not depend on how nodes hash.
+
+    Zielonka's second recursive call (on the game minus the opponent's
+    attractor) is a tail call and runs as the next round of the loop; only
+    the call on the game minus the top priority's attractor recurses.  Each
+    such call drops the largest priority left, so the recursion is at most
+    one deeper than the number of distinct priorities: 5 for the control
+    game's priorities 0..3.
     """
-    if not nodes:
-        return set(), set(), {}
-    p = max(priority[v] for v in nodes)
-    player = p % 2
-    target = [v for v in nodes if priority[v] == p]
-    attr, attr_strat = _attractor(player, target, nodes, edges, owner)
-    w0, w1, s0 = _zielonka([v for v in nodes if v not in attr], edges, owner, priority)
-    wins = (w0, w1)
-    if not wins[1 - player]:
-        inside = set(nodes)
-        if player == 1:
-            return set(), inside, {}
-        strat = dict(s0)
-        strat.update(attr_strat)
-        for v in target:
-            if owner[v] == 0:
-                succ = [t for t in edges.get(v, ()) if t in inside]
-                if succ:
-                    strat.setdefault(v, succ[0])
-        return inside, set(), strat
-    opp = 1 - player
-    b_attr, b_strat = _attractor(opp, [v for v in nodes if v in wins[opp]], nodes, edges, owner)
-    w0b, w1b, s0b = _zielonka([v for v in nodes if v not in b_attr], edges, owner, priority)
-    if opp == 1:
-        return w0b, w1b | b_attr, s0b
-    strat0 = dict(s0)
-    strat0.update(b_strat)
-    strat0.update(s0b)
-    return w0b | b_attr, w1b, strat0
+    # winning sets and controller strategy carried over from earlier rounds
+    w0_acc, w1_acc, s0_acc = set(), set(), {}
+    while nodes:
+        p = max(priority[v] for v in nodes)
+        player = p % 2
+        target = [v for v in nodes if priority[v] == p]
+        attr, attr_strat = _attractor(player, target, nodes, edges, owner)
+        w0, w1, s0 = _zielonka([v for v in nodes if v not in attr], edges, owner, priority)
+        wins = (w0, w1)
+        if not wins[1 - player]:
+            inside = set(nodes)
+            if player == 1:
+                return w0_acc, w1_acc | inside, s0_acc
+            strat = dict(s0)
+            strat.update(attr_strat)
+            for v in target:
+                if owner[v] == 0:
+                    succ = [t for t in edges.get(v, ()) if t in inside]
+                    if succ:
+                        strat.setdefault(v, succ[0])
+            s0_acc.update(strat)
+            return w0_acc | inside, w1_acc, s0_acc
+        opp = 1 - player
+        b_attr, b_strat = _attractor(opp, [v for v in nodes if v in wins[opp]], nodes, edges, owner)
+        if opp == 1:
+            w1_acc |= b_attr
+        else:
+            w0_acc |= b_attr
+            s0_acc.update(s0)
+            s0_acc.update(b_strat)
+        nodes = [v for v in nodes if v not in b_attr]
+    return w0_acc, w1_acc, s0_acc
 
 
 def _attractor(player, target, nodes, edges, owner):
@@ -252,6 +262,16 @@ def controllability_subset(a: RabinBuchiAutomaton, alphabet: Alphabet) -> Contro
 
 
 def _solve_pattern_game(core, alphabet, allowed, r_set, i_set, b_set):
+    """Winning states of the control game on `allowed` and a maximal winning
+    pattern map over them.
+
+    The base map takes each winning state's pattern from the game strategy.
+    `_enlarge_pattern_map` then makes it maximal in a canonical order:
+    states in `core.states` order, then events in `core.enabled(q)` order,
+    starting from the base map.  Another order or another base map can give
+    another maximal map.  Both the base map and the enlarged map are
+    verified in full, and a failure raises AssertionError.
+    """
     nodes = []
     edges: dict = {}
     owner = {}
@@ -287,30 +307,82 @@ def _solve_pattern_game(core, alphabet, allowed, r_set, i_set, b_set):
     w0, _w1, strat0 = _zielonka(nodes, edges, owner, priority)
     winning = {q for q in core.states if ("c", q) in w0}
 
-    # base pattern map from the game strategy, then greedy maximal enlargement
     phi: dict[State, frozenset[Event]] = {}
     for q in winning:
         choice = strat0.get(("c", q))
         if choice is None:  # interior of an attractor layer; any winning pattern
             choice = next(p for p in edges[("c", q)] if p in w0)
         phi[q] = choice[2]
-
-    def phi_wins_everywhere(cand: dict) -> bool:
-        return _pattern_map_wins(core, cand, winning, r_set, i_set, b_set)
-
-    if not phi_wins_everywhere(phi):
+    if not _pattern_map_wins(core, phi, winning, r_set, i_set, b_set):
         raise AssertionError("game strategy failed verification")
-    for q in sorted(winning, key=core.states.index):
-        for e in core.enabled(q):
-            if e in phi[q] or e not in alphabet.controllable:
-                continue
-            if core.transitions[(q, e)] not in winning:
-                continue
-            trial = dict(phi)
-            trial[q] = phi[q] | {e}
-            if phi_wins_everywhere(trial):
-                phi = trial
+    phi = _enlarge_pattern_map(core, alphabet, winning, phi, r_set, i_set, b_set)
+    if not _pattern_map_wins(core, phi, winning, r_set, i_set, b_set):
+        raise AssertionError("enlarged pattern map failed verification")
     return winning, phi
+
+
+def _enlarge_pattern_map(core, alphabet, winning, phi, r_set, i_set, b_set):
+    """Greedy maximal enlargement of `phi`, a pattern map that wins from
+    every state of `winning`: in the canonical order, each controllable
+    event whose target wins is added when the map still wins with it.
+
+    A trial adds at most one edge q -> t to the pattern graph.  The old map
+    has no bad cycle, so a new one must pass through that edge and close a
+    walk t ~> q of the old graph.  The trial is refused when a state outside
+    I lies on such a walk, or when q and t lie outside R and a Buchi state
+    lies on such a walk that stays outside R.  That decides what
+    `_pattern_map_wins` would say of the trial map.  It takes at most two
+    forward and two backward reachability passes instead of two SCC passes
+    over the whole graph.
+    """
+    phi = dict(phi)
+    succ = _pattern_succ(core, phi, winning)
+    fwd = {q: set(succ(q)) for q in winning}
+    bwd: dict = {q: set() for q in winning}
+    for q in winning:
+        for t in fwd[q]:
+            bwd[t].add(q)
+    for q in core.states:
+        if q not in winning:
+            continue
+        for e in core.enabled(q):
+            t = core.transitions[(q, e)]
+            if e in phi[q] or e not in alphabet.controllable or t not in winning:
+                continue
+            if t not in fwd[q]:
+                if _closes_bad_cycle(fwd, bwd, q, t, r_set, i_set, b_set):
+                    continue
+                fwd[q].add(t)
+                bwd[t].add(q)
+            phi[q] = phi[q] | {e}
+    return phi
+
+
+def _closes_bad_cycle(fwd, bwd, q, t, r_set, i_set, b_set) -> bool:
+    """Whether the new edge q -> t closes a cycle through a state outside I,
+    or a cycle that stays outside R and passes a Buchi state, in the graph
+    `fwd` (`bwd` is its reverse)."""
+    ahead = _reach(fwd, t, ())
+    if q not in ahead:
+        return False
+    if not (ahead & _reach(bwd, q, ())) <= i_set:
+        return True
+    if q in r_set or t in r_set:
+        return False
+    ahead = _reach(fwd, t, r_set)
+    return q in ahead and not b_set.isdisjoint(ahead & _reach(bwd, q, r_set))
+
+
+def _reach(adj, start, avoid):
+    """`start` and every state it reaches in `adj` without entering `avoid`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for t in adj[stack.pop()]:
+            if t not in seen and t not in avoid:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 def _pattern_succ(core, phi, region):

@@ -2,7 +2,10 @@
 
 Everything here is deliberately brute force: plain string enumeration,
 fixpoints over explicit string sets, exhaustive subset search.  None of it
-shares code paths with the library operations it checks.
+shares code paths with the library operations it checks, with one
+exception: `greedy_pattern_map` re-runs the pattern-map enlargement with the
+library's full winning check per trial, the reference for its edge-local
+shortcut.
 """
 
 from collections import deque
@@ -17,6 +20,7 @@ from suploc.automata import (
     run_lasso,
     run_star,
 )
+from suploc.omegasynth import _pattern_map_wins
 
 
 def enumerate_language(aut: StarAutomaton, max_len: int) -> set[tuple]:
@@ -195,6 +199,29 @@ def restorable_drops(a: RabinBuchiAutomaton, alphabet, phi: dict, region) -> lis
     return out
 
 
+def greedy_pattern_map(core: StarAutomaton, alphabet, winning, phi: dict,
+                       r_set, i_set, b_set) -> dict:
+    """Greedy maximal enlargement of a pattern map that wins from every
+    state of `winning`, with a full re-verification per trial: states in
+    `core.states` order, events in enabled order, each controllable event
+    whose target wins is kept when `_pattern_map_wins` accepts the map with
+    it.  This is the plain loop that `omegasynth._enlarge_pattern_map`
+    decides edge by edge."""
+    phi = dict(phi)
+    for q in core.states:
+        if q not in winning:
+            continue
+        for e in core.enabled(q):
+            if e in phi[q] or e not in alphabet.controllable \
+                    or core.transitions[(q, e)] not in winning:
+                continue
+            trial = dict(phi)
+            trial[q] = phi[q] | {e}
+            if _pattern_map_wins(core, trial, winning, r_set, i_set, b_set):
+                phi = trial
+    return phi
+
+
 def winning_region_by_enumeration(a: RabinBuchiAutomaton, alphabet) -> set:
     """States from which some memoryless pattern map wins, by trying every
     pattern map (exponential; for automata of a handful of states)."""
@@ -326,13 +353,13 @@ def greedy_congruence(aut: StarAutomaton, consistent_pair, seed_cells=None):
 
     def cells_apart(part):
         """Two cells holding e-successors of members of one cell, or None."""
-        for c in part:
-            for e in aut.alphabet.events:
-                succ_cells = [cell_of(part, aut.transitions[(s, e)])
-                              for s in c if (s, e) in aut.transitions]
-                for d in succ_cells[1:]:
-                    if d is not succ_cells[0]:
-                        return succ_cells[0], d
+        where = {x: k for k, c in enumerate(part) for x in c}
+        first = {}
+        for (s, e), t in aut.transitions.items():
+            if s in where:
+                d = first.setdefault((where[s], e), where[t])
+                if d != where[t]:
+                    return part[d], part[where[t]]
         return None
 
     def close(part):

@@ -319,23 +319,42 @@ def random_profile(rng, states, disable_from=None):
                                 {x: k == "d" for x, k in kinds.items()})
 
 
-def test_congruence_matches_greedy_oracle():
-    # exact cells and numbering against plain partition merging, unseeded
-    # and seeded with the congruence of a profile with more disablements
+def assert_matches_greedy_oracle(aut, prof, seed=None):
+    """`build_congruence` gives the oracle's exact cells and numbering."""
+    cong = build_congruence(aut, prof, seed=seed)
+    cells, index = greedy_congruence(aut, lambda x, y: consistent(prof, x, y),
+                                     seed_cells=None if seed is None else seed.cells)
+    assert (list(cong.cells), cong.index) == (cells, index)
+    return cong
+
+
+def test_congruence_matches_greedy_oracle(factory):
+    # against plain partition merging.  Random automata: unseeded, and
+    # seeded with the congruence of a profile with more disablements
     rng = random.Random(4)
     for _ in range(200):
         al = random_alphabet(rng, rng.randint(1, 4))
         aut = random_star_automaton(rng, al, rng.randint(3, 10), density=rng.random())
         big = random_profile(rng, aut.states)
         small = random_profile(rng, aut.states, disable_from=big)
-        cong = build_congruence(aut, big)
-        cells, index = greedy_congruence(aut, lambda x, y: consistent(big, x, y))
-        assert (list(cong.cells), cong.index) == (cells, index)
-        seeded = build_congruence(aut, small, seed=cong)
-        cells, index = greedy_congruence(aut, lambda x, y: consistent(small, x, y),
-                                         seed_cells=cells)
-        assert (list(seeded.cells), seeded.index) == (cells, index)
+        cong = assert_matches_greedy_oracle(aut, big)
+        seeded = assert_matches_greedy_oracle(aut, small, seed=cong)
         assert check_congruence(aut, small, seeded)
+    # the 3-machine factory, whose congruences keep many cells: every
+    # controllable event, the SUP* profile and the SUPw profile of every
+    # scope, unseeded and seeded with the undivided congruence
+    f = factory(3)
+    sup, supw = f["sup"].automaton, f["supw"].automaton
+    sizes = []
+    for alpha in sorted(f["plant"].alphabet.controllable):
+        sizes.append(len(assert_matches_greedy_oracle(
+            sup, profile_safety(f["plant"], f["sup"], alpha)).cells))
+        base = build_congruence(supw, profile_liveness(f["closed"], f["supw"], alpha, Part.NONE))
+        for part in (Part.NONE, Part.C1, Part.C2):
+            prof = profile_liveness(f["closed"], f["supw"], alpha, part)
+            for seed in (None, base):
+                sizes.append(len(assert_matches_greedy_oracle(supw, prof, seed=seed).cells))
+    assert max(sizes) >= 5, sizes
 
 
 def test_congruence_rejects_inconsistent_seed():

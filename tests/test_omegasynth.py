@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import prefix_region
+from oracles import greedy_pattern_map, prefix_region, restorable_drops
 
 import suploc
 
@@ -23,7 +23,7 @@ from suploc.automata import (
     reachable_states,
     run_lasso,
 )
-from suploc import models
+from suploc import models, omegasynth
 from suploc.omega import StarLanguageHandle, star_equal
 from suploc.omegasynth import (
     ControllabilityResult,
@@ -189,6 +189,107 @@ def test_controllability_monotone_in_r():
         small = controllability_subset(a, al).subset
         big = controllability_subset(b, al).subset
         assert small <= big
+
+
+def random_games(count, seed):
+    """Seeded random single-pair games of 2 to 12 states over 2 to 5 events."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        al = random_alphabet(rng, rng.randint(2, 5))
+        yield random_single_pair(rng, al, rng.randint(2, 12), density=rng.uniform(0.3, 0.9)), al
+
+
+def test_enlargement_matches_greedy_oracle(sf, factory, monkeypatch):
+    # the edge-local enlargement against the loop that re-verifies the whole
+    # pattern map per trial, swapped in for it
+    games = [(sf["prod"], sf["plant"].alphabet)]
+    games += [(factory(n)["prod"], factory(n)["plant"].alphabet) for n in (2, 3)]
+    games += list(random_games(250, 7))
+    fast = [controllability_subset(a, al) for a, al in games]
+    monkeypatch.setattr(omegasynth, "_enlarge_pattern_map", greedy_pattern_map)
+    for (a, al), got in zip(games, fast):
+        want = controllability_subset(a, al)
+        assert (got.subset, got.phi) == (want.subset, want.phi)
+    # many games refuse some trial: a controllable event with a winning
+    # target stays out of a winning state's pattern
+    refusing = sum(1 for (a, al), c in zip(games, fast) if restorable_drops(a, al, c.phi, c.subset))
+    assert refusing >= 10, refusing
+
+
+def test_enlargement_verifies_twice_per_solve(factory, monkeypatch):
+    # one full check of the base map and one of the final map per game
+    # solve, never one per trial
+    calls = {"solve": 0, "wins": 0}
+    wins, solve = omegasynth._pattern_map_wins, omegasynth._solve_pattern_game
+
+    def counted_wins(*args):
+        calls["wins"] += 1
+        return wins(*args)
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(omegasynth, "_pattern_map_wins", counted_wins)
+    monkeypatch.setattr(omegasynth, "_solve_pattern_game", counted_solve)
+    f = factory(3)
+    ctr = controllability_subset(f["prod"], f["plant"].alphabet)
+    assert restorable_drops(f["prod"], f["plant"].alphabet, ctr.phi, ctr.subset)
+    assert calls["solve"] >= 1
+    assert calls["wins"] <= 2 * calls["solve"]
+
+
+def count_zielonka_depth(monkeypatch) -> dict:
+    """Route `_zielonka`'s calls, its own recursive ones included, through a
+    wrapper that records the deepest nesting in the returned dict."""
+    inner = omegasynth._zielonka
+    depth = {"now": 0, "max": 0}
+
+    def counted(*args):
+        depth["now"] += 1
+        depth["max"] = max(depth["max"], depth["now"])
+        try:
+            return inner(*args)
+        finally:
+            depth["now"] -= 1
+    monkeypatch.setattr(omegasynth, "_zielonka", counted)
+    return depth
+
+
+def ladder_game(n):
+    """A two-priority game that the controller wins everywhere, but that
+    Zielonka's algorithm solves one rung per round: u_0 only loops (priority
+    0), the controller's q_k (priority 1) moves to u_(k-1), and the
+    opponent's u_k loops or moves to q_k.  Each round the attractor of the
+    q nodes holds every u_k with k >= 1 until q_k has been won and removed,
+    so run as recursion the second call nests once per rung."""
+    nodes = [("u", 0)]
+    edges = {("u", 0): [("u", 0)]}
+    for k in range(1, n + 1):
+        nodes += [("q", k), ("u", k)]
+        edges[("q", k)] = [("u", k - 1)]
+        edges[("u", k)] = [("u", k), ("q", k)]
+    owner = {v: 0 if v[0] == "q" else 1 for v in nodes}
+    priority = {v: 1 if v[0] == "q" else 0 for v in nodes}
+    return nodes, edges, owner, priority
+
+
+def test_zielonka_depth_bounded(factory, monkeypatch):
+    # nesting is at most the number of distinct priorities + 1
+    depth = count_zielonka_depth(monkeypatch)
+    f = factory(3)
+    controllability_subset(f["prod"], f["plant"].alphabet)
+    assert 2 <= depth["max"] <= 5
+    for a, al in random_games(100, 11):
+        controllability_subset(a, al)
+    assert depth["max"] <= 5
+    for n in (3, 30, 300):
+        depth["max"] = 0
+        nodes, edges, owner, priority = ladder_game(n)
+        w0, w1, strat = omegasynth._zielonka(nodes, edges, owner, priority)
+        assert (w0, w1) == (set(nodes), set())
+        assert strat == {("q", k): ("u", k - 1) for k in range(1, n + 1)}
+        assert depth["max"] <= 3
 
 
 def test_restrict_sup_factory_unchanged(sf):
