@@ -60,9 +60,6 @@ from .safety import (
 from .verify import (
     EquivalenceReport,
     VerificationError,
-    brute_force_controllability,
-    brute_force_min_congruence,
     check_finite_equivalence,
     check_infinite_equivalence,
-    lemma1_harness,
 )

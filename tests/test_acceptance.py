@@ -12,6 +12,14 @@ language-exact).
 import random
 import time
 
+from harness import (
+    brute_force_min_congruence,
+    lemma1_harness,
+    random_alphabet,
+    random_pipeline,
+    random_single_pair,
+    random_star_automaton,
+)
 from oracles import (
     disabling_states,
     joint_states,
@@ -19,6 +27,7 @@ from oracles import (
     pattern_map_wins_on,
     piecewise_supervisor,
     restorable_drops,
+    winning_region_by_enumeration,
 )
 from suploc import models
 from suploc.automata import (
@@ -46,17 +55,7 @@ from suploc.omegasynth import (
     restrict_sup,
 )
 from suploc.safety import controlled_plant, sup_con_star
-from suploc.verify import (
-    brute_force_controllability,
-    brute_force_min_congruence,
-    check_finite_equivalence,
-    check_infinite_equivalence,
-    lemma1_harness,
-    random_alphabet,
-    random_pipeline,
-    random_single_pair,
-    random_star_automaton,
-)
+from suploc.verify import check_finite_equivalence, check_infinite_equivalence
 from suploc.localization import EnableDisableProfile, check_congruence
 
 
@@ -272,7 +271,7 @@ def test_criterion_09_oracle_agreement():
         al = random_alphabet(rng)
         a = random_single_pair(rng, al, rng.randint(2, 6))
         fx = controllability_subset(a, al).subset
-        bf = brute_force_controllability(a, al)
+        bf = winning_region_by_enumeration(a, al)
         if fx != bf:
             mismatches.append(trial)
     cong_bad = []

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from harness import random_alphabet, random_buchi, random_star_automaton
 from oracles import (
     enumerate_language,
     in_projected_product,
@@ -28,7 +29,7 @@ from suploc.automata import (
     totalize,
 )
 from suploc import models
-from suploc.verify import random_alphabet, random_buchi, random_lasso, random_star_automaton
+from suploc.verify import random_lasso
 
 
 def single_loop(al, event):

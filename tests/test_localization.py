@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from harness import random_alphabet, random_star_automaton
 from oracles import enumerate_language, greedy_congruence
 
 from suploc.automata import (
@@ -28,7 +29,6 @@ from suploc.localization import (
 )
 from suploc.omega import StarLanguageHandle, star_contained
 from suploc.safety import controlled_plant, sup_con_star
-from suploc.verify import random_alphabet, random_star_automaton
 
 
 def test_profile_safety_factory(sf):

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from oracles import greedy_pattern_map, prefix_region, restorable_drops
+from harness import random_alphabet, random_buchi, random_single_pair, random_star_automaton
+from oracles import (
+    greedy_pattern_map,
+    prefix_region,
+    restorable_drops,
+    winning_region_by_enumeration,
+)
 
 import suploc
 
@@ -35,14 +41,7 @@ from suploc.omegasynth import (
     restrict_sup,
 )
 from suploc.safety import check_star_controllability, controlled_plant, sup_con_star
-from suploc.verify import (
-    brute_force_controllability,
-    random_alphabet,
-    random_buchi,
-    random_lasso,
-    random_single_pair,
-    random_star_automaton,
-)
+from suploc.verify import random_lasso
 
 
 def test_legal_product_factory_counts(sf):
@@ -136,7 +135,7 @@ def test_controllability_trap_instance():
     a = RabinBuchiAutomaton(core, frozenset({0, 1}), ((frozenset({1}), frozenset({0, 1, 2})),))
     ctr = controllability_subset(a, al)
     assert ctr.subset == frozenset({1, 2})
-    assert brute_force_controllability(a, al) == ctr.subset
+    assert winning_region_by_enumeration(a, al) == ctr.subset
 
     # making the self-loop controllable rescues state 0
     al2 = Alphabet.make(("c", "u"), ("c", "u"))
@@ -158,7 +157,7 @@ def test_controllability_uncontrollable_trap():
     # 2 is dead (no accepting cycle), 1 falls into it uncontrollably; 0 can
     # disable c and survive on the u-branch
     assert ctr.subset == frozenset({0, 3})
-    assert brute_force_controllability(a, al) == ctr.subset
+    assert winning_region_by_enumeration(a, al) == ctr.subset
 
 
 def test_controllability_nothing_to_control():
@@ -175,7 +174,7 @@ def test_controllability_matches_bruteforce_random():
     for _ in range(50):
         al = random_alphabet(rng)
         a = random_single_pair(rng, al, rng.randint(2, 6))
-        assert controllability_subset(a, al).subset == brute_force_controllability(a, al)
+        assert controllability_subset(a, al).subset == winning_region_by_enumeration(a, al)
 
 
 def test_controllability_monotone_in_r():

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from oracles import winning_region_by_enumeration
+from harness import (
+    brute_force_min_congruence,
+    lemma1_harness,
+    mutate_controller,
+    random_alphabet,
+    random_star_automaton,
+)
 from suploc.automata import (
     Alphabet,
     AutomatonError,
@@ -14,18 +20,7 @@ from suploc.automata import (
     sync_product,
 )
 from suploc.localization import EnableDisableProfile, Kind, LocalController, Part, build_congruence, profile_safety
-from suploc.verify import (
-    brute_force_controllability,
-    brute_force_min_congruence,
-    check_finite_equivalence,
-    check_infinite_equivalence,
-    lemma1_harness,
-    mutate_controller,
-    random_alphabet,
-    random_lasso,
-    random_single_pair,
-    random_star_automaton,
-)
+from suploc.verify import check_finite_equivalence, check_infinite_equivalence, random_lasso
 
 
 def test_finite_equivalence_factory(sf):
@@ -174,17 +169,6 @@ def test_greedy_congruence_never_beats_bruteforce_random():
         assert check_congruence(aut, prof, greedy)
         best = brute_force_min_congruence(aut, prof)
         assert len(best.cells) <= len(greedy.cells)
-
-
-def test_winning_oracle_agrees_with_brute_force_controllability():
-    # the instances of acceptance criterion 9: the pattern-map winning oracle
-    # of tests/oracles.py, tried on every pattern map, finds the same
-    # winning region as the library's brute force
-    rng = random.Random(909)
-    for _ in range(50):
-        al = random_alphabet(rng)
-        a = random_single_pair(rng, al, rng.randint(2, 6))
-        assert winning_region_by_enumeration(a, al) == brute_force_controllability(a, al)
 
 
 def test_mutation_of_transitions_always_detected(sf):
