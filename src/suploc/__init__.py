@@ -5,7 +5,6 @@ from .automata import (
     Alphabet,
     AutomatonError,
     BuchiAutomaton,
-    LassoVerdict,
     LassoWord,
     RabinBuchiAutomaton,
     StarAutomaton,

@@ -173,15 +173,6 @@ class LassoWord:
         return tuple(out[:n])
 
 
-@dataclass(frozen=True)
-class LassoVerdict:
-    """Per-layer verdict of a lasso run (None when the layer is absent)."""
-
-    star: bool
-    buchi: Optional[bool] = None
-    rabin: Optional[bool] = None
-
-
 def run_star(a: StarAutomaton, word: Sequence[Event]) -> Optional[State]:
     """State reached on `word`, or None when some step is undefined."""
     q = a.initial
@@ -212,21 +203,26 @@ def omega_visit_set(core: StarAutomaton, w: LassoWord) -> Optional[frozenset[Sta
     return frozenset(trace[seen[(q, pos)]:])
 
 
-def run_lasso(a: BuchiAutomaton | RabinBuchiAutomaton, w: LassoWord):
-    """Evaluate a lasso word.  For a Buchi automaton returns a bool; for a
-    Rabin-Buchi automaton returns a LassoVerdict over all layers."""
-    if isinstance(a, BuchiAutomaton):
-        omega = omega_visit_set(a.core, w)
-        return omega is not None and bool(omega & a.accepting)
+def run_lasso(a: BuchiAutomaton, w: LassoWord) -> bool:
+    """Whether the Buchi automaton accepts the lasso word."""
     omega = omega_visit_set(a.core, w)
-    if omega is None:
-        return LassoVerdict(star=False, buchi=False, rabin=False)
-    r, i = a.single_pair()
-    return LassoVerdict(
-        star=True,
-        buchi=bool(omega & a.buchi),
-        rabin=bool(omega & r) and omega <= i,
-    )
+    return omega is not None and bool(omega & a.accepting)
+
+
+def acceptance_pair(aut: BuchiAutomaton | RabinBuchiAutomaton, layer: str
+                    ) -> tuple[frozenset[State], frozenset[State]]:
+    """(R, I) view of an acceptance condition: a run is accepted when the
+    states it visits infinitely often meet R and stay inside I.  A Buchi
+    set F is (F, every state); a Rabin-Buchi automaton answers for its
+    "buchi" layer or its single "rabin" pair."""
+    states = frozenset(aut.core.states)
+    if isinstance(aut, BuchiAutomaton):
+        return aut.accepting, states
+    if layer == "buchi":
+        return aut.buchi, states
+    if layer == "rabin":
+        return aut.single_pair()
+    raise AutomatonError(f"unknown acceptance layer {layer!r}")
 
 
 def lasso_in_star(a: StarAutomaton, w: LassoWord) -> bool:

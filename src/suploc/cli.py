@@ -150,9 +150,10 @@ def cmd_synth_omega(args) -> int:
     if args.psi_table:
         with open(args.psi_table, "w", encoding="utf-8") as fh:
             fh.write("product_state,z_state,enabled_events\n")
+            z_state = dict(lockstep(sup.automaton, sup.tracker))
             for x in sup.automaton.states:
                 evs = " ".join(sup.automaton.enabled(x))
-                fh.write(f"{x},{sup.z_component[x]},{evs}\n")
+                fh.write(f"{x},{z_state[x]},{evs}\n")
     _emit(args, {
         "product_states": len(product.core.states),
         "controllability_subset": len(ctr.subset),
@@ -262,8 +263,7 @@ def _rebuild_supervisors(plant_path, sup_star_path, sup_omega_path, minimal_path
     """Reload pipeline artifacts for localization/verification runs.
 
     The supervisors are stored as Buchi automata (structure + lift); the
-    liveness supervisor's tracker is rebuilt from the minimal behavior, and
-    each supervisor state's tracker component by a joint walk.
+    liveness supervisor's tracker is rebuilt from the minimal behavior.
     """
     _, plant = _load(plant_path, BuchiAutomaton)
     _, star_b = _load(sup_star_path, BuchiAutomaton)
@@ -271,10 +271,7 @@ def _rebuild_supervisors(plant_path, sup_star_path, sup_omega_path, minimal_path
     _, minimal = _load(minimal_path, BuchiAutomaton)
     sup_star = SafetySupervisor(star_b.core, star_b.accepting)
     tracker, sink = sink_tracker(minimal.core)
-    z_comp: dict = {}
-    for x, z in lockstep(omega_b.core, tracker):
-        z_comp.setdefault(x, z)
-    sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, tracker, sink, z_comp)
+    sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, tracker, sink)
     return plant, sup_star, sup_omega, minimal
 
 

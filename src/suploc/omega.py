@@ -22,6 +22,7 @@ from .automata import (
     RabinBuchiAutomaton,
     StarAutomaton,
     Word,
+    acceptance_pair,
     bfs_word,
     cyclic_sccs,
     explore,
@@ -122,18 +123,6 @@ def _star_compare(a: StarAutomaton, b: StarAutomaton, containment: bool):
     return True, None
 
 
-def _acceptance_pair(aut, layer: str):
-    """(R, I) view of the queried acceptance condition."""
-    states = frozenset(aut.core.states)
-    if isinstance(aut, BuchiAutomaton):
-        return aut.accepting, states
-    if layer == "buchi":
-        return aut.buchi, states
-    if layer == "rabin":
-        return aut.single_pair()
-    raise AutomatonError(f"unknown acceptance layer {layer!r}")
-
-
 def omega_contained_single_pair(
     a: BuchiAutomaton | RabinBuchiAutomaton,
     b: BuchiAutomaton | RabinBuchiAutomaton,
@@ -150,8 +139,8 @@ def omega_contained_single_pair(
     """
     if a.core.alphabet.events != b.core.alphabet.events:
         raise AutomatonError("alphabet mismatch")
-    ra, ia = _acceptance_pair(a, a_layer)
-    rb, ib = _acceptance_pair(b, b_layer)
+    ra, ia = acceptance_pair(a, a_layer)
+    rb, ib = acceptance_pair(b, b_layer)
     bt = totalize(b.core)
     sink = None if bt is b.core else bt.states[-1]
     # the product, on visit indices: node i is the state pair order[i]
@@ -226,10 +215,12 @@ def omega_contained_single_pair(
 
 
 def lasso_accepted(aut, w: LassoWord, layer: str) -> bool:
+    """Whether the lasso word is accepted by the automaton's `layer` (see
+    `acceptance_pair`)."""
     omega = omega_visit_set(aut.core, w)
     if omega is None:
         return False
-    r, i = _acceptance_pair(aut, layer)
+    r, i = acceptance_pair(aut, layer)
     return bool(omega & r) and omega <= i
 
 

@@ -2,8 +2,8 @@
 
 Pipeline: build one product automaton carrying three acceptance layers
 (star / Buchi / Rabin), compute its controllability subset and a maximal
-memoryless control pattern map by solving a parity game, restrict the Rabin
-layer to the subset, check the existence condition against the minimal
+memoryless control pattern map by solving a parity game, restrict the
+product to the subset, check the existence condition against the minimal
 acceptable behavior, and realize the supervisor as the product of the legal
 region with a totalized tracker of the minimal behavior.
 
@@ -38,6 +38,7 @@ from .automata import (
     RabinBuchiAutomaton,
     StarAutomaton,
     State,
+    acceptance_pair,
     buchi_intersection,
     explore,
     pair_moves,
@@ -64,23 +65,14 @@ class OmegaSupervisor:
     The events enabled at a supervisor state are the ones `automaton`
     defines there.  `tracker` is the totalized automaton of the minimal
     acceptable behavior whose sink state (`tracker_sink`) flags strings that
-    have left that behavior's prefixes.  `z_component` maps each supervisor
-    state to its tracker component.
+    have left that behavior's prefixes.  A supervisor state's tracker
+    component is the one `lockstep(automaton, tracker)` pairs it with.
     """
 
     automaton: StarAutomaton
     buchi_lift: frozenset[State]
     tracker: StarAutomaton
     tracker_sink: State
-    z_component: dict[State, State]
-
-
-def _as_rabin(legal: BuchiAutomaton | RabinBuchiAutomaton) -> RabinBuchiAutomaton:
-    if isinstance(legal, RabinBuchiAutomaton):
-        legal.single_pair()
-        return legal
-    states = frozenset(legal.core.states)
-    return RabinBuchiAutomaton(legal.core, states, ((legal.accepting, states),))
 
 
 def build_rabin_buchi(
@@ -100,21 +92,20 @@ def build_rabin_buchi(
     plant ^ lim(SUP*) ^ clo(E_l): on the bundled factory it accepts
     a1 b1 (a2 b2 g2)^omega, a word that never empties buffer 1.
     """
-    rl = _as_rabin(legal)
-    if plant.alphabet.events != rl.alphabet.events:
+    r_set, i_set = acceptance_pair(legal, "rabin")
+    if plant.alphabet.events != legal.alphabet.events:
         raise AutomatonError("alphabet mismatch")
     alphabet = plant.alphabet
-    r_set, i_set = rl.single_pair()
 
     # pre(E_l): legal states that still admit a pair-accepted continuation;
     # the pruned tracker is then made total with an absorbing dead sink so
     # the product's star layer accepts the plant's finite behavior exactly
     # (strings outside pre(E_l) run into the sink, which satisfies nothing)
-    good = states_reaching_cycle(reachable_states(rl.core), rl.core.targets, r_set,
+    good = states_reaching_cycle(reachable_states(legal.core), legal.core.targets, r_set,
                                  inside=i_set)
-    if rl.core.initial not in good:
+    if legal.core.initial not in good:
         raise AutomatonError("legal specification has empty omega-language")
-    tracker, sink = sink_tracker(restrict(rl.core, good))
+    tracker, sink = sink_tracker(restrict(legal.core, good))
     origin, trans = explore((plant.core.initial, tracker.initial), pair_moves(plant.core, tracker))
 
     core = StarAutomaton(alphabet, tuple(range(len(origin))), 0, trans)
@@ -409,15 +400,21 @@ def _pattern_map_wins(core, phi, region, r_set, i_set, b_set) -> bool:
 
 
 def restrict_sup(a: RabinBuchiAutomaton, c: ControllabilityResult) -> RabinBuchiAutomaton:
-    """Degenerate every state outside the controllability subset: it keeps
-    its transitions but leaves both R and I, so no run through it infinitely
-    often can satisfy the pair."""
+    """sup C(E_l) on the product: the words whose run never leaves the
+    controllability subset C and satisfies the pair there.
+
+    When C holds the initial state, the core, the Buchi layer and the pair
+    are restricted to C; when C is every state, `a` itself is returned.
+    When C has lost the initial state, the core is kept and only the pair is
+    masked to C, so no run can satisfy it outside C.
+    """
     r_set, i_set = a.single_pair()
-    return RabinBuchiAutomaton(
-        a.core,
-        a.buchi,
-        ((r_set & c.subset, i_set & c.subset),),
-    )
+    if c.subset.issuperset(a.core.states):
+        return a
+    pair = ((r_set & c.subset, i_set & c.subset),)
+    if a.core.initial not in c.subset:
+        return RabinBuchiAutomaton(a.core, a.buchi, pair)
+    return RabinBuchiAutomaton(restrict(a.core, c.subset), a.buchi & c.subset, pair)
 
 
 def inf_closure(minimal: BuchiAutomaton, plant_omega: BuchiAutomaton) -> BuchiAutomaton:
@@ -491,5 +488,4 @@ def assemble_fomega(
     origin, trans = explore((core.initial, tracker.initial), succ)
     aut = StarAutomaton(asup.alphabet, tuple(range(len(origin))), 0, trans)
     lift = frozenset(i for i, (q, z) in enumerate(origin) if q in asup.buchi)
-    z_comp = {i: v[1] for i, v in enumerate(origin)}
-    return OmegaSupervisor(aut, lift, tracker, sink, z_comp)
+    return OmegaSupervisor(aut, lift, tracker, sink)

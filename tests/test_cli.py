@@ -172,6 +172,20 @@ def test_pipeline_initial_state_lost(tmp_path, capsys):
     assert not (tmp_path / "supw.aut").exists()
 
 
+def test_pipeline_minimal_behaviour_leaves_controllability_subset(tmp_path, capsys):
+    # instance r0067 of the random-small benchmark, seed 0: the minimal
+    # behaviour's lasso steps from the initial state of the legal product to
+    # a state outside the controllability subset, so no supervisor can
+    # admit it; masking only the Rabin pair let the existence check pass
+    data = tmp_path / "r0067"
+    shutil.copytree(DATA / "r0067", data)
+    assert run_cli("--quiet", "pipeline", data / "pipeline.cfg") == 3
+    assert ("existence check failed; witness lasso ['e0', 'e2', 'e0', 'e0', 'e1'] ; ['e2']"
+            in capsys.readouterr().err)
+    assert (data / "out" / "legal_product.aut").exists()
+    assert not (data / "out" / "sup_omega.aut").exists()
+
+
 def test_product_of_components_with_different_alphabets(corpus, tmp_path, capsys):
     assert run_cli("--quiet", "product", corpus / "m1.aut", corpus / "m2.aut",
                    "--out", tmp_path / "p.aut") == 0

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and none imports
+an underscore name from another module of the package."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,27 @@ def test_checker_finds_leftovers():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that `source` imports from a suploc module, by a
+    relative import or by one that names the package."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "suploc"):
+            out.extend(a.name for a in node.names if a.name.startswith("_"))
+    return sorted(out)
+
+
+def test_checker_finds_private_imports():
+    source = ("from .omegasynth import OmegaSupervisor, _patterns\n"
+              "from suploc.automata import _helper\n"
+              "from collections import _chain\n"
+              "from __future__ import annotations\n")
+    assert private_imports(source) == ["_helper", "_patterns"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_private_imports_across_modules(module):
+    assert private_imports((SRC / module).read_text(encoding="utf-8")) == []

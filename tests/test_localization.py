@@ -108,7 +108,7 @@ def test_profile_liveness_scope_classification():
     from suploc.omegasynth import OmegaSupervisor
     tracker = totalize(minimal_core)
     sink = tracker.states[-1]
-    supw = OmegaSupervisor(sup_aut, frozenset({0}), tracker, sink, {})
+    supw = OmegaSupervisor(sup_aut, frozenset({0}), tracker, sink)
     p1 = profile_liveness(plant, supw, "c", Part.C1)
     p2 = profile_liveness(plant, supw, "c", Part.C2)
     # state 1 is reached by u (on track) and by uu...u only; c is withheld

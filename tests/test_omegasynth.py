@@ -24,13 +24,19 @@ from suploc.automata import (
     RabinBuchiAutomaton,
     StarAutomaton,
     all_accepting,
+    buchi_intersection,
     lasso_in_star,
     lockstep,
     reachable_states,
     run_lasso,
 )
 from suploc import models, omegasynth
-from suploc.omega import StarLanguageHandle, star_equal
+from suploc.omega import (
+    StarLanguageHandle,
+    lasso_accepted,
+    omega_contained_single_pair,
+    star_equal,
+)
 from suploc.omegasynth import (
     ControllabilityResult,
     assemble_fomega,
@@ -71,9 +77,10 @@ def test_legal_product_layers_on_toy():
             continue
         for _ in range(150):
             w = random_lasso(rng, al)
-            verdict = run_lasso(prod, w)
-            assert verdict.buchi == (run_lasso(plant, w) and lasso_in_star(legal.core, w))
-            assert verdict.rabin == (lasso_in_star(plant.core, w) and run_lasso(legal, w))
+            assert lasso_accepted(prod, w, "buchi") == (
+                run_lasso(plant, w) and lasso_in_star(legal.core, w))
+            assert lasso_accepted(prod, w, "rabin") == (
+                lasso_in_star(plant.core, w) and run_lasso(legal, w))
 
 
 def test_legal_product_self_spec(sf):
@@ -85,7 +92,7 @@ def test_legal_product_self_spec(sf):
     rng = random.Random(53)
     for _ in range(150):
         w = random_lasso(rng, closed.alphabet)
-        assert run_lasso(prod, w).rabin == run_lasso(closed, w)
+        assert lasso_accepted(prod, w, "rabin") == run_lasso(closed, w)
 
 
 def test_legal_product_multi_pair_rejected(sf):
@@ -302,7 +309,7 @@ def test_restrict_sup_empty_subset(sf):
     rng = random.Random(63)
     for _ in range(100):
         w = random_lasso(rng, sf["prod"].alphabet)
-        assert not run_lasso(empty, w).rabin
+        assert not lasso_accepted(empty, w, "rabin")
 
 
 def test_restrict_sup_degenerate_state():
@@ -313,10 +320,10 @@ def test_restrict_sup_degenerate_state():
     restricted = restrict_sup(a, ControllabilityResult(frozenset({0}), {}))
     # a lasso through the degenerate state 1 infinitely often now fails
     w = LassoWord((), ("c", "u"))
-    assert run_lasso(a, w).rabin
-    assert not run_lasso(restricted, w).rabin
+    assert lasso_accepted(a, w, "rabin")
+    assert not lasso_accepted(restricted, w, "rabin")
     # and one avoiding it still cannot hit R (R was masked to C as well)
-    assert not run_lasso(restricted, LassoWord((), ("u",))).rabin
+    assert not lasso_accepted(restricted, LassoWord((), ("u",)), "rabin")
 
 
 def test_inf_closure_factory(sf):
@@ -368,7 +375,7 @@ def test_existence_failure_witness():
     ok, witness = existence_check(infa, legal)
     assert not ok
     assert run_lasso(infa, witness)
-    assert not run_lasso(legal, witness).rabin
+    assert not lasso_accepted(legal, witness, "rabin")
 
 
 def test_existence_empty_minimal(sf):
@@ -400,8 +407,9 @@ def test_supervisor_star_controllable_wrt_controlled_plant(sf):
 def test_supervisor_split_branches(sf):
     supw = sf["supw"]
     sink = supw.tracker_sink
-    on_track = [x for x in supw.automaton.states if supw.z_component[x] != sink]
-    off_track = [x for x in supw.automaton.states if supw.z_component[x] == sink]
+    z_state = dict(lockstep(supw.automaton, supw.tracker))
+    on_track = [x for x in supw.automaton.states if z_state[x] != sink]
+    off_track = [x for x in supw.automaton.states if z_state[x] == sink]
     assert len(on_track) == 10
     assert off_track
     # along the minimal behavior's prefixes the supervisor enables exactly
@@ -455,6 +463,18 @@ def test_supervisor_behavior_sandwich(sf):
             hits += 1
             assert run_lasso(maxspec, w)
     assert hits  # the sample exercised the controlled loop
+
+
+@pytest.mark.parametrize("n", [0, 2, 3])
+def test_supervisor_admits_minimal_behaviour(sf, factory, n):
+    # A ^ plant ^ lim(SUP*) <= plant ^ lim(SUP*) ^ lim(SUPw), decided
+    # exactly; n = 0 is the bundled factory
+    f = sf if n == 0 else factory(n)
+    loop = buchi_intersection(f["plant"], all_accepting(f["sup"].automaton))
+    ok, witness = omega_contained_single_pair(
+        buchi_intersection(loop, f["minimal"]),
+        buchi_intersection(loop, all_accepting(f["supw"].automaton)))
+    assert ok, witness
 
 
 def test_supervisor_alternation_word_and_repeat_disablement(sf):
