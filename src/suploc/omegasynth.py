@@ -444,27 +444,27 @@ def assemble_fomega(
     off its sink the string is a prefix of the minimal behavior and every
     defined event stays enabled; once the sink is reached, the maximal
     winning pattern of the legal region takes over.  A supervisor state is
-    marked when its legal-region state is in the Buchi layer.
+    marked when its legal-region state is in the Buchi layer.  `asup` is
+    `restrict_sup`'s result for `c`, so its states lie in the
+    controllability subset once that subset holds the initial state.
     """
     if not existence_verified:
         raise AutomatonError("assemble_fomega requires a passed existence check")
     r_set, i_set = asup.single_pair()
+    core = asup.core
     # the full-enablement branch may only move inside the prefix region of
-    # the restricted legal behavior: states reaching an accepting cycle
-    # without leaving the controllability subset (states outside it act as
-    # degenerate traps).  On a fully controllable instance this is every
-    # reachable state and the branch enables every defined event.
-    if asup.core.initial not in c.subset:
+    # the restricted legal behavior: states reaching an accepting cycle.  On
+    # a fully controllable instance this is every reachable state and the
+    # branch enables every defined event.
+    if core.initial not in c.subset:
         raise AutomatonError("restricted legal behavior is empty")
-    sub_core = restrict(asup.core, c.subset)
-    prefix_region = states_reaching_cycle(reachable_states(sub_core), sub_core.targets, r_set,
+    prefix_region = states_reaching_cycle(reachable_states(core), core.targets, r_set,
                                           inside=i_set)
-    if asup.core.initial not in prefix_region:
+    if core.initial not in prefix_region:
         raise AutomatonError("restricted legal behavior is empty")
     for q in prefix_region:
-        for e in asup.core.enabled(q):
-            if e in asup.alphabet.uncontrollable and \
-                    asup.core.transitions[(q, e)] not in prefix_region:
+        for e in core.enabled(q):
+            if e in asup.alphabet.uncontrollable and core.transitions[(q, e)] not in prefix_region:
                 raise AutomatonError(
                     "prefix region of the restricted legal behavior is not "
                     "controllable; the controllability subset is inconsistent")
@@ -472,7 +472,6 @@ def assemble_fomega(
     # with a total tracker every string stays a prefix of the minimal
     # behavior and the pattern branch is never taken
     tracker, sink = sink_tracker(minimal.core)
-    core = asup.core
 
     def psi_at(v) -> frozenset[Event]:
         q, z = v

@@ -32,6 +32,7 @@ from suploc.localization import (
 )
 from suploc.verify import random_lasso
 
+
 def lemma1_harness(trials: int, seed: int = 0, n_states: int = 5, lassos: int = 50) -> dict:
     """Property harness: for random prefix-closed deterministic A, B with
     C = A ^ B (product), sampled lassos satisfy

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from harness import random_alphabet, random_buchi, random_single_pair, random_star_automaton
+from harness import random_alphabet, random_buchi, random_single_pair
 from oracles import (
     greedy_pattern_map,
     prefix_region,
