@@ -185,22 +185,29 @@ def run_star(a: StarAutomaton, word: Sequence[Event]) -> Optional[State]:
 
 def omega_visit_set(core: StarAutomaton, w: LassoWord) -> Optional[frozenset[State]]:
     """States visited infinitely often by the unique run on w, or None if the
-    run falls off the transition function."""
-    q = run_star(core, w.stem)
-    if q is None:
-        return None
-    seen: dict[tuple[State, int], int] = {}
-    trace: list[State] = []
-    pos = 0
-    while (q, pos) not in seen:
-        seen[(q, pos)] = len(trace)
-        trace.append(q)
-        q2 = core.step(q, w.cycle[pos])
-        if q2 is None:
+    run falls off the transition function (an event outside the alphabet
+    has no transition).
+
+    The run is deterministic, so once a pass over the cycle starts in a
+    state an earlier pass started in, the passes in between repeat forever:
+    the states they visit are the answer.  At most |Q| + 1 passes run."""
+    get = core.transitions.get
+    q = core.initial
+    for e in w.stem:
+        q = get((q, e))
+        if q is None:
             return None
-        q = q2
-        pos = (pos + 1) % len(w.cycle)
-    return frozenset(trace[seen[(q, pos)]:])
+    cycle = w.cycle
+    pass_start: dict[State, int] = {}
+    trace: list[State] = []
+    while q not in pass_start:
+        pass_start[q] = len(trace)
+        for e in cycle:
+            trace.append(q)
+            q = get((q, e))
+            if q is None:
+                return None
+    return frozenset(trace[pass_start[q]:])
 
 
 def run_lasso(a: BuchiAutomaton, w: LassoWord) -> bool:

@@ -185,6 +185,17 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
+def _lasso_count(text: str) -> int:
+    """A number of lassos for tier 2: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="suploc")
     parser.add_argument("--quiet", action="store_true")
@@ -227,7 +238,7 @@ def main(argv=None) -> int:
     p.add_argument("--sup-omega", required=True)
     p.add_argument("--minimal", required=True)
     p.add_argument("--controllers", required=True)
-    p.add_argument("--lassos", type=int, default=500)
+    p.add_argument("--lassos", type=_lasso_count, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
     p.set_defaults(func=cmd_verify)
@@ -236,7 +247,7 @@ def main(argv=None) -> int:
     p.add_argument("config")
     p.add_argument("--dot", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lassos", type=int, default=500)
+    p.add_argument("--lassos", type=_lasso_count, default=500)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("info")

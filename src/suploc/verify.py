@@ -8,16 +8,25 @@ distributes over intersection, lim(A ^ B) = lim(A) ^ lim(B), a property of
 `sync_product` that the tests sample on random automata.  Tier 2 samples
 seeded random lassos on both sides as an independent soundness net.  A
 tier-2 disagreement indicates an implementation bug and is reported loudly.
+
+Tier 2 draws each lasso lazily: first the stem length, uniform on
+0..MAX_STEM, and the cycle length, uniform on 1..max_cycle; then the events,
+uniform over the alphabet, one at a time while the plant follows them.  Both
+sides of the equality require the lasso to lie in the plant, so a lasso
+whose plant run is undefined is rejected by both whatever its remaining
+events are, and its drawing stops there.  A lasso the plant follows through
+its stem and one pass of its cycle is drawn in full and evaluated on the
+plant, every controller and both supervisors.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import floor
 from typing import Optional
 
 from .automata import (
-    Alphabet,
     AutomatonError,
     BuchiAutomaton,
     LassoWord,
@@ -30,6 +39,9 @@ from .localization import LocalController
 from .omega import StarLanguageHandle, star_equal
 from .omegasynth import OmegaSupervisor
 from .safety import SafetySupervisor
+
+# longest stem of a tier-2 lasso
+MAX_STEM = 8
 
 
 class VerificationError(AutomatonError):
@@ -112,50 +124,66 @@ def check_infinite_equivalence(
     Tier 1 re-verifies the finite product equalities exactly and applies the
     limit-distribution argument: since the finite intersections agree and
     lim(A ^ B) = lim(A) ^ lim(B) for star languages, the infinite behaviors
-    agree as well.  Tier 2 evaluates seeded random lassos on both sides.
+    agree as well.  Tier 2 checks `lasso_budget` seeded random lassos on
+    both sides: stem length uniform on 0..MAX_STEM, cycle length uniform on
+    1..max_cycle, events uniform over the plant's alphabet, drawn one at a
+    time while the plant follows them (see the module docstring).  A lasso
+    the plant cannot follow counts as checked and agreeing, since both sides
+    are "in the plant and ...".  `sub_results["tier2_in_plant"]` counts the
+    sampled lassos the plant accepts.  The same seed gives the same report.
     """
     report = check_finite_equivalence(plant, sup_star, sup_omega, controllers)
-    alphabet = plant.alphabet
     # tier 1: the premise (finite equality) was just decided exactly, and
     # lim distributes over the intersection that `sync_product` builds, so
     # infinite equality follows when the premise holds
     tier1 = report.finite_ok
     report.sub_results["tier1"] = tier1
 
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
+    events = plant.alphabet.events
+    n_events = len(events)
+    plant_step = plant.core.transitions.get
     disagreements = 0
+    in_plant_count = 0
     first_bad = None
     checked = 0
     for _ in range(lasso_budget):
-        w = random_lasso(rng, alphabet, max_stem=8, max_cycle=max_cycle)
-        in_plant = run_lasso(plant, w)
-        lhs = in_plant and all(lasso_in_star(c.automaton, w) for c in controllers)
-        rhs = (
-            in_plant
-            and lasso_in_star(sup_star.automaton, w)
-            and lasso_in_star(sup_omega.automaton, w)
-        )
         checked += 1
-        if lhs != rhs:
-            disagreements += 1
-            if first_bad is None:
-                first_bad = w
+        # floor(random() * k) is uniform on 0..k-1, as in `random.choices`
+        stem_len = floor(draw() * (MAX_STEM + 1))
+        cycle_len = 1 + floor(draw() * max_cycle)
+        word = []
+        q = plant.core.initial
+        for _ in range(stem_len + cycle_len):
+            e = events[floor(draw() * n_events)]
+            q = plant_step((q, e))
+            if q is None:
+                break
+            word.append(e)
+        else:
+            w = LassoWord(tuple(word[:stem_len]), tuple(word[stem_len:]))
+            in_plant = run_lasso(plant, w)
+            in_plant_count += in_plant
+            lhs = in_plant and all(lasso_in_star(c.automaton, w) for c in controllers)
+            rhs = (
+                in_plant
+                and lasso_in_star(sup_star.automaton, w)
+                and lasso_in_star(sup_omega.automaton, w)
+            )
+            if lhs != rhs:
+                disagreements += 1
+                if first_bad is None:
+                    first_bad = w
     report.checked_lassos = checked
     report.seed = seed
     report.sub_results["tier2_disagreements"] = disagreements
+    report.sub_results["tier2_in_plant"] = in_plant_count
     report.infinite_ok = tier1 and disagreements == 0
     if first_bad is not None and report.counterexample is None:
         report.counterexample = first_bad
     if tier1 and disagreements:
         raise VerificationError(
             f"tier-2 sampling found {disagreements} disagreements against a "
-            f"tier-1 proof; this indicates an implementation bug (seed={seed})")
+            f"tier-1 proof; this indicates an implementation bug (seed={seed}); "
+            f"first lasso {list(first_bad.stem)} ; {list(first_bad.cycle)}")
     return report
-
-
-def random_lasso(rng: random.Random, alphabet: Alphabet,
-                 max_stem: int = 6, max_cycle: int = 6) -> LassoWord:
-    """Seeded lasso of uniform random events, the sample of tier 2."""
-    stem = tuple(rng.choice(alphabet.events) for _ in range(rng.randint(0, max_stem)))
-    cycle = tuple(rng.choice(alphabet.events) for _ in range(rng.randint(1, max_cycle)))
-    return LassoWord(stem, cycle)

@@ -30,7 +30,6 @@ from suploc.localization import (
     LocalController,
     check_congruence,
 )
-from suploc.verify import random_lasso
 
 
 def lemma1_harness(trials: int, seed: int = 0, n_states: int = 5, lassos: int = 50) -> dict:
@@ -96,6 +95,14 @@ def random_alphabet(rng: random.Random, n_events: int = 4) -> Alphabet:
     controllable = rng.sample(events, k)
     return Alphabet.make(events, controllable)
 
+
+
+def random_lasso(rng: random.Random, alphabet: Alphabet,
+                 max_stem: int = 6, max_cycle: int = 6) -> LassoWord:
+    """Seeded lasso of uniform random events."""
+    stem = tuple(rng.choice(alphabet.events) for _ in range(rng.randint(0, max_stem)))
+    cycle = tuple(rng.choice(alphabet.events) for _ in range(rng.randint(1, max_cycle)))
+    return LassoWord(stem, cycle)
 
 def random_star_automaton(
     rng: random.Random, alphabet: Alphabet, n_states: int, density: float = 0.6

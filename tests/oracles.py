@@ -89,6 +89,26 @@ def lasso_semantic_closed_loop(plant_buchi, star_automata, w: LassoWord) -> bool
     return all(lasso_in_star(a, w) for a in star_automata)
 
 
+
+def visit_set_by_positions(core: StarAutomaton, w: LassoWord):
+    """States visited infinitely often by the run on w, or None if it falls
+    off: the run is followed one event at a time until a (state, position
+    in the cycle) pair repeats."""
+    q = run_star(core, w.stem)
+    if q is None:
+        return None
+    seen = {}
+    trace = []
+    pos = 0
+    while (q, pos) not in seen:
+        seen[(q, pos)] = len(trace)
+        trace.append(q)
+        q = core.step(q, w.cycle[pos])
+        if q is None:
+            return None
+        pos = (pos + 1) % len(w.cycle)
+    return frozenset(trace[seen[(q, pos)]:])
+
 # ---------------------------------------------------------------------------
 # control-game oracles
 #

@@ -29,13 +29,11 @@ from oracles import (
     restorable_drops,
     winning_region_by_enumeration,
 )
-from suploc import models
 from suploc.automata import (
     BuchiAutomaton,
     StarAutomaton,
     all_accepting,
     buchi_intersection,
-    run_lasso,
 )
 from suploc.localization import (
     Kind,
@@ -45,16 +43,13 @@ from suploc.localization import (
     localize_all,
     profile_liveness,
 )
-from suploc.omega import clo_automaton, omega_contained_single_pair, star_equal
+from suploc.omega import clo_automaton, omega_contained_single_pair
 from suploc.omegasynth import (
     assemble_fomega,
     build_rabin_buchi,
     controllability_subset,
-    existence_check,
-    inf_closure,
-    restrict_sup,
 )
-from suploc.safety import controlled_plant, sup_con_star
+from suploc.safety import sup_con_star
 from suploc.verify import check_finite_equivalence, check_infinite_equivalence
 from suploc.localization import EnableDisableProfile, check_congruence
 

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from harness import random_alphabet, random_buchi, random_star_automaton
+from harness import random_alphabet, random_buchi, random_lasso, random_star_automaton
 from oracles import (
     enumerate_language,
     in_projected_product,
     language_equal_upto,
     states_reaching_good_cycle,
+    visit_set_by_positions,
 )
 
 from suploc.automata import (
@@ -19,7 +20,6 @@ from suploc.automata import (
     all_accepting,
     buchi_intersection,
     extend_alphabet,
-    lasso_in_star,
     omega_visit_set,
     reachable_trim,
     run_lasso,
@@ -29,7 +29,6 @@ from suploc.automata import (
     totalize,
 )
 from suploc import models
-from suploc.verify import random_lasso
 
 
 def single_loop(al, event):
@@ -185,6 +184,46 @@ def test_run_lasso_rotation_stable():
         padded = LassoWord(w.stem + w.cycle, w.cycle)
         assert run_lasso(b, w) == run_lasso(b, padded)
 
+
+
+def fall_off_length(core, w):
+    """Length of the shortest prefix of w the automaton cannot run, or None."""
+    bound = len(w.stem) + (len(core.states) + 1) * len(w.cycle)
+    return next((n for n in range(1, bound + 1) if run_star(core, w.prefix(n)) is None), None)
+
+
+def test_omega_visit_set_matches_oracle():
+    rng = random.Random(41)
+    outcomes = {"stem": 0, "first pass": 0, "later pass": 0, "accepted": 0}
+    for _ in range(400):
+        al = random_alphabet(rng, rng.randint(2, 3))
+        core = random_star_automaton(rng, al, rng.randint(1, 6), density=rng.choice((0.5, 0.8, 1.0)))
+        w = random_lasso(rng, al, max_stem=4, max_cycle=5)
+        got = omega_visit_set(core, w)
+        assert got == visit_set_by_positions(core, w), (core, w)
+        n = fall_off_length(core, w)
+        assert (got is None) == (n is not None)
+        if n is None:
+            outcomes["accepted"] += 1
+        elif n <= len(w.stem):
+            outcomes["stem"] += 1
+        elif n <= len(w.stem) + len(w.cycle):
+            outcomes["first pass"] += 1
+        else:
+            outcomes["later pass"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_omega_visit_set_later_pass():
+    # a counter modulo 3 that refuses "b" at 2: the run on (a b)^omega
+    # passes 0 -> 2, 2 -> 1 and falls off in its third pass
+    al = Alphabet.make(("a", "b"))
+    core = StarAutomaton(al, (0, 1, 2), 0, {
+        (0, "a"): 1, (1, "a"): 2, (2, "a"): 0, (0, "b"): 1, (1, "b"): 2})
+    assert omega_visit_set(core, LassoWord((), ("a", "b"))) is None
+    assert omega_visit_set(core, LassoWord((), ("a", "a", "b"))) is None
+    assert omega_visit_set(core, LassoWord(("b",), ("a", "a", "a"))) == {0, 1, 2}
+    assert omega_visit_set(core, LassoWord(("a", "b"), ("a",))) == {0, 1, 2}
 
 def test_buchi_intersection_idempotent_on_lassos():
     rng = random.Random(23)

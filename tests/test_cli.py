@@ -149,6 +149,25 @@ def test_synth_safety_and_omega_roundtrip(corpus, tmp_path, capsys):
     assert rep["finite_ok"] and rep["infinite_ok"]
 
 
+
+@pytest.mark.parametrize("count", ["-3", "many"])
+def test_lasso_count_must_be_non_negative(corpus, capsys, count):
+    # rejected while the arguments are parsed, before any file is read or written
+    out_dir = corpus / "out"
+    commands = [
+        ("pipeline", corpus / "pipeline.cfg"),
+        ("verify", "--plant", out_dir / "plant.aut", "--sup-star", out_dir / "sup_star.aut",
+         "--sup-omega", out_dir / "sup_omega.aut", "--minimal", corpus / "minspec.aut",
+         "--controllers", out_dir / "controllers"),
+    ]
+    for command in commands:
+        with pytest.raises(SystemExit) as stop:
+            run_cli(*command, "--lassos", count)
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --lassos: expected a non-negative integer, got '{count}'" in err
+    assert not out_dir.exists()
+
 def test_product_command(corpus, tmp_path, capsys):
     assert run_cli("product", corpus / "minspec.aut", corpus / "maxspec.aut",
                    "--out", tmp_path / "p.aut") == 0

@@ -1,14 +1,17 @@
-"""Every module of the package uses each name it imports, and none imports
-an underscore name from another module of the package."""
+"""Every module of the package and of the tests uses each name it imports,
+and no module of the package imports an underscore name from another."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "suploc"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "suploc"
 # __init__ imports names only to re-export them
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+IMPORTING = (
+    [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,9 +32,9 @@ def test_checker_finds_leftovers():
     assert unused_imports(source) == ["deque", "random"]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("path", IMPORTING)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def private_imports(source: str) -> list[str]:

@@ -13,7 +13,6 @@ from suploc.automata import (
     all_accepting,
     run_star,
 )
-from suploc import models
 from suploc.localization import (
     ControlCongruence,
     EnableDisableProfile,

@@ -1,10 +1,10 @@
 import random
 
+from harness import random_lasso
 from oracles import enumerate_language, in_projected_product
 
 from suploc.automata import LassoWord, lasso_in_star, run_lasso, run_star
 from suploc import models
-from suploc.verify import random_lasso
 
 
 def test_plant_core_states():

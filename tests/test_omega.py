@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from harness import random_alphabet, random_buchi, random_star_automaton
+from harness import random_alphabet, random_buchi, random_lasso, random_star_automaton
 from oracles import enumerate_language
 
 from suploc.automata import (
@@ -25,7 +25,6 @@ from suploc.omega import (
     star_contained,
     star_equal,
 )
-from suploc.verify import random_lasso
 
 
 def test_pre_deadlock_free_buchi_keeps_structure():

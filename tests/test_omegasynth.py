@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from harness import random_alphabet, random_buchi, random_single_pair
+from harness import random_alphabet, random_buchi, random_lasso, random_single_pair
 from oracles import (
     greedy_pattern_map,
     prefix_region,
@@ -27,10 +27,9 @@ from suploc.automata import (
     buchi_intersection,
     lasso_in_star,
     lockstep,
-    reachable_states,
     run_lasso,
 )
-from suploc import models, omegasynth
+from suploc import omegasynth
 from suploc.omega import (
     StarLanguageHandle,
     lasso_accepted,
@@ -46,8 +45,7 @@ from suploc.omegasynth import (
     inf_closure,
     restrict_sup,
 )
-from suploc.safety import check_star_controllability, controlled_plant, sup_con_star
-from suploc.verify import random_lasso
+from suploc.safety import check_star_controllability
 
 
 def test_legal_product_factory_counts(sf):

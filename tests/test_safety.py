@@ -2,25 +2,20 @@ import random
 
 import pytest
 
-from harness import random_alphabet, random_buchi, random_star_automaton
+from harness import random_alphabet, random_buchi, random_lasso, random_star_automaton
 from oracles import enumerate_language, supremal_controllable_finite
 
 from suploc.automata import (
     Alphabet,
     AutomatonError,
-    BuchiAutomaton,
     StarAutomaton,
     all_accepting,
     lasso_in_star,
     run_lasso,
     run_star,
-    sync_product,
-    totalize,
 )
-from suploc import models
 from suploc.omega import StarLanguageHandle, star_contained, star_equal
 from suploc.safety import check_star_controllability, controlled_plant, sup_con_star
-from suploc.verify import random_lasso
 
 
 def test_factory_supervisor_counts(sf):

@@ -1,6 +1,6 @@
 import pytest
 
-from suploc.automata import Alphabet, BuchiAutomaton, RabinBuchiAutomaton, StarAutomaton
+from suploc.automata import BuchiAutomaton, RabinBuchiAutomaton, StarAutomaton
 from suploc import models
 from suploc.textio import ParseError, parse_automaton, serialize_automaton, to_dot
 

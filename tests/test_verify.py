@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,11 +8,15 @@ from harness import (
     lemma1_harness,
     mutate_controller,
     random_alphabet,
+    random_lasso,
     random_star_automaton,
 )
+from conftest import _pipeline
+from suploc import verify
 from suploc.automata import (
     Alphabet,
     AutomatonError,
+    BuchiAutomaton,
     LassoWord,
     StarAutomaton,
     lasso_in_star,
@@ -19,8 +24,22 @@ from suploc.automata import (
     run_star,
     sync_product,
 )
-from suploc.localization import EnableDisableProfile, Kind, LocalController, Part, build_congruence, profile_safety
-from suploc.verify import check_finite_equivalence, check_infinite_equivalence, random_lasso
+from suploc.localization import (
+    EnableDisableProfile,
+    Kind,
+    LocalController,
+    Part,
+    build_congruence,
+    localize_all,
+    profile_safety,
+)
+from suploc.omega import StarLanguageHandle
+from suploc.verify import (
+    EquivalenceReport,
+    VerificationError,
+    check_finite_equivalence,
+    check_infinite_equivalence,
+)
 
 
 def test_finite_equivalence_factory(sf):
@@ -92,6 +111,91 @@ def test_infinite_equivalence_budget_zero(sf):
         sf["plant"], sf["sup"], sf["supw"], sf["controllers"], lasso_budget=0)
     assert report.infinite_ok
     assert report.checked_lassos == 0
+
+
+
+def unspecified_pipeline(states, transitions):
+    """Synthesis on a plant over a (controllable) and u, every state
+    accepting, under no specification."""
+    al = Alphabet.make(("a", "u"), ("a",))
+    plant = BuchiAutomaton(StarAutomaton(al, states, 0, transitions), frozenset(states))
+    out = _pipeline(plant, StarLanguageHandle(plant.core), plant, plant)
+    out["controllers"] = localize_all(out["plant"], out["sup"], out["closed"], out["supw"])
+    return out
+
+
+def free_pipeline():
+    """A one-state plant that runs a and u freely: every lasso lies in it."""
+    return unspecified_pipeline((0,), {(0, "a"): 0, (0, "u"): 0})
+
+
+def test_infinite_equivalence_same_seed_same_report():
+    # a is impossible once u has occurred, so some lassos leave the plant
+    # while they are drawn
+    p = unspecified_pipeline((0, 1), {(0, "a"): 0, (0, "u"): 1, (1, "u"): 1})
+    args = (p["plant"], p["sup"], p["supw"], p["controllers"])
+    first = check_infinite_equivalence(*args, lasso_budget=200, seed=3)
+    assert first.checked_lassos == 200
+    assert 0 < first.sub_results["tier2_in_plant"] < 200
+    assert first.sub_results["tier2_disagreements"] == 0
+    assert first.as_dict() == check_infinite_equivalence(*args, lasso_budget=200, seed=3).as_dict()
+
+
+
+def test_tier2_lasso_distribution(monkeypatch):
+    # the free plant follows every lasso, so each one is drawn in full and
+    # reaches run_lasso: stem length uniform on 0..8, cycle length on
+    # 1..max_cycle, events uniform
+    p = free_pipeline()
+    drawn = []
+
+    def recording_run_lasso(plant, w):
+        drawn.append(w)
+        return run_lasso(plant, w)
+    monkeypatch.setattr(verify, "run_lasso", recording_run_lasso)
+    check_infinite_equivalence(p["plant"], p["sup"], p["supw"], p["controllers"],
+                               lasso_budget=3000, seed=5, max_cycle=6)
+    assert len(drawn) == 3000
+    stems = Counter(len(w.stem) for w in drawn)
+    cycles = Counter(len(w.cycle) for w in drawn)
+    events = Counter(e for w in drawn for e in w.stem + w.cycle)
+    assert sorted(stems) == list(range(9))
+    assert sorted(cycles) == list(range(1, 7))
+    assert all(abs(n - 3000 / 9) < 80 for n in stems.values()), stems
+    assert all(abs(n - 3000 / 6) < 100 for n in cycles.values()), cycles
+    assert abs(events["a"] - events["u"]) < 0.05 * sum(events.values()), events
+
+def test_tier2_catches_mutant_controller(monkeypatch):
+    # the mutant safety controller of a disables a for good once u has
+    # occurred; with the exact finite check stubbed out, only the lasso
+    # sampling can see it
+    p = free_pipeline()
+    mutant = LocalController(
+        StarAutomaton(p["plant"].alphabet, (0, 1), 0, {(0, "a"): 0, (0, "u"): 1, (1, "u"): 1}),
+        "a", Kind.SAFETY)
+    controllers = [mutant if c.kind == Kind.SAFETY else c for c in p["controllers"]]
+    assert controllers != p["controllers"]
+    args = (p["plant"], p["sup"], p["supw"], controllers)
+
+    monkeypatch.setattr(verify, "check_finite_equivalence",
+                        lambda *a: EquivalenceReport(finite_ok=True))
+    with pytest.raises(VerificationError) as caught:
+        check_infinite_equivalence(*args, lasso_budget=50, seed=1)
+
+    # without the tier-1 proof the same draws come back as a report
+    monkeypatch.setattr(verify, "check_finite_equivalence",
+                        lambda *a: EquivalenceReport(finite_ok=False))
+    report = check_infinite_equivalence(*args, lasso_budget=50, seed=1)
+    assert report.infinite_ok is False
+    assert report.sub_results["tier2_disagreements"] > 0
+    w = report.counterexample
+    assert isinstance(w, LassoWord)
+    assert f"first lasso {list(w.stem)} ; {list(w.cycle)}" in str(caught.value)
+    in_plant = run_lasso(p["plant"], w)
+    lhs = in_plant and all(lasso_in_star(c.automaton, w) for c in controllers)
+    rhs = (in_plant and lasso_in_star(p["sup"].automaton, w)
+           and lasso_in_star(p["supw"].automaton, w))
+    assert lhs != rhs
 
 
 def test_lemma1_harness():
