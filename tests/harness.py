@@ -96,13 +96,13 @@ def random_alphabet(rng: random.Random, n_events: int = 4) -> Alphabet:
     return Alphabet.make(events, controllable)
 
 
-
 def random_lasso(rng: random.Random, alphabet: Alphabet,
                  max_stem: int = 6, max_cycle: int = 6) -> LassoWord:
     """Seeded lasso of uniform random events."""
     stem = tuple(rng.choice(alphabet.events) for _ in range(rng.randint(0, max_stem)))
     cycle = tuple(rng.choice(alphabet.events) for _ in range(rng.randint(1, max_cycle)))
     return LassoWord(stem, cycle)
+
 
 def random_star_automaton(
     rng: random.Random, alphabet: Alphabet, n_states: int, density: float = 0.6

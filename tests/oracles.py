@@ -89,7 +89,6 @@ def lasso_semantic_closed_loop(plant_buchi, star_automata, w: LassoWord) -> bool
     return all(lasso_in_star(a, w) for a in star_automata)
 
 
-
 def visit_set_by_positions(core: StarAutomaton, w: LassoWord):
     """States visited infinitely often by the run on w, or None if it falls
     off: the run is followed one event at a time until a (state, position
@@ -108,6 +107,7 @@ def visit_set_by_positions(core: StarAutomaton, w: LassoWord):
             return None
         pos = (pos + 1) % len(w.cycle)
     return frozenset(trace[seen[(q, pos)]:])
+
 
 # ---------------------------------------------------------------------------
 # control-game oracles

@@ -185,7 +185,6 @@ def test_run_lasso_rotation_stable():
         assert run_lasso(b, w) == run_lasso(b, padded)
 
 
-
 def fall_off_length(core, w):
     """Length of the shortest prefix of w the automaton cannot run, or None."""
     bound = len(w.stem) + (len(core.states) + 1) * len(w.cycle)
@@ -224,6 +223,7 @@ def test_omega_visit_set_later_pass():
     assert omega_visit_set(core, LassoWord((), ("a", "a", "b"))) is None
     assert omega_visit_set(core, LassoWord(("b",), ("a", "a", "a"))) == {0, 1, 2}
     assert omega_visit_set(core, LassoWord(("a", "b"), ("a",))) == {0, 1, 2}
+
 
 def test_buchi_intersection_idempotent_on_lassos():
     rng = random.Random(23)

@@ -149,7 +149,6 @@ def test_synth_safety_and_omega_roundtrip(corpus, tmp_path, capsys):
     assert rep["finite_ok"] and rep["infinite_ok"]
 
 
-
 @pytest.mark.parametrize("count", ["-3", "many"])
 def test_lasso_count_must_be_non_negative(corpus, capsys, count):
     # rejected while the arguments are parsed, before any file is read or written
@@ -167,6 +166,7 @@ def test_lasso_count_must_be_non_negative(corpus, capsys, count):
         err = capsys.readouterr().err
         assert f"argument --lassos: expected a non-negative integer, got '{count}'" in err
     assert not out_dir.exists()
+
 
 def test_product_command(corpus, tmp_path, capsys):
     assert run_cli("product", corpus / "minspec.aut", corpus / "maxspec.aut",

@@ -113,7 +113,6 @@ def test_infinite_equivalence_budget_zero(sf):
     assert report.checked_lassos == 0
 
 
-
 def unspecified_pipeline(states, transitions):
     """Synthesis on a plant over a (controllable) and u, every state
     accepting, under no specification."""
@@ -141,7 +140,6 @@ def test_infinite_equivalence_same_seed_same_report():
     assert first.as_dict() == check_infinite_equivalence(*args, lasso_budget=200, seed=3).as_dict()
 
 
-
 def test_tier2_lasso_distribution(monkeypatch):
     # the free plant follows every lasso, so each one is drawn in full and
     # reaches run_lasso: stem length uniform on 0..8, cycle length on
@@ -164,6 +162,7 @@ def test_tier2_lasso_distribution(monkeypatch):
     assert all(abs(n - 3000 / 9) < 80 for n in stems.values()), stems
     assert all(abs(n - 3000 / 6) < 100 for n in cycles.values()), cycles
     assert abs(events["a"] - events["u"]) < 0.05 * sum(events.values()), events
+
 
 def test_tier2_catches_mutant_controller(monkeypatch):
     # the mutant safety controller of a disables a for good once u has
