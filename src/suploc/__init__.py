@@ -11,6 +11,7 @@ from .automata import (
     all_accepting,
     buchi_intersection,
     buchi_lift,
+    compose_plant,
     lasso_in_star,
     reachable_trim,
     run_lasso,

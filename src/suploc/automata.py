@@ -459,6 +459,23 @@ def buchi_intersection(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     return BuchiAutomaton(core, frozenset(acc))
 
 
+def compose_plant(components: Sequence[StarAutomaton | BuchiAutomaton],
+                  alphabet: Alphabet) -> BuchiAutomaton:
+    """The plant over `alphabet`: the synchronous product of the star
+    components, intersected with each Buchi component (a liveness
+    assumption) in the given order.  Any other kind of component raises."""
+    for c in components:
+        if not isinstance(c, (StarAutomaton, BuchiAutomaton)):
+            raise AutomatonError("a plant component must be a StarAutomaton or a "
+                                 f"BuchiAutomaton, got {type(c).__name__}")
+    plant = all_accepting(sync_product(
+        [c for c in components if isinstance(c, StarAutomaton)], alphabet))
+    for c in components:
+        if isinstance(c, BuchiAutomaton):
+            plant = buchi_intersection(plant, extend_alphabet(c, alphabet))
+    return plant
+
+
 def buchi_lift(target: StarAutomaton, reference: BuchiAutomaton) -> frozenset[State]:
     """States of `target` reachable by some string whose run in `reference`
     ends in an accepting state.

@@ -13,9 +13,7 @@ from .automata import (
     RabinBuchiAutomaton,
     StarAutomaton,
     alphabet_union,
-    all_accepting,
-    buchi_intersection,
-    extend_alphabet,
+    compose_plant,
     lockstep,
     sink_tracker,
     sync_product,
@@ -45,6 +43,11 @@ LEGAL_TYPES = (BuchiAutomaton, RabinBuchiAutomaton)
 
 NO_SAFETY_SUPERVISOR = "no safety supervisor: SUP* is empty"
 
+# the pipeline configuration's required keys; "alphabet_from", a path too,
+# is optional
+PATH_LIST_KEYS = ("plant_components", "safety_specs")
+PATH_KEYS = ("legal_spec", "minimal_spec", "output_dir")
+
 
 def _load(path, expect=None):
     """Parse an automaton file; `expect` is a type or a tuple of types the
@@ -53,11 +56,41 @@ def _load(path, expect=None):
         name, aut = load_automaton(path)
     except FileNotFoundError:
         raise AutomatonError(f"no such file: {path}")
+    except UnicodeDecodeError as exc:
+        raise AutomatonError(f"{path}: not UTF-8 text ({exc})")
     if expect is not None and not isinstance(aut, expect):
         kinds = expect if isinstance(expect, tuple) else (expect,)
         raise AutomatonError(f"{path}: expected {' or '.join(k.__name__ for k in kinds)}, "
                              f"got {type(aut).__name__}")
     return name, aut
+
+
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise AutomatonError(f"no such file: {path}")
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise AutomatonError(f"{path}: not a JSON file ({exc})")
+
+
+def _read_config(path) -> dict:
+    """The pipeline configuration: a JSON object with every required key,
+    each holding a path or a list of paths."""
+    cfg = _read_json(path)
+    if not isinstance(cfg, dict):
+        raise AutomatonError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
+    missing = [k for k in PATH_LIST_KEYS + PATH_KEYS if k not in cfg]
+    if missing:
+        raise AutomatonError(f"{path}: missing required key(s) {', '.join(missing)}")
+    for key in PATH_LIST_KEYS + PATH_KEYS + ("alphabet_from",):
+        value = cfg.get(key, "")
+        paths = value if key in PATH_LIST_KEYS else [value]
+        if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+            kind = "a list of paths" if key in PATH_LIST_KEYS else "a path"
+            raise AutomatonError(f"{path}: {key} must be {kind}")
+    return cfg
 
 
 def _emit(args, payload: dict):
@@ -72,13 +105,11 @@ def _write_dot(path, name, aut):
 
 def cmd_product(args) -> int:
     comps = [_load(p)[1] for p in args.component]
-    cores = [c.core if not isinstance(c, StarAutomaton) else c for c in comps]
-    global_alpha = alphabet_union(c.alphabet for c in cores)
-    prod = sync_product(cores, global_alpha)
-    save_automaton(args.out, "product", prod)
+    plant = compose_plant(comps, alphabet_union(c.alphabet for c in comps))
+    save_automaton(args.out, "product", plant)
     if args.dot:
-        _write_dot(args.dot, "product", prod)
-    _emit(args, {"states": len(prod.states), "transitions": prod.n_transitions()})
+        _write_dot(args.dot, "product", plant)
+    _emit(args, {"states": len(plant.core.states), "transitions": plant.core.n_transitions()})
     return EXIT_OK
 
 
@@ -268,6 +299,12 @@ def main(argv=None) -> int:
         # over foreign events or supervisors given in the wrong order
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:
+        # a path that cannot be read or written: a directory where a file
+        # is expected, an output file in a missing directory, ...
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"input error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def _rebuild_supervisors(plant_path, sup_star_path, sup_omega_path, minimal_path):
@@ -321,13 +358,15 @@ def _write_controllers(controllers: list[LocalController], out_dir, dot: bool) -
 
 
 def _load_controllers(directory) -> list[LocalController]:
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    out = []
-    for entry in manifest:
-        _, aut = _load(os.path.join(directory, entry["name"] + ".aut"), StarAutomaton)
-        out.append(LocalController(aut, entry["event"], Kind(entry["kind"]), Part(entry["part"])))
-    return out
+    path = os.path.join(directory, "manifest.json")
+    manifest = _read_json(path)
+    try:
+        entries = [(e["name"] + ".aut", e["event"], Kind(e["kind"]), Part(e["part"]))
+                   for e in manifest]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise AutomatonError(f"{path}: not a controller manifest ({exc!r})")
+    return [LocalController(_load(os.path.join(directory, f), StarAutomaton)[1], event, kind, part)
+            for f, event, kind, part in entries]
 
 
 def cmd_verify(args) -> int:
@@ -345,8 +384,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = _read_config(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
 
     def rel(p):
@@ -359,17 +397,13 @@ def cmd_pipeline(args) -> int:
     specs = [_load(rel(p))[1] for p in cfg["safety_specs"]]
     _, legal = _load(rel(cfg["legal_spec"]), LEGAL_TYPES)
     _, minimal = _load(rel(cfg["minimal_spec"]), BuchiAutomaton)
-    liveness = [p for p in plant_parts if isinstance(p, BuchiAutomaton)]
-    star_parts = [p for p in plant_parts if isinstance(p, StarAutomaton)]
     # the legal product needs the legal specification over exactly the
     # global alphabet, so that is the default
     global_alpha = legal.alphabet
     if "alphabet_from" in cfg:
         global_alpha = _load(rel(cfg["alphabet_from"]))[1].alphabet
 
-    plant = all_accepting(sync_product(star_parts, global_alpha))
-    for live in liveness:
-        plant = buchi_intersection(plant, extend_alphabet(live, global_alpha))
+    plant = compose_plant(plant_parts, global_alpha)
     save_automaton(os.path.join(out_dir, "plant.aut"), "plant", plant)
 
     spec_cores = [s.core if not isinstance(s, StarAutomaton) else s for s in specs]

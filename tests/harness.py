@@ -1,12 +1,15 @@
-"""Seeded generators and harnesses for the tests.
+"""Seeded generators, model loaders and harnesses for the tests.
 
 Unlike `oracles.py`, these run the library: `random_pipeline` synthesizes
 with it, `lemma1_harness` and `brute_force_min_congruence` call its product
-and congruence check.  The generators draw from a caller's `random.Random`,
-so a seed fixes every instance.
+and congruence check, and `compose_model` parses and composes a model's
+``.aut`` files.  The generators draw from a caller's `random.Random`, so a
+seed fixes every instance.
 """
 
+import json
 import random
+from pathlib import Path
 from typing import Optional
 
 from suploc.automata import (
@@ -18,6 +21,7 @@ from suploc.automata import (
     RabinBuchiAutomaton,
     StarAutomaton,
     State,
+    compose_plant,
     lasso_in_star,
     omega_visit_set,
     reachable_states,
@@ -30,6 +34,44 @@ from suploc.localization import (
     LocalController,
     check_congruence,
 )
+from suploc.omega import StarLanguageHandle
+from suploc.textio import parse_automaton
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus" / "small-factory"
+
+
+def corpus_texts() -> dict[str, str]:
+    """{file name: text} of the Small Factory corpus: its ``.aut`` files and
+    ``pipeline.cfg``."""
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(CORPUS.iterdir())
+            if p.suffix == ".aut" or p.name == "pipeline.cfg"}
+
+
+def parse_models(files: dict[str, str]) -> dict[str, object]:
+    """The automata of a model's ``.aut`` texts, by file name without ``.aut``."""
+    return {name[:-len(".aut")]: parse_automaton(text)[1]
+            for name, text in files.items() if name.endswith(".aut")}
+
+
+def corpus() -> dict[str, object]:
+    """The corpus automata: "m1", "b1", "f1", "bufspec1", "muxspec", "maxspec",
+    "minspec", ..."""
+    return parse_models(corpus_texts())
+
+
+def compose_model(files: dict[str, str]):
+    """(plant, safety specification, legal specification, minimal behaviour)
+    of a model given as {file name: text}, composed as its ``pipeline.cfg``
+    says and as ``suploc pipeline`` composes them."""
+    cfg = json.loads(files["pipeline.cfg"])
+    aut = parse_models(files)
+
+    def get(name):
+        return aut[name.removesuffix(".aut")]
+    alphabet = get(cfg["alphabet_from"]).alphabet
+    plant = compose_plant([get(p) for p in cfg["plant_components"]], alphabet)
+    spec = StarLanguageHandle(sync_product([get(p) for p in cfg["safety_specs"]], alphabet))
+    return plant, spec, get(cfg["legal_spec"]), get(cfg["minimal_spec"])
 
 
 def lemma1_harness(trials: int, seed: int = 0, n_states: int = 5, lassos: int = 50) -> dict:

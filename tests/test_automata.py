@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from harness import random_alphabet, random_buchi, random_lasso, random_star_automaton
+from harness import corpus, random_alphabet, random_buchi, random_lasso, random_star_automaton
 from oracles import (
     enumerate_language,
     in_projected_product,
@@ -28,7 +28,6 @@ from suploc.automata import (
     sync_product,
     totalize,
 )
-from suploc import models
 
 
 def single_loop(al, event):
@@ -121,7 +120,7 @@ def test_reachable_trim_language_random():
 
 
 def test_totalize_minspec():
-    mins = models.alternation_spec().core
+    mins = corpus()["minspec"].core
     total = totalize(mins)
     assert len(total.states) == 7
     assert all(len(total.enabled(q)) == 6 for q in total.states)
@@ -159,12 +158,12 @@ def test_run_star_undefined():
 
 
 def test_run_lasso_fairness_examples():
-    f1 = models.removal_fairness(1)
+    f1 = corpus()["f1"]
     assert run_lasso(f1, LassoWord((), ("b1", "g1")))
     # staying forever in the pending state never meets the accepting set
     core = f1.core
     pend = StarAutomaton(core.alphabet, core.states, core.initial,
-                         dict(core.transitions) | {(1, "b1"): 1})
+                         dict(core.transitions) | {("1", "b1"): "1"})
     pending_forever = BuchiAutomaton(pend, f1.accepting)
     assert not run_lasso(pending_forever, LassoWord(("b1",), ("b1",)))
 
@@ -236,8 +235,9 @@ def test_buchi_intersection_idempotent_on_lassos():
 
 
 def test_buchi_intersection_fairness_pair():
-    f1 = extend_alphabet(models.removal_fairness(1), models.alphabet())
-    f2 = extend_alphabet(models.removal_fairness(2), models.alphabet())
+    c = corpus()
+    f1 = extend_alphabet(c["f1"], c["minspec"].alphabet)
+    f2 = extend_alphabet(c["f2"], c["minspec"].alphabet)
     both = buchi_intersection(f1, f2)
     assert run_lasso(both, LassoWord((), ("a1", "b1", "g1", "a2", "b2", "g2")))
     # g2 never occurs after b2: the second fairness condition fails

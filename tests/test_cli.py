@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from suploc.automata import Alphabet, sync_product
+from harness import CORPUS
+
+from suploc.automata import Alphabet, compose_plant
 from suploc.cli import main
 from suploc.textio import load_automaton, serialize_automaton
 
-CORPUS = Path(__file__).resolve().parents[1] / "corpus" / "small-factory"
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -210,8 +211,20 @@ def test_product_of_components_with_different_alphabets(corpus, tmp_path, capsys
                    "--out", tmp_path / "p.aut") == 0
     m1, m2 = load_automaton(corpus / "m1.aut")[1], load_automaton(corpus / "m2.aut")[1]
     both = Alphabet.make(("a1", "b1", "a2", "b2"), ("a1", "a2"))
-    expected = serialize_automaton("product", sync_product([m1, m2], both))
+    expected = serialize_automaton("product", compose_plant([m1, m2], both))
     assert (tmp_path / "p.aut").read_text() == expected
+
+
+def test_rabin_plant_component_rejected(corpus, tmp_path, capsys):
+    # a plant component carries no Rabin pair; dropping it would lose
+    # buffer 1's removal fairness
+    f1 = corpus / "f1.aut"
+    f1.write_text(f1.read_text().replace("type buchi", "type rabin-buchi") + "rabin R ; I 0\n")
+    assert run_cli("pipeline", corpus / "pipeline.cfg") == 2
+    assert "got RabinBuchiAutomaton" in capsys.readouterr().err
+    assert run_cli("product", corpus / "m1.aut", f1, "--out", tmp_path / "p.aut") == 2
+    assert "got RabinBuchiAutomaton" in capsys.readouterr().err
+    assert not (tmp_path / "p.aut").exists()
 
 
 def test_product_rejects_conflicting_controllability(corpus, tmp_path, capsys):
@@ -319,3 +332,98 @@ def test_input_errors_name_no_line(corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "m1.aut: expected BuchiAutomaton or RabinBuchiAutomaton" in err
     assert "line 0" not in err
+
+
+def test_readme_stage_chain_matches_pipeline(corpus_run, tmp_path):
+    # the README's per-stage commands, from `product` to `verify`, write
+    # what `pipeline` writes
+    c, t, out = corpus_run, tmp_path, corpus_run / "out"
+    supervisors = ("--plant", t / "plant.aut", "--sup-star", t / "sup_star.aut",
+                   "--sup-omega", t / "sup_omega.aut", "--minimal", c / "minspec.aut")
+    steps = [
+        ("product", *(c / f"{n}.aut" for n in ("m1", "b1", "m2", "b2", "f1", "f2")),
+         "--out", t / "plant.aut"),
+        ("synth-safety", "--plant", t / "plant.aut",
+         "--spec", c / "bufspec1.aut", c / "bufspec2.aut", c / "muxspec.aut",
+         "--out", t / "sup_star.aut"),
+        ("synth-omega", "--plant", t / "sup_star.aut", "--legal", c / "maxspec.aut",
+         "--minimal", c / "minspec.aut", "--out", t / "sup_omega.aut"),
+        ("localize", *supervisors, "--out-dir", t / "controllers"),
+        ("verify", *supervisors, "--controllers", t / "controllers", "--report", t / "report.json"),
+    ]
+    for step in steps:
+        assert run_cli("--quiet", *step) == 0, step[0]
+    plant = (out / "plant.aut").read_text().replace("automaton plant", "automaton product")
+    assert (t / "plant.aut").read_text() == plant
+    written = sorted(p.relative_to(t) for p in (t / "controllers").iterdir())
+    assert written == sorted(p.relative_to(out) for p in (out / "controllers").iterdir())
+    for f in [Path("sup_star.aut"), Path("sup_omega.aut")] + written:
+        assert (t / f).read_bytes() == (out / f).read_bytes(), f
+
+
+def _config(text):
+    def case(corpus, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        return ("pipeline", cfg), cfg
+    return case
+
+
+def _not_utf8(corpus, tmp_path):
+    aut = tmp_path / "latin1.aut"
+    aut.write_bytes("# d\xe9p\xf4t\n".encode("latin-1"))
+    return ("info", aut), aut
+
+
+def _verify_without_manifest(corpus, tmp_path):
+    out = corpus / "out"
+    return ("verify", "--plant", out / "plant.aut", "--sup-star", out / "sup_star.aut",
+            "--sup-omega", out / "sup_omega.aut", "--minimal", corpus / "minspec.aut",
+            "--controllers", tmp_path), tmp_path / "manifest.json"
+
+
+def _verify_bad_manifest(corpus, tmp_path):
+    (tmp_path / "manifest.json").write_text(
+        '[{"name": "loc_a1_safety", "event": "a1", "kind": "bogus", "part": "none"}]')
+    return _verify_without_manifest(corpus, tmp_path)
+
+
+def _localize_into_file(corpus, tmp_path):
+    out = corpus / "out"
+    return ("localize", "--plant", out / "plant.aut", "--sup-star", out / "sup_star.aut",
+            "--sup-omega", out / "sup_omega.aut", "--minimal", corpus / "minspec.aut",
+            "--out-dir", out / "plant.aut"), out / "plant.aut"
+
+
+def _synth_safety_into_missing_dir(corpus, tmp_path):
+    sup = tmp_path / "no" / "sup.aut"
+    return ("synth-safety", "--plant", corpus / "out" / "plant.aut",
+            "--spec", corpus / "bufspec1.aut", "--out", sup), sup
+
+
+@pytest.mark.parametrize("case,named", [
+    (_config("{not json"), ()),
+    (_config("{}"), ("plant_components", "safety_specs", "legal_spec", "minimal_spec",
+                     "output_dir")),
+    (_config("[1, 2]"), ("list",)),
+    (_config('{"plant_components": "m1.aut", "safety_specs": [], "legal_spec": "",'
+             ' "minimal_spec": "", "output_dir": ""}'), ("plant_components",)),
+    (lambda corpus, tmp_path: (("pipeline", tmp_path / "none.cfg"), tmp_path / "none.cfg"),
+     ("no such file",)),
+    (lambda corpus, tmp_path: (("info", tmp_path), tmp_path), ()),
+    (_not_utf8, ()),
+    (_verify_without_manifest, ()),
+    (_verify_bad_manifest, ("bogus",)),
+    (_localize_into_file, ()),
+    (_synth_safety_into_missing_dir, ()),
+], ids=["malformed-json", "no-keys", "not-an-object", "path-not-a-list", "missing-config",
+        "info-directory", "info-not-utf8", "verify-no-manifest", "verify-bad-manifest",
+        "localize-into-file", "out-in-missing-dir"])
+def test_unusable_inputs_are_input_errors(corpus_run, tmp_path, capsys, case, named):
+    args, path = case(corpus_run, tmp_path)
+    assert run_cli("--quiet", *args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("input error: ")
+    for fragment in (str(path),) + named:
+        assert fragment in err

@@ -1,10 +1,15 @@
 """Every module of the package and of the tests uses each name it imports,
-and no module of the package imports an underscore name from another."""
+no module of the package imports an underscore name from another, and every
+library function the benchmark traces exists."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
+
+from perfbench.spans import TRACED
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "suploc"
@@ -59,3 +64,12 @@ def test_checker_finds_private_imports():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_private_imports_across_modules(module):
     assert private_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_benchmark_traced_functions_exist():
+    # `perfbench.spans.install` looks each traced name up with getattr, so a
+    # renamed or deleted function would only fail a traced benchmark run
+    importlib.import_module("perfbench.pipeline")
+    missing = [f"{layer}.{name}" for layer, names in TRACED.items() for name in names
+               if not callable(getattr(sys.modules[f"suploc.{layer}"], name, None))]
+    assert missing == []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from harness import random_alphabet, random_buchi, random_lasso, random_star_automaton
+from harness import corpus, random_alphabet, random_buchi, random_lasso, random_star_automaton
 from oracles import enumerate_language
 
 from suploc.automata import (
@@ -15,7 +15,6 @@ from suploc.automata import (
     lasso_in_star,
     run_lasso,
 )
-from suploc import models
 from suploc.omega import (
     StarLanguageHandle,
     clo_automaton,
@@ -28,7 +27,7 @@ from suploc.omega import (
 
 
 def test_pre_deadlock_free_buchi_keeps_structure():
-    f1 = models.removal_fairness(1)
+    f1 = corpus()["f1"]
     handle = pre_automaton(f1)
     assert set(handle.automaton.states) == set(f1.core.states)
     assert handle.automaton.transitions == f1.core.transitions
@@ -54,7 +53,7 @@ def test_pre_of_empty():
 
 
 def test_clo_fixpoint_on_alternation_spec():
-    mins = models.alternation_spec()
+    mins = corpus()["minspec"]
     clo = clo_automaton(mins)
     rng = random.Random(2)
     for _ in range(60):
@@ -65,9 +64,9 @@ def test_clo_fixpoint_on_alternation_spec():
 def test_clo_strictly_larger_for_fairness():
     # a run that parks in the pending state forever is in the closure but
     # not in the accepted behavior
-    f1 = models.removal_fairness(1)
+    f1 = corpus()["f1"]
     pend = StarAutomaton(f1.core.alphabet, f1.core.states, f1.core.initial,
-                         dict(f1.core.transitions) | {(1, "b1"): 1})
+                         dict(f1.core.transitions) | {("1", "b1"): "1"})
     b = BuchiAutomaton(pend, f1.accepting)
     clo = clo_automaton(b)
     w = LassoWord(("b1",), ("b1",))
@@ -89,7 +88,7 @@ def test_clo_idempotent_random():
 
 def test_clo_contains_original_sampled(sf):
     rng = random.Random(13)
-    for b in (sf["plant"], models.start_fairness_spec(), models.alternation_spec()):
+    for b in (sf["plant"], corpus()["maxspec"], corpus()["minspec"]):
         clo = clo_automaton(b)
         for _ in range(60):
             w = random_lasso(rng, b.alphabet)
@@ -172,8 +171,9 @@ def test_omega_containment_reflexive(sf):
 
 
 def test_omega_containment_counterexample():
-    f1 = extend_alphabet(models.removal_fairness(1), models.alphabet())
-    f2 = extend_alphabet(models.removal_fairness(2), models.alphabet())
+    c = corpus()
+    f1 = extend_alphabet(c["f1"], c["minspec"].alphabet)
+    f2 = extend_alphabet(c["f2"], c["minspec"].alphabet)
     from suploc.automata import buchi_intersection
     both = buchi_intersection(f1, f2)
     ok, witness = omega_contained_single_pair(f1, both, a_layer="buchi", b_layer="buchi")
@@ -218,7 +218,7 @@ def test_star_contained():
 
 
 def test_limit_membership_by_running():
-    mins = models.alternation_spec()
+    mins = corpus()["minspec"]
     w_in = LassoWord((), ("a1", "b1", "g1", "a2", "b2", "g2"))
     w_out = LassoWord(("a1",), ("a1",))
     assert lasso_in_star(mins.core, w_in)
