@@ -41,12 +41,19 @@ EXIT_VERIFY = 4
 # a legal specification carries liveness: a Buchi or a Rabin-Buchi automaton
 LEGAL_TYPES = (BuchiAutomaton, RabinBuchiAutomaton)
 
-NO_SAFETY_SUPERVISOR = "no safety supervisor: SUP* is empty"
-
 # the pipeline configuration's required keys; "alphabet_from", a path too,
 # is optional
 PATH_LIST_KEYS = ("plant_components", "safety_specs")
 PATH_KEYS = ("legal_spec", "minimal_spec", "output_dir")
+
+
+class NoSupervisor(Exception):
+    """No supervisor exists; `main` prints the verdict and exits 3.  Not an
+    AutomatonError: the inputs are fine, the answer is negative."""
+
+    def __init__(self, message: str, verdict: dict):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 def _load(path, expect=None):
@@ -58,6 +65,9 @@ def _load(path, expect=None):
         raise AutomatonError(f"no such file: {path}")
     except UnicodeDecodeError as exc:
         raise AutomatonError(f"{path}: not UTF-8 text ({exc})")
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)  # name the file the line is in
+        raise
     if expect is not None and not isinstance(aut, expect):
         kinds = expect if isinstance(expect, tuple) else (expect,)
         raise AutomatonError(f"{path}: expected {' or '.join(k.__name__ for k in kinds)}, "
@@ -98,86 +108,87 @@ def _emit(args, payload: dict):
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _write_dot(path, name, aut):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_dot(name, aut))
+def _save(path, name, aut, dot=None):
+    """Write `aut` to `path` and, when `dot` is a path, its DOT rendering."""
+    save_automaton(path, name, aut)
+    if dot:
+        with open(dot, "w", encoding="utf-8") as fh:
+            fh.write(to_dot(name, aut))
+
+
+def _sizes(sup) -> dict:
+    """The size summary of a SUP* or SUPw."""
+    return {"states": len(sup.automaton.states),
+            "transitions": sup.automaton.n_transitions(),
+            "buchi": len(sup.buchi_lift)}
 
 
 def cmd_product(args) -> int:
     comps = [_load(p)[1] for p in args.component]
     plant = compose_plant(comps, alphabet_union(c.alphabet for c in comps))
-    save_automaton(args.out, "product", plant)
-    if args.dot:
-        _write_dot(args.dot, "product", plant)
+    _save(args.out, "product", plant, args.dot)
     _emit(args, {"states": len(plant.core.states), "transitions": plant.core.n_transitions()})
     return EXIT_OK
 
 
+def _load_safety_spec(path) -> StarAutomaton:
+    """A safety specification: a star automaton, or a Buchi automaton that
+    marks every state and so means exactly its finite behaviour (`product`
+    writes one for star components)."""
+    _, spec = _load(path)
+    if isinstance(spec, StarAutomaton):
+        return spec
+    kind = type(spec).__name__
+    if isinstance(spec, BuchiAutomaton):
+        unmarked = [q for q in spec.core.states if q not in spec.accepting]
+        if not unmarked:
+            return spec.core
+        kind += f" with unmarked state(s) {' '.join(map(str, unmarked))}"
+    raise AutomatonError(f"{path}: a safety specification must be a StarAutomaton or a "
+                         f"BuchiAutomaton marking every state, got {kind}")
+
+
+def _synth_safety(plant: BuchiAutomaton, specs: list[StarAutomaton]):
+    """SUP* of the specifications over the plant's alphabet, and the plant
+    under its control."""
+    sup = sup_con_star(plant, StarLanguageHandle(sync_product(specs, plant.alphabet)))
+    if sup.is_empty:
+        raise NoSupervisor("no safety supervisor: SUP* is empty", {"empty": True})
+    return sup, controlled_plant(plant, sup)
+
+
 def cmd_synth_safety(args) -> int:
     _, plant = _load(args.plant, BuchiAutomaton)
-    specs = [_load(p)[1] for p in args.spec]
-    spec_cores = [s.core if not isinstance(s, StarAutomaton) else s for s in specs]
-    spec = StarLanguageHandle(sync_product(spec_cores, plant.alphabet))
-    sup = sup_con_star(plant, spec)
-    if sup.is_empty:
-        _emit(args, {"empty": True})
-        print(NO_SAFETY_SUPERVISOR, file=sys.stderr)
-        return EXIT_EXISTENCE
-    closed = controlled_plant(plant, sup)
-    save_automaton(args.out, "sup-star", closed)
-    if args.dot:
-        _write_dot(args.dot, "sup-star", closed)
-    _emit(args, {
-        "states": len(sup.automaton.states),
-        "transitions": sup.automaton.n_transitions(),
-        "buchi": len(sup.buchi_lift),
-    })
+    sup, closed = _synth_safety(plant, [_load_safety_spec(p) for p in args.spec])
+    _save(args.out, "sup-star", closed, args.dot)
+    _emit(args, _sizes(sup))
     return EXIT_OK
 
 
-INITIAL_LOST = "the controllability game loses the initial state"
-
-
-def _synth_omega(plant: BuchiAutomaton, legal, minimal: BuchiAutomaton):
-    """SUPw with the legal product and the game's result; when no supervisor
-    exists, None and in its place the reason: the existence check's witness
-    lasso, or INITIAL_LOST."""
-    product = build_rabin_buchi(plant, legal)
-    ctr = controllability_subset(product, plant.alphabet)
-    asup = restrict_sup(product, ctr)
-    infa = inf_closure(minimal, plant)
-    ok, witness = existence_check(infa, asup)
-    if not ok:
-        return None, witness, product, ctr
+def _synth_omega(closed: BuchiAutomaton, product, minimal: BuchiAutomaton):
+    """SUPw from the legal product of the controlled plant, and the game's
+    result.  The game's verdict on the initial state comes before the
+    existence check."""
+    ctr = controllability_subset(product, closed.alphabet)
     if product.core.initial not in ctr.subset:
-        return None, INITIAL_LOST, product, ctr
-    sup = assemble_fomega(asup, ctr, minimal, existence_verified=True)
-    return sup, None, product, ctr
-
-
-def _no_supervisor(reason) -> str:
-    if reason == INITIAL_LOST:
-        return f"no liveness supervisor: {INITIAL_LOST}"
-    return f"existence check failed; witness lasso {list(reason.stem)} ; {list(reason.cycle)}"
+        raise NoSupervisor("no liveness supervisor: the controllability game loses the "
+                           "initial state", {"existence": False, "initial_lost": True})
+    asup = restrict_sup(product, ctr)
+    ok, witness = existence_check(inf_closure(minimal, closed), asup)
+    if not ok:
+        stem, cycle = list(witness.stem), list(witness.cycle)
+        raise NoSupervisor(f"existence check failed; witness lasso {stem} ; {cycle}",
+                           {"existence": False, "witness": {"stem": stem, "cycle": cycle}})
+    return assemble_fomega(asup, ctr, minimal, existence_verified=True), ctr
 
 
 def cmd_synth_omega(args) -> int:
-    _, plant = _load(args.plant, BuchiAutomaton)
+    _, closed = _load(args.plant, BuchiAutomaton)
     _, legal = _load(args.legal, LEGAL_TYPES)
     _, minimal = _load(args.minimal, BuchiAutomaton)
-    sup, reason, product, ctr = _synth_omega(plant, legal, minimal)
-    if sup is None:
-        if reason == INITIAL_LOST:
-            _emit(args, {"existence": False, "initial_lost": True})
-        else:
-            _emit(args, {"existence": False,
-                         "witness": {"stem": list(reason.stem), "cycle": list(reason.cycle)}})
-        print(_no_supervisor(reason), file=sys.stderr)
-        return EXIT_EXISTENCE
-    closed = BuchiAutomaton(sup.automaton, sup.buchi_lift)
-    save_automaton(args.out, "sup-omega", closed)
-    if args.dot:
-        _write_dot(args.dot, "sup-omega", closed)
+    product = build_rabin_buchi(closed, legal)
+    sup, ctr = _synth_omega(closed, product, minimal)
+    _save(args.out, "sup-omega", BuchiAutomaton(sup.automaton, sup.buchi_lift), args.dot)
     if args.psi_table:
         with open(args.psi_table, "w", encoding="utf-8") as fh:
             fh.write("product_state,z_state,enabled_events\n")
@@ -185,13 +196,8 @@ def cmd_synth_omega(args) -> int:
             for x in sup.automaton.states:
                 evs = " ".join(sup.automaton.enabled(x))
                 fh.write(f"{x},{z_state[x]},{evs}\n")
-    _emit(args, {
-        "product_states": len(product.core.states),
-        "controllability_subset": len(ctr.subset),
-        "states": len(sup.automaton.states),
-        "transitions": sup.automaton.n_transitions(),
-        "buchi": len(sup.buchi_lift),
-    })
+    _emit(args, {"product_states": len(product.core.states),
+                 "controllability_subset": len(ctr.subset), **_sizes(sup)})
     return EXIT_OK
 
 
@@ -231,6 +237,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="suploc")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the inputs `localize` and `verify` rebuild the supervisors from
+    supervisors = argparse.ArgumentParser(add_help=False)
+    for flag in ("--plant", "--sup-star", "--sup-omega", "--minimal"):
+        supervisors.add_argument(flag, required=True)
+    # tier-2 lasso sampling of `verify` and `pipeline`
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--lassos", type=_lasso_count, default=500)
+    sampling.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("product")
     p.add_argument("component", nargs="+")
@@ -254,31 +268,19 @@ def main(argv=None) -> int:
     p.add_argument("--dot")
     p.set_defaults(func=cmd_synth_omega)
 
-    p = sub.add_parser("localize")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--sup-star", required=True)
-    p.add_argument("--sup-omega", required=True)
-    p.add_argument("--minimal", required=True)
+    p = sub.add_parser("localize", parents=[supervisors])
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("verify")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--sup-star", required=True)
-    p.add_argument("--sup-omega", required=True)
-    p.add_argument("--minimal", required=True)
+    p = sub.add_parser("verify", parents=[supervisors, sampling])
     p.add_argument("--controllers", required=True)
-    p.add_argument("--lassos", type=_lasso_count, default=500)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("pipeline")
+    p = sub.add_parser("pipeline", parents=[sampling])
     p.add_argument("config")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lassos", type=_lasso_count, default=500)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("info")
@@ -291,6 +293,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except NoSupervisor as exc:
+        _emit(args, exc.verdict)
+        print(exc, file=sys.stderr)
+        return EXIT_EXISTENCE
     except VerificationError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -307,25 +313,25 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
-def _rebuild_supervisors(plant_path, sup_star_path, sup_omega_path, minimal_path):
-    """Reload pipeline artifacts for localization/verification runs.
+def _rebuild_supervisors(args):
+    """The plant, SUP* and SUPw from the pipeline artifacts named by the
+    ``--plant``, ``--sup-star``, ``--sup-omega`` and ``--minimal`` inputs.
 
     The supervisors are stored as Buchi automata (structure + lift); the
     liveness supervisor's tracker is rebuilt from the minimal behavior.
     """
-    _, plant = _load(plant_path, BuchiAutomaton)
-    _, star_b = _load(sup_star_path, BuchiAutomaton)
-    _, omega_b = _load(sup_omega_path, BuchiAutomaton)
-    _, minimal = _load(minimal_path, BuchiAutomaton)
+    _, plant = _load(args.plant, BuchiAutomaton)
+    _, star_b = _load(args.sup_star, BuchiAutomaton)
+    _, omega_b = _load(args.sup_omega, BuchiAutomaton)
+    _, minimal = _load(args.minimal, BuchiAutomaton)
     sup_star = SafetySupervisor(star_b.core, star_b.accepting)
     tracker, sink = sink_tracker(minimal.core)
     sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, tracker, sink)
-    return plant, sup_star, sup_omega, minimal
+    return plant, sup_star, sup_omega
 
 
 def cmd_localize(args) -> int:
-    plant, sup_star, sup_omega, _minimal = _rebuild_supervisors(
-        args.plant, args.sup_star, args.sup_omega, args.minimal)
+    plant, sup_star, sup_omega = _rebuild_supervisors(args)
     closed = controlled_plant(plant, sup_star)
     controllers = localize_all(plant, sup_star, closed, sup_omega)
     manifest = _write_controllers(controllers, args.out_dir, args.dot)
@@ -347,9 +353,8 @@ def _write_controllers(controllers: list[LocalController], out_dir, dot: bool) -
     manifest = []
     for c in controllers:
         name = _controller_name(c)
-        save_automaton(os.path.join(out_dir, name + ".aut"), name, c.automaton)
-        if dot:
-            _write_dot(os.path.join(out_dir, name + ".dot"), name, c.automaton)
+        _save(os.path.join(out_dir, name + ".aut"), name, c.automaton,
+              dot and os.path.join(out_dir, name + ".dot"))
         manifest.append({"name": name, "event": c.event, "kind": c.kind.value,
                          "part": c.part.value, "states": len(c.automaton.states)})
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -370,8 +375,7 @@ def _load_controllers(directory) -> list[LocalController]:
 
 
 def cmd_verify(args) -> int:
-    plant, sup_star, sup_omega, _minimal = _rebuild_supervisors(
-        args.plant, args.sup_star, args.sup_omega, args.minimal)
+    plant, sup_star, sup_omega = _rebuild_supervisors(args)
     controllers = _load_controllers(args.controllers)
     report = check_infinite_equivalence(
         plant, sup_star, sup_omega, controllers, lasso_budget=args.lassos, seed=args.seed)
@@ -394,7 +398,7 @@ def cmd_pipeline(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     plant_parts = [_load(rel(p))[1] for p in cfg["plant_components"]]
-    specs = [_load(rel(p))[1] for p in cfg["safety_specs"]]
+    specs = [_load_safety_spec(rel(p)) for p in cfg["safety_specs"]]
     _, legal = _load(rel(cfg["legal_spec"]), LEGAL_TYPES)
     _, minimal = _load(rel(cfg["minimal_spec"]), BuchiAutomaton)
     # the legal product needs the legal specification over exactly the
@@ -405,22 +409,11 @@ def cmd_pipeline(args) -> int:
 
     plant = compose_plant(plant_parts, global_alpha)
     save_automaton(os.path.join(out_dir, "plant.aut"), "plant", plant)
-
-    spec_cores = [s.core if not isinstance(s, StarAutomaton) else s for s in specs]
-    spec = StarLanguageHandle(sync_product(spec_cores, global_alpha))
-
-    sup = sup_con_star(plant, spec)
-    if sup.is_empty:
-        print(NO_SAFETY_SUPERVISOR, file=sys.stderr)
-        return EXIT_EXISTENCE
-    closed = controlled_plant(plant, sup)
+    sup, closed = _synth_safety(plant, specs)
     save_automaton(os.path.join(out_dir, "sup_star.aut"), "sup-star", closed)
-
-    supw, reason, product, ctr = _synth_omega(closed, legal, minimal)
+    product = build_rabin_buchi(closed, legal)
     save_automaton(os.path.join(out_dir, "legal_product.aut"), "legal-product", product)
-    if supw is None:
-        print(_no_supervisor(reason), file=sys.stderr)
-        return EXIT_EXISTENCE
+    supw, ctr = _synth_omega(closed, product, minimal)
     save_automaton(os.path.join(out_dir, "sup_omega.aut"), "sup-omega",
                    BuchiAutomaton(supw.automaton, supw.buchi_lift))
 
@@ -430,16 +423,12 @@ def cmd_pipeline(args) -> int:
     report = check_infinite_equivalence(
         plant, sup, supw, controllers, lasso_budget=args.lassos, seed=args.seed)
     payload = report.as_dict()
-    payload["sup_star"] = {"states": len(sup.automaton.states),
-                           "transitions": sup.automaton.n_transitions(),
-                           "buchi": len(sup.buchi_lift)}
+    payload["sup_star"] = _sizes(sup)
     payload["legal_product"] = {"states": len(product.core.states),
                                 "buchi": len(product.buchi),
                                 "rabin_r": len(product.rabin_pairs[0][0]),
                                 "controllability_subset": len(ctr.subset)}
-    payload["sup_omega"] = {"states": len(supw.automaton.states),
-                            "transitions": supw.automaton.n_transitions(),
-                            "buchi": len(supw.buchi_lift)}
+    payload["sup_omega"] = _sizes(supw)
     payload["controllers"] = manifest
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -10,7 +10,7 @@ seeded random lassos on both sides as an independent soundness net.  A
 tier-2 disagreement indicates an implementation bug and is reported loudly.
 
 Tier 2 draws each lasso lazily: first the stem length, uniform on
-0..MAX_STEM, and the cycle length, uniform on 1..max_cycle; then the events,
+0..MAX_STEM, and the cycle length, uniform on 1..MAX_CYCLE; then the events,
 uniform over the alphabet, one at a time while the plant follows them.  Both
 sides of the equality require the lasso to lie in the plant, so a lasso
 whose plant run is undefined is rejected by both whatever its remaining
@@ -40,8 +40,9 @@ from .omega import StarLanguageHandle, star_equal
 from .omegasynth import OmegaSupervisor
 from .safety import SafetySupervisor
 
-# longest stem of a tier-2 lasso
+# longest stem and longest cycle of a tier-2 lasso
 MAX_STEM = 8
+MAX_CYCLE = 12
 
 
 class VerificationError(AutomatonError):
@@ -117,7 +118,7 @@ def check_infinite_equivalence(
     controllers: list[LocalController],
     lasso_budget: int = 500,
     seed: int = 0,
-    max_cycle: int = 12,
+    max_cycle: int = MAX_CYCLE,
 ) -> EquivalenceReport:
     """Two-tier check of the collective infinite behavior.
 

@@ -427,3 +427,93 @@ def test_unusable_inputs_are_input_errors(corpus_run, tmp_path, capsys, case, na
     assert err.count("\n") == 1 and err.startswith("input error: ")
     for fragment in (str(path),) + named:
         assert fragment in err
+
+
+def test_game_verdict_comes_before_existence_check(tmp_path, capsys):
+    # instance r0000 of the random-small benchmark, seed 0: the game loses
+    # the initial state, and the existence check, asked first, failed with
+    # the witness ['e2', 'e3', 'e2', 'e1', 'e3'] ; ['e0']
+    data = tmp_path / "r0000"
+    shutil.copytree(DATA / "r0000", data)
+    out = data / "out"
+    runs = [("pipeline", data / "pipeline.cfg"),
+            ("synth-omega", "--plant", out / "sup_star.aut", "--legal", data / "legal.aut",
+             "--minimal", data / "minimal.aut", "--out", tmp_path / "supw.aut")]
+    for run in runs:
+        assert run_cli(*run) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"existence": False, "initial_lost": True}
+        assert captured.err == ("no liveness supervisor: the controllability game loses "
+                                "the initial state\n")
+    assert (out / "legal_product.aut").exists()
+    assert not (out / "sup_omega.aut").exists()
+    assert not (tmp_path / "supw.aut").exists()
+
+
+def test_safety_spec_with_liveness_rejected(corpus_run, tmp_path, capsys):
+    # f1's fairness and the legal product's Rabin pair are no safety
+    # properties, and cutting them to their star core would drop them
+    c = corpus_run
+    specs = (c / "bufspec1.aut", c / "muxspec.aut")
+    for spec, kind in [(c / "f1.aut", "got BuchiAutomaton with unmarked state(s) 1"),
+                       (c / "out" / "legal_product.aut", "got RabinBuchiAutomaton")]:
+        assert run_cli("synth-safety", "--plant", c / "out" / "plant.aut",
+                       "--spec", *specs, spec, "--out", tmp_path / "sup.aut") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {spec}: ") and kind in err
+    assert not (tmp_path / "sup.aut").exists()
+    cfg = json.loads((c / "pipeline.cfg").read_text())
+    cfg["safety_specs"].append("f1.aut")
+    (c / "fair.cfg").write_text(json.dumps(cfg))
+    assert run_cli("pipeline", c / "fair.cfg") == 2
+    assert capsys.readouterr().err.startswith(f"input error: {c / 'f1.aut'}: ")
+
+
+def test_fully_marked_buchi_safety_spec(corpus_run, tmp_path, capsys):
+    # `product` of star components marks every state; as a safety
+    # specification that means exactly its finite behaviour
+    c, spec = corpus_run, tmp_path / "spec.aut"
+    assert run_cli("--quiet", "product", c / "bufspec1.aut", c / "bufspec2.aut",
+                   c / "muxspec.aut", "--out", spec) == 0
+    assert run_cli("info", spec) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert (info["type"], info["states"], info["buchi"]) == ("buchi", 12, 12)
+    assert run_cli("--quiet", "synth-safety", "--plant", c / "out" / "plant.aut",
+                   "--spec", spec, "--out", tmp_path / "sup_star.aut") == 0
+    assert (tmp_path / "sup_star.aut").read_bytes() == (c / "out" / "sup_star.aut").read_bytes()
+
+
+def test_parse_error_names_file(corpus, capsys):
+    f1 = corpus / "f1.aut"
+    f1.write_text(f1.read_text() + "bogus 1\n")
+    assert run_cli("pipeline", corpus / "pipeline.cfg") == 2
+    assert capsys.readouterr().err == f"parse error: {f1}: line 11: unknown key 'bogus'\n"
+
+
+@pytest.mark.parametrize("case", ["r0000", "r0002", "r0067", "r0932"])
+def test_stage_chain_gives_pipeline_verdict(tmp_path, capsys, case):
+    # `pipeline` and `synth-safety` -> `synth-omega` build each supervisor
+    # with the same stage function, so they agree on the verdict
+    data, t = tmp_path / case, tmp_path
+    shutil.copytree(DATA / case, data)
+    out = data / "out"
+    code = run_cli("pipeline", data / "pipeline.cfg")
+    piped = capsys.readouterr()
+    steps = [("synth-safety", "--plant", out / "plant.aut", "--spec", data / "spec.aut",
+              "--out", t / "sup_star.aut"),
+             ("synth-omega", "--plant", t / "sup_star.aut", "--legal", data / "legal.aut",
+              "--minimal", data / "minimal.aut", "--out", t / "sup_omega.aut")]
+    for step in steps:
+        step_code = run_cli(*step)
+        staged = capsys.readouterr()
+        if step_code:
+            break
+    assert step_code == code and staged.err == piped.err
+    if code:
+        assert json.loads(staged.out) == json.loads(piped.out)
+        return
+    report = json.loads(piped.out)
+    sizes = json.loads(staged.out)
+    assert report["sup_omega"] == {k: sizes[k] for k in ("states", "transitions", "buchi")}
+    for f in ("sup_star.aut", "sup_omega.aut"):
+        assert (t / f).read_bytes() == (out / f).read_bytes(), f

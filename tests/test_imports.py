@@ -1,6 +1,7 @@
 """Every module of the package and of the tests uses each name it imports,
-no module of the package imports an underscore name from another, and every
-library function the benchmark traces exists."""
+no module of the package imports an underscore name from another, every
+library function the benchmark traces exists, and the CLI builds each
+supervisor in one stage function and exits 3 from one place."""
 
 import ast
 import importlib
@@ -73,3 +74,32 @@ def test_benchmark_traced_functions_exist():
     missing = [f"{layer}.{name}" for layer, names in TRACED.items() for name in names
                if not callable(getattr(sys.modules[f"suploc.{layer}"], name, None))]
     assert missing == []
+
+
+def callers(source: str) -> dict[str, set[str]]:
+    """{name: the top-level functions of `source` that call it or return it}."""
+    out: dict[str, set[str]] = {}
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    out.setdefault(node.func.id, set()).add(fn.name)
+                elif isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
+                    out.setdefault(node.value.id, set()).add(fn.name)
+    return out
+
+
+def test_checker_finds_callers():
+    source = ("def a():\n    return f(g())\n"
+              "def b():\n    def inner():\n        return X\n    f()\n")
+    assert callers(source) == {"f": {"a", "b"}, "g": {"a"}, "X": {"b"}}
+
+
+def test_cli_has_one_stage_per_supervisor():
+    # `synth-safety`, `synth-omega` and `pipeline` share the stage functions,
+    # and "no supervisor" travels as an exception to `main`
+    found = callers((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert found["sup_con_star"] == {"_synth_safety"}
+    for name in ("controllability_subset", "existence_check", "assemble_fomega"):
+        assert found[name] == {"_synth_omega"}, name
+    assert found["EXIT_EXISTENCE"] == {"main"}
