@@ -377,11 +377,27 @@ def alphabet_union(alphabets: Iterable[Alphabet]) -> Alphabet:
     return Alphabet.make(events, [e for e, ctrl in events.items() if ctrl])
 
 
+def check_alphabet(part: Alphabet, alphabet: Alphabet, *, same: bool = False) -> None:
+    """Raise unless every event of `part` is in `alphabet` and controllable
+    in both or in neither; with `same`, unless both also list the same
+    events in the same order."""
+    if same and part.events != alphabet.events:
+        raise AutomatonError("alphabet mismatch")
+    for e in part.events:
+        if e not in alphabet:
+            missing = sorted(f for f in part.events if f not in alphabet)
+            raise AutomatonError(f"component event(s) {missing} not in global alphabet")
+        if (e in part.controllable) != (e in alphabet.controllable):
+            raise AutomatonError(f"event {e!r} is controllable in one alphabet only")
+
+
 def extend_alphabet(a: StarAutomaton | BuchiAutomaton, alphabet: Alphabet):
-    """Re-declare `a` over `alphabet`, a superset of its events; every added
-    event self-loops at every state, so the automaton ignores it."""
+    """Re-declare `a` over `alphabet`, a superset of its events that agrees
+    on their controllability; every added event self-loops at every state,
+    so the automaton ignores it."""
     if isinstance(a, BuchiAutomaton):
         return BuchiAutomaton(extend_alphabet(a.core, alphabet), a.accepting)
+    check_alphabet(a.alphabet, alphabet)
     added = [e for e in alphabet.events if e not in a.alphabet]
     trans = dict(a.transitions)
     for q in a.states:
@@ -396,11 +412,11 @@ def sync_product(components: Sequence[StarAutomaton], alphabet: Alphabet) -> Sta
     An event shared by several components moves them together; an event
     absent from a component's alphabet leaves that component in place.  Only
     reachable product states are materialized, renumbered in BFS order.
+    Every component must agree with `alphabet` on which events are
+    controllable.
     """
     for c in components:
-        missing = set(c.alphabet.events) - set(alphabet.events)
-        if missing:
-            raise AutomatonError(f"component event(s) {sorted(missing)} not in global alphabet")
+        check_alphabet(c.alphabet, alphabet)
 
     def succ(vec):
         for e in alphabet.events:
@@ -437,8 +453,7 @@ def buchi_intersection(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     visits accepting states infinitely often iff both operand sets are
     visited infinitely often.
     """
-    if a.alphabet.events != b.alphabet.events:
-        raise AutomatonError("alphabet mismatch")
+    check_alphabet(a.alphabet, b.alphabet, same=True)
     pairs = pair_moves(a.core, b.core)
     if _is_trivially_accepting(a) or _is_trivially_accepting(b):
         order, edges = explore((a.core.initial, b.core.initial), pairs)

@@ -18,15 +18,17 @@ single pair (R, I) this is the parity condition over priorities
 
 where the controller picks, at every state, a control pattern (a nonempty
 subset of the defined events containing every defined uncontrollable event)
-and the plant picks an event from the pattern.  Only the multi-pair case is
-out of scope and rejected.
+and the plant picks an event from the pattern.  The game is solved on the
+product states themselves, with Zielonka's algorithm over a controllable-
+predecessor attractor, so a state with k controllable events adds k moves
+to the game rather than 2^k pattern nodes.  Only the multi-pair case is out
+of scope and rejected.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .automata import (
@@ -40,6 +42,7 @@ from .automata import (
     State,
     acceptance_pair,
     buchi_intersection,
+    check_alphabet,
     explore,
     pair_moves,
     reachable_states,
@@ -93,8 +96,7 @@ def build_rabin_buchi(
     a1 b1 (a2 b2 g2)^omega, a word that never empties buffer 1.
     """
     r_set, i_set = acceptance_pair(legal, "rabin")
-    if plant.alphabet.events != legal.alphabet.events:
-        raise AutomatonError("alphabet mismatch")
+    check_alphabet(legal.alphabet, plant.alphabet, same=True)
     alphabet = plant.alphabet
 
     # pre(E_l): legal states that still admit a pair-accepted continuation;
@@ -120,20 +122,6 @@ def build_rabin_buchi(
 # the control game
 
 
-def _patterns(enabled: tuple[Event, ...], alphabet: Alphabet) -> list[frozenset[Event]]:
-    """Valid control patterns at a state: nonempty subsets of the defined
-    events that keep every defined uncontrollable event, largest first."""
-    floor = tuple(e for e in enabled if e in alphabet.uncontrollable)
-    optional = tuple(e for e in enabled if e in alphabet.controllable)
-    out = []
-    for k in range(len(optional), -1, -1):
-        for combo in combinations(optional, k):
-            pat = frozenset(floor) | frozenset(combo)
-            if pat:
-                out.append(pat)
-    return out
-
-
 def _priority(q, r_set, i_set, b_set) -> int:
     if q not in i_set:
         return 3
@@ -144,14 +132,26 @@ def _priority(q, r_set, i_set, b_set) -> int:
     return 0
 
 
-def _zielonka(nodes, edges, owner, priority):
-    """Memoryless parity game solver; returns both players' winning sets and
-    the controller's strategy.
+def _zielonka(nodes, moves, priority, lost):
+    """Memoryless parity game solver on product states; returns both
+    players' winning sets and the controller's pattern at each state it wins.
 
-    owner[v] in {0, 1} (0 = controller); a player stuck at its own node
-    loses.  The strategy maps controller nodes of the controller's winning
-    set to a chosen successor.  `nodes` is a list, and every node set is
-    walked in its order, so the strategy does not depend on how nodes hash.
+    `moves[q]` lists q's moves as (event, controllable, target).  At q the
+    controller picks a pattern: every uncontrollable move and any of the
+    controllable ones, one move at least; the plant then picks a move of
+    the pattern.  A move whose target lies outside the list `nodes` is not
+    played in this game.  `lost` holds the states outside `nodes` that a
+    plant attractor took on the way to this subgame.  Every state set is
+    walked in the order of `nodes`, so the result does not depend on how
+    states hash.
+
+    The patterns returned obey one rule, and none enables a move into the
+    `lost` of the subgame it is chosen in.  At a top-priority state of a
+    subgame the controller wins outright, the pattern holds every other
+    move.  At a state the controller's attractor takes, it holds every
+    uncontrollable move, and the controllable moves into states the
+    attractor had already taken off its queue or into states outside the
+    subgame.
 
     Zielonka's second recursive call (on the game minus the opponent's
     attractor) is a tail call and runs as the next round of the loop; only
@@ -166,26 +166,24 @@ def _zielonka(nodes, edges, owner, priority):
         p = max(priority[v] for v in nodes)
         player = p % 2
         target = [v for v in nodes if priority[v] == p]
-        attr, attr_strat = _attractor(player, target, nodes, edges, owner)
-        w0, w1, s0 = _zielonka([v for v in nodes if v not in attr], edges, owner, priority)
+        attr, attr_strat = _attractor(player, target, nodes, moves, lost)
+        w0, w1, s0 = _zielonka([v for v in nodes if v not in attr], moves, priority,
+                               lost | attr if player == 1 else lost)
         wins = (w0, w1)
         if not wins[1 - player]:
             inside = set(nodes)
             if player == 1:
                 return w0_acc, w1_acc | inside, s0_acc
-            strat = dict(s0)
-            strat.update(attr_strat)
+            s0_acc.update(s0)
+            s0_acc.update(attr_strat)
             for v in target:
-                if owner[v] == 0:
-                    succ = [t for t in edges.get(v, ()) if t in inside]
-                    if succ:
-                        strat.setdefault(v, succ[0])
-            s0_acc.update(strat)
+                s0_acc[v] = frozenset(e for e, _c, t in moves[v] if t not in lost)
             return w0_acc | inside, w1_acc, s0_acc
         opp = 1 - player
-        b_attr, b_strat = _attractor(opp, [v for v in nodes if v in wins[opp]], nodes, edges, owner)
+        b_attr, b_strat = _attractor(opp, [v for v in nodes if v in wins[opp]], nodes, moves, lost)
         if opp == 1:
             w1_acc |= b_attr
+            lost = lost | b_attr
         else:
             w0_acc |= b_attr
             s0_acc.update(s0)
@@ -194,35 +192,47 @@ def _zielonka(nodes, edges, owner, priority):
     return w0_acc, w1_acc, s0_acc
 
 
-def _attractor(player, target, nodes, edges, owner):
+def _attractor(player, target, nodes, moves, lost):
     """Attractor of `target` (a list inside the list `nodes`) for `player`,
-    with a strategy for the player's nodes that move toward the target."""
+    with the controller's pattern at each state it attracts.
+
+    The controller attracts a state once every uncontrollable move inside
+    `nodes` lands in the attractor and one move does.  The plant attracts a
+    state once one of its uncontrollable moves lands there, or, at a state
+    without one, once all of its moves outside `lost` do."""
     inside = set(nodes)
     attr = set(target)
+    done = set()  # states taken off the queue
     strat = {}
-    # count remaining escapes for opponent nodes
-    out_count = {}
+    forced = {}  # uncontrollable moves inside `nodes`, per state
+    need = {}  # counted moves still to land before the state is attracted
     preds: dict = {}
     for v in nodes:
-        succ = [t for t in edges.get(v, ()) if t in inside]
-        out_count[v] = len(succ)
-        for t in succ:
-            preds.setdefault(t, []).append(v)
+        forced[v] = sum(1 for _e, c, t in moves[v] if not c and t in inside)
+        if player == 0:
+            need[v] = forced[v]
+        elif forced[v]:
+            need[v] = 1
+        else:
+            need[v] = sum(1 for _e, _c, t in moves[v] if t not in lost)
+        for _e, c, t in moves[v]:
+            if t in inside:
+                preds.setdefault(t, []).append((v, c))
     queue = deque(target)
     while queue:
         t = queue.popleft()
-        for v in preds.get(t, ()):  # v in nodes by construction
+        done.add(t)
+        for v, c in preds.get(t, ()):  # v in nodes by construction
             if v in attr:
                 continue
-            if owner[v] == player:
+            if not c or (player == 1 and not forced[v]):
+                need[v] -= 1
+            if need[v] == 0:
                 attr.add(v)
-                strat.setdefault(v, t)
                 queue.append(v)
-            else:
-                out_count[v] -= 1
-                if out_count[v] == 0:
-                    attr.add(v)
-                    queue.append(v)
+                if player == 0:
+                    strat[v] = frozenset(e for e, ctl, s in moves[v] if not ctl or s in done
+                                         or (s not in inside and s not in lost))
     return attr, strat
 
 
@@ -256,54 +266,29 @@ def _solve_pattern_game(core, alphabet, allowed, r_set, i_set, b_set):
     """Winning states of the control game on `allowed` and a maximal winning
     pattern map over them.
 
-    The base map takes each winning state's pattern from the game strategy.
-    `_enlarge_pattern_map` then makes it maximal in a canonical order:
-    states in `core.states` order, then events in `core.enabled(q)` order,
-    starting from the base map.  Another order or another base map can give
-    another maximal map.  Both the base map and the enlarged map are
-    verified in full, and a failure raises AssertionError.
+    The game is played on the states of `allowed` plus one losing sink.  A
+    move that leaves `allowed` enters the sink, and a state without a
+    defined event has one uncontrollable move into it.  The base map takes
+    each winning state's pattern from `_zielonka`, whose docstring states
+    the rule that picks it.  `_enlarge_pattern_map` then makes it maximal
+    in a canonical order: states in `core.states` order, then events in
+    `core.enabled(q)` order, starting from the base map.  Another order or
+    another base map can give another maximal map.  Both the base map and
+    the enlarged map are verified in full, and a failure raises
+    AssertionError.
     """
-    nodes = []
-    edges: dict = {}
-    owner = {}
-    priority = {}
-    # losing sink keeps the game graph total: a state with no valid pattern
-    # deadlocks (or exits the allowed region), which loses for the controller
-    dead = ("dead",)
-    nodes.append(dead)
-    owner[dead] = 1
-    priority[dead] = 1
-    edges[dead] = [dead]
-    for q in core.states:
-        if q not in allowed:
-            continue
-        cnode = ("c", q)
-        nodes.append(cnode)
-        owner[cnode] = 0
-        priority[cnode] = _priority(q, r_set, i_set, b_set)
-        succs = []
-        for pat in _patterns(core.enabled(q), alphabet):
-            pnode = ("p", q, pat)
-            nodes.append(pnode)
-            owner[pnode] = 1
-            priority[pnode] = 0
-            edges[pnode] = [
-                ("c", core.transitions[(q, e)])
-                if core.transitions[(q, e)] in allowed else dead
-                for e in sorted(pat, key=alphabet.index)
-            ]
-            succs.append(pnode)
-        edges[cnode] = succs or [dead]
+    dead = ("dead",)  # the plant's sink: it loops with priority 1
+    nodes = [dead] + [q for q in core.states if q in allowed]
+    moves = {dead: [(None, False, dead)]}
+    priority = {dead: 1}
+    for q in nodes[1:]:
+        moves[q] = [(e, e in alphabet.controllable, t if t in allowed else dead)
+                    for e, t in core.moves(q)] or [(None, False, dead)]
+        priority[q] = _priority(q, r_set, i_set, b_set)
 
-    w0, _w1, strat0 = _zielonka(nodes, edges, owner, priority)
-    winning = {q for q in core.states if ("c", q) in w0}
-
-    phi: dict[State, frozenset[Event]] = {}
-    for q in winning:
-        choice = strat0.get(("c", q))
-        if choice is None:  # interior of an attractor layer; any winning pattern
-            choice = next(p for p in edges[("c", q)] if p in w0)
-        phi[q] = choice[2]
+    w0, _w1, strat0 = _zielonka(nodes, moves, priority, frozenset())
+    winning = {q for q in core.states if q in w0}
+    phi = {q: strat0[q] for q in winning}
     if not _pattern_map_wins(core, phi, winning, r_set, i_set, b_set):
         raise AssertionError("game strategy failed verification")
     phi = _enlarge_pattern_map(core, alphabet, winning, phi, r_set, i_set, b_set)

@@ -261,21 +261,21 @@ def count_zielonka_depth(monkeypatch) -> dict:
 
 
 def ladder_game(n):
-    """A two-priority game that the controller wins everywhere, but that
-    Zielonka's algorithm solves one rung per round: u_0 only loops (priority
-    0), the controller's q_k (priority 1) moves to u_(k-1), and the
-    opponent's u_k loops or moves to q_k.  Each round the attractor of the
-    q nodes holds every u_k with k >= 1 until q_k has been won and removed,
-    so run as recursion the second call nests once per rung."""
+    """A two-priority game on product states that the controller wins
+    everywhere, but that Zielonka's algorithm solves one rung per round:
+    u_0 only loops (priority 0), q_k (priority 1) has one controllable move
+    to u_(k-1), and u_k has uncontrollable moves to itself and to q_k.  Each
+    round the plant's attractor of the q states holds every u_k with k >= 1
+    until q_k has been won and removed, so run as recursion the second call
+    nests once per rung."""
     nodes = [("u", 0)]
-    edges = {("u", 0): [("u", 0)]}
+    moves = {("u", 0): [("loop", False, ("u", 0))]}
     for k in range(1, n + 1):
         nodes += [("q", k), ("u", k)]
-        edges[("q", k)] = [("u", k - 1)]
-        edges[("u", k)] = [("u", k), ("q", k)]
-    owner = {v: 0 if v[0] == "q" else 1 for v in nodes}
+        moves[("q", k)] = [("down", True, ("u", k - 1))]
+        moves[("u", k)] = [("loop", False, ("u", k)), ("up", False, ("q", k))]
     priority = {v: 1 if v[0] == "q" else 0 for v in nodes}
-    return nodes, edges, owner, priority
+    return nodes, moves, priority
 
 
 def test_zielonka_depth_bounded(factory, monkeypatch):
@@ -289,11 +289,42 @@ def test_zielonka_depth_bounded(factory, monkeypatch):
     assert depth["max"] <= 5
     for n in (3, 30, 300):
         depth["max"] = 0
-        nodes, edges, owner, priority = ladder_game(n)
-        w0, w1, strat = omegasynth._zielonka(nodes, edges, owner, priority)
+        nodes, moves, priority = ladder_game(n)
+        w0, w1, strat = omegasynth._zielonka(nodes, moves, priority, frozenset())
         assert (w0, w1) == (set(nodes), set())
-        assert strat == {("q", k): ("u", k - 1) for k in range(1, n + 1)}
+        assert all(strat[("q", k)] == {"down"} for k in range(1, n + 1))
         assert depth["max"] <= 3
+
+
+def wide_game(k):
+    """Two states and k controllable events: c0 leads to state 0, the others
+    to state 1, from either state.  State 0 is R, and both states are in I
+    and in the Buchi layer, so state 1 must not loop."""
+    events = [f"c{i}" for i in range(k)]
+    al = Alphabet.make(events, events)
+    trans = {(q, e): 0 if e == "c0" else 1 for q in (0, 1) for e in events}
+    core = StarAutomaton(al, (0, 1), 0, trans)
+    return RabinBuchiAutomaton(core, frozenset({0, 1}), ((frozenset({0}), frozenset({0, 1})),)), al
+
+
+def test_game_size_linear_in_states(monkeypatch):
+    # a state with k controllable events has 2^k - 1 patterns; the game is
+    # played on the states themselves plus the losing sink
+    sizes = []
+    inner = omegasynth._zielonka
+
+    def counted(nodes, *args):
+        sizes.append(len(nodes))
+        return inner(nodes, *args)
+    monkeypatch.setattr(omegasynth, "_zielonka", counted)
+    for k in (1, 2, 4, 6, 16):
+        sizes.clear()
+        a, al = wide_game(k)
+        ctr = controllability_subset(a, al)
+        assert sizes[0] <= len(a.core.states) + 1
+        assert ctr.phi == {0: frozenset(al.events), 1: frozenset({"c0"})}
+        if k <= 6:
+            assert ctr.subset == winning_region_by_enumeration(a, al)
 
 
 def test_restrict_sup_factory_unchanged(sf):
