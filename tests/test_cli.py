@@ -546,13 +546,15 @@ def test_stage_chain_gives_pipeline_verdict(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["r0475", "r0480", "r0647", "r0742", "r0932", "r1158",
-                                  "small-factory"])
+                                  "small-factory", "f4"])
 def test_pipeline_outputs_match_recorded_digests(tmp_path, case):
     # r0647, r0742 and r1158 are instances of the random-small benchmark,
     # seed 0, and r0475, r0480 and r0932 of seed 1; on the first five
     # another tie-break in the game's base pattern map changes phi.  The
     # digests were recorded while the game still had one node per control
-    # pattern.
+    # pattern.  f4 is the benchmark's 4-machine factory (a 1,888-state
+    # plant), written by perfbench.factory; its digests were recorded
+    # before automata kept per-state successor rows.
     data = tmp_path / case
     shutil.copytree(CORPUS if case == "small-factory" else DATA / case, data,
                     ignore=shutil.ignore_patterns("out"))
