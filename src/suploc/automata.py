@@ -7,6 +7,12 @@ numbered densely, breadth-first from the initial state, iterating events in
 alphabet order, so the outputs are reproducible.  Liveness questions ("can
 this state reach a cycle through a good state?") all go through
 `states_reaching_cycle`.
+
+The successor index is `StarAutomaton.rows`: per state, ``{event: target}``
+in alphabet order, built once at construction.  Every walk, in this module
+and in the others, reads a state's row instead of probing `transitions` with
+a (state, event) key per event of the alphabet; only this module reads
+`transitions` itself.
 """
 
 from __future__ import annotations
@@ -64,46 +70,67 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class StarAutomaton:
-    """Deterministic partial automaton; every state accepts (prefix-closed language)."""
+    """Deterministic partial automaton; every state accepts (prefix-closed language).
+
+    `transitions` maps (state, event) to the target state and is read-only
+    after construction.  `rows` is the successor index every walk reads: per
+    state, ``{event: target}`` in alphabet order.  It is built once here, in
+    the pass that validates the transitions, and a row is sorted only when
+    its events arrived out of alphabet order.  Like `Alphabet.position` it
+    is derived, so it takes no part in construction, equality or repr.
+    """
 
     alphabet: Alphabet
     states: tuple[State, ...]
     initial: State
     transitions: dict[tuple[State, Event], State]
+    rows: dict[State, dict[Event, State]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        stateset = set(self.states)
-        if len(stateset) != len(self.states):
+        rows: dict[State, dict[Event, State]] = {q: {} for q in self.states}
+        if len(rows) != len(self.states):
             raise AutomatonError("duplicate states")
-        if self.initial not in stateset:
+        if self.initial not in rows:
             raise AutomatonError("initial state not in state set")
+        position = self.alphabet.position
+        unordered = set()
+        row = last_q = None  # the row filled last, its state and the position of its last event
         for (q, e), t in self.transitions.items():
-            if q not in stateset or t not in stateset:
+            if row is None or q != last_q:
+                row, last_q = rows.get(q), q
+                last_p = position[next(reversed(row))] if row else -1
+            if row is None or t not in rows:
                 raise AutomatonError(f"transition {(q, e, t)} uses unknown state")
-            if e not in self.alphabet:
+            p = position.get(e)
+            if p is None:
                 raise AutomatonError(f"transition on unknown event {e!r}")
+            if p < last_p:
+                unordered.add(q)
+            row[e] = t
+            last_p = p
+        for q in unordered:
+            rows[q] = dict(sorted(rows[q].items(), key=lambda move: position[move[0]]))
+        object.__setattr__(self, "rows", rows)
 
     def enabled(self, q: State) -> tuple[Event, ...]:
-        return tuple(e for e in self.alphabet.events if (q, e) in self.transitions)
+        return tuple(self.rows[q])
 
-    def moves(self, q: State) -> Iterator[tuple[Event, State]]:
+    def moves(self, q: State) -> Iterable[tuple[Event, State]]:
         """(event, target) pairs of the transitions leaving q, in alphabet order."""
-        for e in self.alphabet.events:
-            t = self.transitions.get((q, e))
-            if t is not None:
-                yield e, t
+        return self.rows[q].items()
 
-    def targets(self, q: State) -> list[State]:
+    def targets(self, q: State) -> Iterable[State]:
         """Targets of the transitions leaving q, in alphabet order."""
-        return [t for _e, t in self.moves(q)]
+        return self.rows[q].values()
 
     def step(self, q: State, e: Event) -> Optional[State]:
         if e not in self.alphabet:
             raise AutomatonError(f"unknown event {e!r}")
-        return self.transitions.get((q, e))
+        return self.rows[q].get(e)
 
     def is_total(self) -> bool:
-        return all((q, e) in self.transitions for q in self.states for e in self.alphabet.events)
+        n = len(self.alphabet.events)
+        return all(len(row) == n for row in self.rows.values())
 
     def n_transitions(self) -> int:
         return len(self.transitions)
@@ -191,10 +218,10 @@ def omega_visit_set(core: StarAutomaton, w: LassoWord) -> Optional[frozenset[Sta
     The run is deterministic, so once a pass over the cycle starts in a
     state an earlier pass started in, the passes in between repeat forever:
     the states they visit are the answer.  At most |Q| + 1 passes run."""
-    get = core.transitions.get
+    rows = core.rows
     q = core.initial
     for e in w.stem:
-        q = get((q, e))
+        q = rows[q].get(e)
         if q is None:
             return None
     cycle = w.cycle
@@ -204,7 +231,7 @@ def omega_visit_set(core: StarAutomaton, w: LassoWord) -> Optional[frozenset[Sta
         pass_start[q] = len(trace)
         for e in cycle:
             trace.append(q)
-            q = get((q, e))
+            q = rows[q].get(e)
             if q is None:
                 return None
     return frozenset(trace[pass_start[q]:])
@@ -277,14 +304,15 @@ def bfs_word(edges: dict[tuple[int, Event], int], target: int) -> Word:
 def pair_moves(a: StarAutomaton, b: StarAutomaton):
     """Successor function of the synchronous product of two automata over the
     same alphabet: the events defined in both, in alphabet order."""
-    ta, tb = a.transitions, b.transitions
+    rows_a, rows_b = a.rows, b.rows
 
     def succ(v):
-        qa, qb = v
-        for e in a.alphabet.events:
-            na, nb = ta.get((qa, e)), tb.get((qb, e))
-            if na is not None and nb is not None:
-                yield e, (na, nb)
+        row_a, row_b = rows_a[v[0]], rows_b[v[1]]
+        if len(row_a) <= len(row_b):
+            return [(e, (ta, tb)) for e, ta in row_a.items()
+                    if (tb := row_b.get(e)) is not None]
+        return [(e, (ta, tb)) for e, tb in row_b.items()
+                if (ta := row_a.get(e)) is not None]
     return succ
 
 
@@ -295,13 +323,17 @@ def lockstep(lead: StarAutomaton, *followers: StarAutomaton) -> list[tuple]:
     Requires L(lead) to be contained in every follower's language; a follower
     undefined along a string of `lead` raises.
     """
+    lead_rows = lead.rows
+    follower_rows = [f.rows for f in followers]
+
     def succ(v):
-        for e, t in lead.moves(v[0]):
-            nxt = [f.transitions.get((q, e)) for f, q in zip(followers, v[1:])]
-            if None in nxt:
-                raise AutomatonError(f"a following automaton is undefined on event {e!r} "
-                                     "along a string of the leading one")
-            yield e, (t, *nxt)
+        lead_row = lead_rows[v[0]]
+        rows = [fr[q] for fr, q in zip(follower_rows, v[1:])]
+        try:
+            return [(e, (t, *[row[e] for row in rows])) for e, t in lead_row.items()]
+        except KeyError as exc:
+            raise AutomatonError(f"a following automaton is undefined on event {exc.args[0]!r} "
+                                 "along a string of the leading one") from None
     return explore((lead.initial, *(f.initial for f in followers)), succ)[0]
 
 
@@ -350,10 +382,9 @@ def totalize(a: StarAutomaton) -> StarAutomaton:
     while sink in a.states:
         sink = f"sink{n}"
         n += 1
-    trans = dict(a.transitions)
-    for q in tuple(a.states) + (sink,):
-        for e in a.alphabet.events:
-            trans.setdefault((q, e), sink)
+    events = a.alphabet.events
+    trans = {(q, e): a.rows[q].get(e, sink) for q in a.states for e in events}
+    trans.update(((sink, e), sink) for e in events)
     return StarAutomaton(a.alphabet, a.states + (sink,), a.initial, trans)
 
 
@@ -417,17 +448,24 @@ def sync_product(components: Sequence[StarAutomaton], alphabet: Alphabet) -> Sta
     """
     for c in components:
         check_alphabet(c.alphabet, alphabet)
+    comp_rows = [c.rows for c in components]
+    # per event, in alphabet order: the positions of the components it moves
+    movers = [(e, [k for k, c in enumerate(components) if e in c.alphabet])
+              for e in alphabet.events]
 
     def succ(vec):
-        for e in alphabet.events:
-            nxt = []
-            for c, q in zip(components, vec):
-                t = c.transitions.get((q, e)) if e in c.alphabet else q
-                if t is None:
+        rows = [cr[q] for cr, q in zip(comp_rows, vec)]
+        out = []
+        for e, ks in movers:
+            for k in ks:
+                if e not in rows[k]:
                     break
-                nxt.append(t)
             else:
-                yield e, tuple(nxt)
+                nxt = list(vec)
+                for k in ks:
+                    nxt[k] = rows[k][e]
+                out.append((e, tuple(nxt)))
+        return out
 
     order, edges = explore(tuple(c.initial for c in components), succ)
     return StarAutomaton(alphabet, tuple(range(len(order))), 0, edges)
@@ -465,8 +503,7 @@ def buchi_intersection(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
 
         def succ(v):
             nphase = 1 - v[2] if hit(*v) else v[2]
-            for e, w in pairs(v[:2]):
-                yield e, (*w, nphase)
+            return [(e, (*w, nphase)) for e, w in pairs(v[:2])]
 
         order, edges = explore((a.core.initial, b.core.initial, 0), succ)
         acc = (i for i, v in enumerate(order) if hit(*v))
@@ -511,11 +548,9 @@ def minimize_prefix_closed(a: StarAutomaton) -> StarAutomaton:
     states = reachable_states(a)
     block = {q: 0 for q in states}
     nblocks = 1
+    rows = a.rows
     while True:
-        sig = {
-            q: (a.enabled(q), tuple(block[a.transitions[(q, e)]] for e in a.enabled(q)))
-            for q in states
-        }
+        sig = {q: (tuple(rows[q]), tuple(block[t] for t in rows[q].values())) for q in states}
         ids: dict = {}
         newblock = {}
         for q in states:
@@ -532,8 +567,8 @@ def minimize_prefix_closed(a: StarAutomaton) -> StarAutomaton:
     trans = {}
     for q in states:
         if cell_of[q] == q:
-            for e in a.enabled(q):
-                trans[(q, e)] = cell_of[a.transitions[(q, e)]]
+            for e, t in rows[q].items():
+                trans[(q, e)] = cell_of[t]
     kept = tuple(q for q in states if cell_of[q] == q)
     out = StarAutomaton(a.alphabet, kept, cell_of[a.initial], trans)
     return renumber_bfs(out)

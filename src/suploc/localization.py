@@ -113,9 +113,9 @@ def _profile(aut: StarAutomaton, alpha: Event, part: Part, plant: StarAutomaton,
     state where alpha is defined."""
     followers = (plant,) if tracker is None else (plant, tracker)
     witness = {v[0] for v in lockstep(aut, *followers)
-               if (v[1], alpha) in plant.transitions
+               if alpha in plant.rows[v[1]]
                and (part is Part.NONE or (v[2] != sink) == (part is Part.C1))}
-    enable = {x: (x, alpha) in aut.transitions for x in aut.states}
+    enable = {x: alpha in aut.rows[x] for x in aut.states}
     disable = {x: (not enable[x]) and (x in witness) for x in aut.states}
     return EnableDisableProfile(alpha, enable, disable, part)
 
@@ -162,14 +162,16 @@ def build_congruence(
     """
     order = reachable_states(sup_automaton)
     pos = {x: i for i, x in enumerate(order)}
-    trans = sup_automaton.transitions
     # per cell root (its least position): the two flags and, per event, the
     # position of one successor of the cell
     parent = list(range(len(order)))
     enables = [p.enable.get(x, False) for x in order]
     disables = [p.disable.get(x, False) for x in order]
-    succ = [[pos.get(trans.get((x, e))) for e in sup_automaton.alphabet.events]
-            for x in order]
+    event_pos = sup_automaton.alphabet.position
+    succ = [[None] * len(event_pos) for _ in order]
+    for targets, x in zip(succ, order):
+        for e, t in sup_automaton.rows[x].items():
+            targets[event_pos[e]] = pos[t]
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -228,15 +230,24 @@ def check_congruence(sup_automaton: StarAutomaton, p: EnableDisableProfile,
             for y in cell:
                 if not consistent(p, x, y):
                     return False
-    if covered != set(reachable_states(sup_automaton)):
-        return False
+    return (covered == set(reachable_states(sup_automaton))
+            and _cell_moves(sup_automaton, cong) is not None)
+
+
+def _cell_moves(sup_automaton: StarAutomaton, cong: ControlCongruence
+                ) -> Optional[list[dict[Event, int]]]:
+    """Per cell: the cell each event leads to from the cell's members, or
+    None when two members lead to two cells on one event."""
+    rows, index = sup_automaton.rows, cong.index
+    out = []
     for cell in cong.cells:
-        for e in sup_automaton.alphabet.events:
-            targets = {cong.index[sup_automaton.transitions[(x, e)]]
-                       for x in cell if (x, e) in sup_automaton.transitions}
-            if len(targets) > 1:
-                return False
-    return True
+        moves: dict[Event, int] = {}
+        for x in cell:
+            for e, t in rows[x].items():
+                if moves.setdefault(e, index[t]) != index[t]:
+                    return None
+        out.append(moves)
+    return out
 
 
 def build_local_controller(
@@ -248,15 +259,10 @@ def build_local_controller(
 ) -> LocalController:
     """Quotient the supervisor by the congruence; determinism of the result
     follows from forward closure."""
-    trans: dict[tuple[State, Event], State] = {}
-    for i, cell in enumerate(cong.cells):
-        for e in sup_automaton.alphabet.events:
-            targets = {cong.index[sup_automaton.transitions[(x, e)]]
-                       for x in cell if (x, e) in sup_automaton.transitions}
-            if len(targets) > 1:
-                raise AutomatonError("cover is not forward-closed")
-            if targets:
-                trans[(i, e)] = targets.pop()
+    cell_moves = _cell_moves(sup_automaton, cong)
+    if cell_moves is None:
+        raise AutomatonError("cover is not forward-closed")
+    trans = {(i, e): t for i, moves in enumerate(cell_moves) for e, t in moves.items()}
     aut = StarAutomaton(
         sup_automaton.alphabet,
         tuple(range(len(cong.cells))),

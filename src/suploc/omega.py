@@ -116,7 +116,7 @@ def _star_compare(a: StarAutomaton, b: StarAutomaton, containment: bool):
         raise AutomatonError("alphabet mismatch")
     order, edges = explore((a.initial, b.initial), pair_moves(a, b))
     for i, (qa, qb) in enumerate(order):
-        ea, eb = set(a.enabled(qa)), set(b.enabled(qb))
+        ea, eb = a.rows[qa].keys(), b.rows[qb].keys()
         bad = (ea - eb) if containment else (ea ^ eb)
         if bad:
             return False, bfs_word(edges, i) + (min(bad, key=a.alphabet.index),)
@@ -145,7 +145,7 @@ def omega_contained_single_pair(
     sink = None if bt is b.core else bt.states[-1]
     # the product, on visit indices: node i is the state pair order[i]
     order, edges = explore((a.core.initial, bt.initial), pair_moves(a.core, bt))
-    events = a.core.alphabet.events
+    rows = StarAutomaton(a.core.alphabet, tuple(range(len(order))), 0, edges).rows
 
     def b_outside_i(i):
         return order[i][1] == sink or order[i][1] not in ib
@@ -157,16 +157,10 @@ def omega_contained_single_pair(
         return order[i][0] in ra
 
     def moves_in(region):
-        def moves(i):
-            for e in events:
-                j = edges.get((i, e))
-                if j is not None and j in region:
-                    yield e, j
-        return moves
+        return lambda i: [(e, j) for e, j in rows[i].items() if j in region]
 
     def targets_in(region):
-        moves = moves_in(region)
-        return lambda i: [j for _e, j in moves(i)]
+        return lambda i: [j for j in rows[i].values() if j in region]
 
     def path(region, src, dst) -> Word:
         """Shortest non-empty event path src -> dst inside region."""

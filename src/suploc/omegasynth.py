@@ -272,7 +272,7 @@ def _solve_pattern_game(core, alphabet, allowed, r_set, i_set, b_set):
     each winning state's pattern from `_zielonka`, whose docstring states
     the rule that picks it.  `_enlarge_pattern_map` then makes it maximal
     in a canonical order: states in `core.states` order, then events in
-    `core.enabled(q)` order, starting from the base map.  Another order or
+    alphabet order, starting from the base map.  Another order or
     another base map can give another maximal map.  Both the base map and
     the enlarged map are verified in full, and a failure raises
     AssertionError.
@@ -321,8 +321,7 @@ def _enlarge_pattern_map(core, alphabet, winning, phi, r_set, i_set, b_set):
     for q in core.states:
         if q not in winning:
             continue
-        for e in core.enabled(q):
-            t = core.transitions[(q, e)]
+        for e, t in core.rows[q].items():
             if e in phi[q] or e not in alphabet.controllable or t not in winning:
                 continue
             if t not in fwd[q]:
@@ -362,9 +361,14 @@ def _reach(adj, start, avoid):
 
 
 def _pattern_succ(core, phi, region):
-    """Successors under the pattern map, kept inside `region`."""
-    return lambda q: [core.transitions[(q, e)] for e in sorted(phi[q], key=core.alphabet.index)
-                      if core.transitions[(q, e)] in region]
+    """Successors under the pattern map, kept inside `region`, in alphabet
+    order."""
+    rows = core.rows
+
+    def succ(q):
+        pattern = phi[q]
+        return [t for e, t in rows[q].items() if e in pattern and t in region]
+    return succ
 
 
 def _pattern_map_wins(core, phi, region, r_set, i_set, b_set) -> bool:
@@ -375,8 +379,10 @@ def _pattern_map_wins(core, phi, region, r_set, i_set, b_set) -> bool:
     for q in region:
         if not phi.get(q):
             return False
+        row = core.rows[q]
         for e in phi[q]:
-            if core.transitions.get((q, e)) is None or core.transitions[(q, e)] not in region:
+            t = row.get(e)
+            if t is None or t not in region:
                 return False
     ordered = [q for q in core.states if q in region]
     succ = _pattern_succ(core, phi, region)
@@ -447,9 +453,10 @@ def assemble_fomega(
                                           inside=i_set)
     if core.initial not in prefix_region:
         raise AutomatonError("restricted legal behavior is empty")
+    rows, unc = core.rows, asup.alphabet.uncontrollable
     for q in prefix_region:
-        for e in core.enabled(q):
-            if e in asup.alphabet.uncontrollable and core.transitions[(q, e)] not in prefix_region:
+        for e, t in rows[q].items():
+            if e in unc and t not in prefix_region:
                 raise AutomatonError(
                     "prefix region of the restricted legal behavior is not "
                     "controllable; the controllability subset is inconsistent")
@@ -458,16 +465,13 @@ def assemble_fomega(
     # behavior and the pattern branch is never taken
     tracker, sink = sink_tracker(minimal.core)
 
-    def psi_at(v) -> frozenset[Event]:
-        q, z = v
-        if z == sink:
-            return frozenset(core.enabled(q)) & c.phi[q]
-        return frozenset(e for e in core.enabled(q) if core.transitions[(q, e)] in prefix_region)
-
     def succ(v):
         q, z = v
-        for e in sorted(psi_at(v), key=core.alphabet.index):
-            yield e, (core.transitions[(q, e)], tracker.transitions[(z, e)])
+        zrow = tracker.rows[z]
+        if z == sink:
+            pattern = c.phi[q]
+            return [(e, (t, zrow[e])) for e, t in rows[q].items() if e in pattern]
+        return [(e, (t, zrow[e])) for e, t in rows[q].items() if t in prefix_region]
 
     origin, trans = explore((core.initial, tracker.initial), succ)
     aut = StarAutomaton(asup.alphabet, tuple(range(len(origin))), 0, trans)

@@ -75,9 +75,10 @@ def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> SafetySuper
 
     # reachable product, on visit indices: node i is the state pair order[i]
     order, trans = explore((p.initial, s.initial), pair_moves(p, s))
+    product = StarAutomaton(alphabet, tuple(range(len(order))), 0, trans)
+    unc, plant_rows, product_rows = alphabet.uncontrollable, p.rows, product.rows
     lost = {st for st, (q, _x) in enumerate(order)
-            if any((q, u) in p.transitions and (st, u) not in trans
-                   for u in alphabet.uncontrollable)}
+            if any(u in unc and u not in product_rows[st] for u in plant_rows[q])}
     preds: list[list[int]] = [[] for _ in order]
     for (src, e), dst in trans.items():
         if e in alphabet.uncontrollable:
@@ -90,8 +91,6 @@ def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> SafetySuper
                 stack.append(pr)
     if 0 in lost:
         return SafetySupervisor(None, frozenset())
-
-    product = StarAutomaton(alphabet, tuple(range(len(order))), 0, trans)
     aut = minimize_prefix_closed(restrict(product, set(range(len(order))) - lost))
     return SafetySupervisor(aut, buchi_lift(aut, plant))
 
@@ -120,8 +119,9 @@ def check_star_controllability(
     s = k.automaton
     if p.alphabet.events != s.alphabet.events:
         raise AutomatonError("alphabet mismatch")
+    unc = p.alphabet.uncontrollable
     for q, x in explore((p.initial, s.initial), pair_moves(p, s))[0]:
-        for u in p.alphabet.uncontrollable:
-            if (q, u) in p.transitions and (x, u) not in s.transitions:
+        for u in p.rows[q]:
+            if u in unc and u not in s.rows[x]:
                 return False, (x, u)
     return True, None

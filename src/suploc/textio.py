@@ -169,10 +169,8 @@ def serialize_automaton(name: str, aut: AnyAutomaton) -> str:
     lines.append(f"events {evs}")
     lines.append(f"initial {core.initial}")
     for q in core.states:
-        for e in core.alphabet.events:
-            t = core.transitions.get((q, e))
-            if t is not None:
-                lines.append(f"trans {q} {e} {t}")
+        for e, t in core.rows[q].items():
+            lines.append(f"trans {q} {e} {t}")
     if buchi is not None:
         lines.append("buchi " + " ".join(str(q) for q in sorted(buchi)))
     if pairs is not None:
@@ -218,9 +216,7 @@ def to_dot(name: str, aut: AnyAutomaton) -> str:
         out.append(f'  "{q}" [{", ".join(attrs)}];')
     out.append(f'  __init -> "{core.initial}";')
     for q in core.states:
-        for e in core.alphabet.events:
-            t = core.transitions.get((q, e))
-            if t is not None:
-                out.append(f'  "{q}" -> "{t}" [label="{e}"];')
+        for e, t in core.rows[q].items():
+            out.append(f'  "{q}" -> "{t}" [label="{e}"];')
     out.append("}")
     return "\n".join(out) + "\n"

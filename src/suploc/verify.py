@@ -143,7 +143,7 @@ def check_infinite_equivalence(
     draw = random.Random(seed).random
     events = plant.alphabet.events
     n_events = len(events)
-    plant_step = plant.core.transitions.get
+    plant_rows = plant.core.rows
     disagreements = 0
     in_plant_count = 0
     first_bad = None
@@ -157,7 +157,7 @@ def check_infinite_equivalence(
         q = plant.core.initial
         for _ in range(stem_len + cycle_len):
             e = events[floor(draw() * n_events)]
-            q = plant_step((q, e))
+            q = plant_rows[q].get(e)
             if q is None:
                 break
             word.append(e)

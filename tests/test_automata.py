@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from harness import corpus, random_alphabet, random_buchi, random_lasso, random_star_automaton
+from harness import (
+    compose_model,
+    corpus,
+    random_alphabet,
+    random_buchi,
+    random_lasso,
+    random_star_automaton,
+)
 from oracles import (
     enumerate_language,
     in_projected_product,
@@ -10,6 +17,7 @@ from oracles import (
     states_reaching_good_cycle,
     visit_set_by_positions,
 )
+from perfbench.factory import factory as factory_texts
 
 from suploc.automata import (
     Alphabet,
@@ -19,15 +27,21 @@ from suploc.automata import (
     StarAutomaton,
     all_accepting,
     buchi_intersection,
+    explore,
     extend_alphabet,
+    lockstep,
     omega_visit_set,
+    pair_moves,
     reachable_trim,
+    restrict,
     run_lasso,
     run_star,
     states_reaching_cycle,
     sync_product,
     totalize,
 )
+from suploc.safety import sup_con_star
+from suploc.textio import parse_automaton
 
 
 def single_loop(al, event):
@@ -295,3 +309,94 @@ def test_states_reaching_cycle_matches_reachability_oracle():
         for cut in (None, inside):
             assert states_reaching_cycle(ordered, succ, good, inside=cut) == \
                 states_reaching_good_cycle(ordered, succ, good, inside=cut)
+
+
+# trans lines out of alphabet order and interleaved across states
+SHUFFLED = """\
+automaton shuffled
+type star
+events a:c b:u c:c d:u
+initial 0
+trans 1 d 0
+trans 0 c 2
+trans 1 a 1
+trans 0 a 1
+trans 2 b 0
+trans 0 d 0
+trans 2 a 2
+trans 1 c 2
+"""
+
+
+def assert_rows_match_probe(a: StarAutomaton):
+    """`moves`, `enabled` and `targets` read the rows; each must equal the
+    alphabet-order probe of `transitions`."""
+    for q in a.states:
+        probe = [(e, a.transitions[(q, e)]) for e in a.alphabet.events
+                 if (q, e) in a.transitions]
+        assert list(a.moves(q)) == probe
+        assert a.enabled(q) == tuple(e for e, _t in probe)
+        assert list(a.targets(q)) == [t for _e, t in probe]
+
+
+def test_rows_follow_alphabet_order():
+    """`transitions` is read-only after construction: the rows are built
+    from it once, so they stay its alphabet-order view.  Random automata
+    list their transitions out of order (spanning edges first) and
+    interleaved across states, as do the trans lines of SHUFFLED."""
+    shuffled = parse_automaton(SHUFFLED)[1]
+    assert shuffled.enabled("0") == ("a", "c", "d")
+    rng = random.Random(1618)
+    autos = [shuffled]
+    for _ in range(60):
+        al = random_alphabet(rng, rng.randint(1, 5))
+        autos.append(random_star_automaton(rng, al, rng.randint(1, 8), density=rng.random()))
+    for a in autos:
+        events = list(a.alphabet.events)
+        for e in ("x", "y"):
+            events.insert(rng.randint(0, len(events)), e)
+        wide = Alphabet.make(events, a.alphabet.controllable | {"x"})
+        keep = {a.initial} | set(rng.sample(a.states, rng.randint(0, len(a.states))))
+        other = random_star_automaton(rng, a.alphabet, rng.randint(1, 5))
+        for b in (a, restrict(a, keep), totalize(a), extend_alphabet(a, wide),
+                  sync_product([a, other], a.alphabet), sync_product([a], wide)):
+            assert_rows_match_probe(b)
+
+
+class CountingDict(dict):
+    """A `transitions` dict that counts its keyed reads."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+def counting(a: StarAutomaton) -> StarAutomaton:
+    return StarAutomaton(a.alphabet, a.states, a.initial, CountingDict(a.transitions))
+
+
+def test_product_walks_make_no_keyed_reads():
+    # counted work instead of wall time: the product walks read the rows and
+    # never probe `transitions` by (state, event) key
+    plant, spec, _legal, _minimal = compose_model(factory_texts(3))
+    p = counting(plant.core)
+    s = counting(sup_con_star(plant, spec).automaton)
+    for t in (p.transitions, s.transitions):
+        t.reads = 0
+    product = explore((s.initial, p.initial), pair_moves(s, p))[0]
+    joint = lockstep(s, p)
+    sync = sync_product([p, s], p.alphabet)
+    assert (p.transitions.reads, s.transitions.reads) == (0, 0)
+    assert len(product) == len(joint) == len(sync.states) > len(s.states)
+    # the guard counts: one probe of the old kind is seen
+    assert (p.initial, "a1") in p.transitions and p.transitions.reads == 1

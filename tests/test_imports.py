@@ -1,7 +1,8 @@
 """Every module of the package and of the tests uses each name it imports,
-no module of the package imports an underscore name from another, every
-library function the benchmark traces exists, and the CLI builds each
-supervisor in one stage function and exits 3 from one place."""
+no module of the package imports an underscore name from another, only
+`automata` reads an automaton's `transitions`, every library function the
+benchmark traces exists, and the CLI builds each supervisor in one stage
+function and exits 3 from one place."""
 
 import ast
 import importlib
@@ -65,6 +66,28 @@ def test_checker_finds_private_imports():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_private_imports_across_modules(module):
     assert private_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def transitions_reads(source: str) -> list[int]:
+    """Lines of `source` that read an attribute named `transitions`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "transitions"
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_checker_finds_transitions_reads():
+    source = ("t = a.transitions.get((q, e))\n"
+              "a.transitions = {}\n"
+              "row = a.rows[q]\n"
+              "n = len(b.core.transitions)\n")
+    assert transitions_reads(source) == [1, 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "automata.py"))
+def test_only_automata_reads_transitions(module):
+    # every other module walks an automaton through its per-state rows
+    assert transitions_reads((SRC / module).read_text(encoding="utf-8")) == []
 
 
 def test_benchmark_traced_functions_exist():
