@@ -27,6 +27,7 @@ from .localization import (
     Part,
     build_congruence,
     build_local_controller,
+    check_congruence,
     consistent,
     localize_all,
     profile_liveness,

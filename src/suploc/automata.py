@@ -9,14 +9,17 @@ this state reach a cycle through a good state?") all go through
 `states_reaching_cycle`.
 
 The successor index is `StarAutomaton.rows`: per state, ``{event: target}``
-in alphabet order, built once at construction.  Every walk, in this module
-and in the others, reads a state's row instead of probing `transitions` with
-a (state, event) key per event of the alphabet; only this module reads
-`transitions` itself.
+in alphabet order.  `explore` emits the rows of the space it walks, and
+`StarAutomaton.from_rows` turns them into an automaton without a second
+index: its `transitions` is a read-only view over the rows.  Every walk, in
+this module and in the others, reads a state's row instead of probing
+`transitions` with a (state, event) key per event of the alphabet; only
+this module reads `transitions` itself.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -68,49 +71,103 @@ class Alphabet:
         return event in self.position
 
 
-@dataclass(frozen=True)
-class StarAutomaton:
-    """Deterministic partial automaton; every state accepts (prefix-closed language).
+Rows = dict[State, dict[Event, State]]
 
-    `transitions` maps (state, event) to the target state and is read-only
-    after construction.  `rows` is the successor index every walk reads: per
-    state, ``{event: target}`` in alphabet order.  It is built once here, in
-    the pass that validates the transitions, and a row is sorted only when
-    its events arrived out of alphabet order.  Like `Alphabet.position` it
-    is derived, so it takes no part in construction, equality or repr.
-    """
 
-    alphabet: Alphabet
-    states: tuple[State, ...]
-    initial: State
-    transitions: dict[tuple[State, Event], State]
-    rows: dict[State, dict[Event, State]] = field(init=False, repr=False, compare=False)
+def _checked_rows(alphabet: Alphabet, rows: Rows, initial: State) -> Rows:
+    """Validate per-state rows and put each in alphabet order, in place.
 
-    def __post_init__(self):
-        rows: dict[State, dict[Event, State]] = {q: {} for q in self.states}
-        if len(rows) != len(self.states):
-            raise AutomatonError("duplicate states")
-        if self.initial not in rows:
-            raise AutomatonError("initial state not in state set")
-        position = self.alphabet.position
-        unordered = set()
-        row = last_q = None  # the row filled last, its state and the position of its last event
-        for (q, e), t in self.transitions.items():
-            if row is None or q != last_q:
-                row, last_q = rows.get(q), q
-                last_p = position[next(reversed(row))] if row else -1
-            if row is None or t not in rows:
+    Raises on an initial state that is no row's state, a target that is no
+    row's state or an event outside the alphabet; a row is sorted only when
+    its events arrived out of alphabet order."""
+    if initial not in rows:
+        raise AutomatonError("initial state not in state set")
+    position = alphabet.position
+    for q, row in rows.items():
+        last_p = -1
+        ordered = True
+        for e, t in row.items():
+            if t not in rows:
                 raise AutomatonError(f"transition {(q, e, t)} uses unknown state")
             p = position.get(e)
             if p is None:
                 raise AutomatonError(f"transition on unknown event {e!r}")
             if p < last_p:
-                unordered.add(q)
-            row[e] = t
+                ordered = False
             last_p = p
-        for q in unordered:
-            rows[q] = dict(sorted(rows[q].items(), key=lambda move: position[move[0]]))
-        object.__setattr__(self, "rows", rows)
+        if not ordered:
+            rows[q] = dict(sorted(row.items(), key=lambda move: position[move[0]]))
+    return rows
+
+
+class TransitionView(Mapping):
+    """Read-only ``(state, event) -> target`` view over per-state rows, in
+    row order: the `transitions` of an automaton built from rows."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Rows):
+        self._rows = rows
+
+    def __getitem__(self, key):
+        try:
+            return self._rows[key[0]][key[1]]
+        except KeyError:
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        for q, row in self._rows.items():
+            for e in row:
+                yield q, e
+
+    def __len__(self):
+        return sum(map(len, self._rows.values()))
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+@dataclass(frozen=True)
+class StarAutomaton:
+    """Deterministic partial automaton; every state accepts (prefix-closed language).
+
+    `rows` is the successor index every walk reads: per state, ``{event:
+    target}`` in alphabet order.  The constructor takes `transitions`, a
+    (state, event) -> target mapping, keeps that object and builds the rows
+    from it; `from_rows` takes the rows themselves and gives a read-only
+    `TransitionView` over them as `transitions`.  Both validate through
+    `_checked_rows`.  Like `Alphabet.position` the rows are derived, so they
+    take no part in construction, equality or repr.
+    """
+
+    alphabet: Alphabet
+    states: tuple[State, ...]
+    initial: State
+    transitions: Mapping[tuple[State, Event], State]
+    rows: Rows = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows: Rows = {q: {} for q in self.states}
+        if len(rows) != len(self.states):
+            raise AutomatonError("duplicate states")
+        for (q, e), t in self.transitions.items():
+            row = rows.get(q)
+            if row is None:
+                raise AutomatonError(f"transition {(q, e, t)} uses unknown state")
+            row[e] = t
+        object.__setattr__(self, "rows", _checked_rows(self.alphabet, rows, self.initial))
+
+    @classmethod
+    def from_rows(cls, alphabet: Alphabet, rows: Rows, initial: State) -> "StarAutomaton":
+        """The automaton whose states are the keys of `rows`, in their order,
+        and whose successors are their rows; `rows` is taken over, not
+        copied."""
+        rows = _checked_rows(alphabet, rows, initial)
+        aut = object.__new__(cls)
+        for name, value in (("alphabet", alphabet), ("states", tuple(rows)), ("initial", initial),
+                            ("transitions", TransitionView(rows)), ("rows", rows)):
+            object.__setattr__(aut, name, value)
+        return aut
 
     def enabled(self, q: State) -> tuple[Event, ...]:
         return tuple(self.rows[q])
@@ -133,7 +190,7 @@ class StarAutomaton:
         return all(len(row) == n for row in self.rows.values())
 
     def n_transitions(self) -> int:
-        return len(self.transitions)
+        return sum(map(len, self.rows.values()))
 
 
 @dataclass(frozen=True)
@@ -265,35 +322,37 @@ def lasso_in_star(a: StarAutomaton, w: LassoWord) -> bool:
 
 
 def explore(init: State, succ: Callable[[State], Iterable[tuple[Event, State]]]
-            ) -> tuple[list[State], dict[tuple[int, Event], int]]:
+            ) -> tuple[list[State], Rows]:
     """Breadth-first exploration of the nodes reachable from `init`.
 
     `succ(v)` yields the (event, w) moves of node v in alphabet order.
-    Returns the nodes in visit order (`init` first) and the moves as edges
-    between visit indices, ``(i, event) -> j``, in the order they were
-    followed.  The indices are the dense breadth-first numbering that every
-    constructed state space uses, so ``StarAutomaton(alphabet,
-    tuple(range(len(order))), 0, edges)`` is the explored automaton.
+    Returns the nodes in visit order (`init` first) and their rows on visit
+    indices: ``rows[i]`` is ``{event: j}`` in the order `succ` yielded the
+    moves.  The indices are the dense breadth-first numbering that every
+    constructed state space uses, so ``StarAutomaton.from_rows(alphabet,
+    rows, 0)`` is the explored automaton.
     """
     num = {init: 0}
     order = [init]
-    edges: dict[tuple[int, Event], int] = {}
+    rows: Rows = {}
     for i, v in enumerate(order):  # `order` grows while it is walked: the queue
+        row = rows[i] = {}
         for e, w in succ(v):
             j = num.get(w)
             if j is None:
                 j = num[w] = len(order)
                 order.append(w)
-            edges[(i, e)] = j
-    return order, edges
+            row[e] = j
+    return order, rows
 
 
-def bfs_word(edges: dict[tuple[int, Event], int], target: int) -> Word:
+def bfs_word(rows: Rows, target: int) -> Word:
     """The word leading from index 0 to `target` along the breadth-first tree
-    of an `explore` result (each index's first incoming edge)."""
+    of an `explore` result (each index's first incoming move)."""
     parent: dict[int, tuple[int, Event]] = {}
-    for (i, e), j in edges.items():
-        parent.setdefault(j, (i, e))
+    for i, row in rows.items():
+        for e, j in row.items():
+            parent.setdefault(j, (i, e))
     word = []
     while target != 0:
         target, e = parent[target]
@@ -346,11 +405,10 @@ def restrict(a: StarAutomaton, keep) -> StarAutomaton:
     """The part of `a` on the states in `keep` (which must hold the initial
     state): those states and the transitions between them, both in `a`'s
     order; ids are kept."""
-    return StarAutomaton(
+    return StarAutomaton.from_rows(
         a.alphabet,
-        tuple(q for q in a.states if q in keep),
+        {q: {e: t for e, t in row.items() if t in keep} for q, row in a.rows.items() if q in keep},
         a.initial,
-        {k: t for k, t in a.transitions.items() if k[0] in keep and t in keep},
     )
 
 
@@ -364,8 +422,7 @@ def reachable_trim(a: StarAutomaton) -> StarAutomaton:
 
 def renumber_bfs(a: StarAutomaton) -> StarAutomaton:
     """Renumber reachable states densely 0..n-1 in BFS order."""
-    order, edges = explore(a.initial, a.moves)
-    return StarAutomaton(a.alphabet, tuple(range(len(order))), 0, edges)
+    return StarAutomaton.from_rows(a.alphabet, explore(a.initial, a.moves)[1], 0)
 
 
 def totalize(a: StarAutomaton) -> StarAutomaton:
@@ -383,9 +440,9 @@ def totalize(a: StarAutomaton) -> StarAutomaton:
         sink = f"sink{n}"
         n += 1
     events = a.alphabet.events
-    trans = {(q, e): a.rows[q].get(e, sink) for q in a.states for e in events}
-    trans.update(((sink, e), sink) for e in events)
-    return StarAutomaton(a.alphabet, a.states + (sink,), a.initial, trans)
+    rows = {q: {e: row.get(e, sink) for e in events} for q, row in a.rows.items()}
+    rows[sink] = dict.fromkeys(events, sink)
+    return StarAutomaton.from_rows(a.alphabet, rows, a.initial)
 
 
 def sink_tracker(a: StarAutomaton) -> tuple[StarAutomaton, Optional[State]]:
@@ -429,12 +486,12 @@ def extend_alphabet(a: StarAutomaton | BuchiAutomaton, alphabet: Alphabet):
     if isinstance(a, BuchiAutomaton):
         return BuchiAutomaton(extend_alphabet(a.core, alphabet), a.accepting)
     check_alphabet(a.alphabet, alphabet)
-    added = [e for e in alphabet.events if e not in a.alphabet]
-    trans = dict(a.transitions)
-    for q in a.states:
-        for e in added:
-            trans[(q, e)] = q
-    return StarAutomaton(alphabet, a.states, a.initial, trans)
+    old = a.alphabet.position
+    return StarAutomaton.from_rows(
+        alphabet,
+        {q: {e: row[e] if e in old else q for e in alphabet.events if e in row or e not in old}
+         for q, row in a.rows.items()},
+        a.initial)
 
 
 def sync_product(components: Sequence[StarAutomaton], alphabet: Alphabet) -> StarAutomaton:
@@ -467,8 +524,8 @@ def sync_product(components: Sequence[StarAutomaton], alphabet: Alphabet) -> Sta
                 out.append((e, tuple(nxt)))
         return out
 
-    order, edges = explore(tuple(c.initial for c in components), succ)
-    return StarAutomaton(alphabet, tuple(range(len(order))), 0, edges)
+    return StarAutomaton.from_rows(
+        alphabet, explore(tuple(c.initial for c in components), succ)[1], 0)
 
 
 def all_accepting(a: StarAutomaton) -> BuchiAutomaton:
@@ -492,23 +549,30 @@ def buchi_intersection(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     visited infinitely often.
     """
     check_alphabet(a.alphabet, b.alphabet, same=True)
-    pairs = pair_moves(a.core, b.core)
     if _is_trivially_accepting(a) or _is_trivially_accepting(b):
-        order, edges = explore((a.core.initial, b.core.initial), pairs)
+        order, rows = explore((a.core.initial, b.core.initial), pair_moves(a.core, b.core))
         acc = (i for i, (qa, qb) in enumerate(order)
                if qa in a.accepting and qb in b.accepting)
     else:
+        rows_a, rows_b, acc_a, acc_b = a.core.rows, b.core.rows, a.accepting, b.accepting
+
         def hit(qa, qb, phase):
-            return (qa in a.accepting) if phase == 0 else (qb in b.accepting)
+            return (qa in acc_a) if phase == 0 else (qb in acc_b)
 
-        def succ(v):
-            nphase = 1 - v[2] if hit(*v) else v[2]
-            return [(e, (*w, nphase)) for e, w in pairs(v[:2])]
+        def succ(v):  # `hit` and `pair_moves` inlined: this runs once per product state
+            qa, qb, phase = v
+            if (qa in acc_a) if phase == 0 else (qb in acc_b):
+                phase = 1 - phase
+            row_a, row_b = rows_a[qa], rows_b[qb]
+            if len(row_a) <= len(row_b):
+                return [(e, (ta, tb, phase)) for e, ta in row_a.items()
+                        if (tb := row_b.get(e)) is not None]
+            return [(e, (ta, tb, phase)) for e, tb in row_b.items()
+                    if (ta := row_a.get(e)) is not None]
 
-        order, edges = explore((a.core.initial, b.core.initial, 0), succ)
+        order, rows = explore((a.core.initial, b.core.initial, 0), succ)
         acc = (i for i, v in enumerate(order) if hit(*v))
-    core = StarAutomaton(a.alphabet, tuple(range(len(order))), 0, edges)
-    return BuchiAutomaton(core, frozenset(acc))
+    return BuchiAutomaton(StarAutomaton.from_rows(a.alphabet, rows, 0), frozenset(acc))
 
 
 def compose_plant(components: Sequence[StarAutomaton | BuchiAutomaton],
@@ -544,7 +608,6 @@ def buchi_lift(target: StarAutomaton, reference: BuchiAutomaton) -> frozenset[St
 def minimize_prefix_closed(a: StarAutomaton) -> StarAutomaton:
     """Language-preserving state minimization for a trim, all-accepting
     partial automaton (Moore refinement on enabled-event signatures)."""
-    a = reachable_trim(a)
     states = reachable_states(a)
     block = {q: 0 for q in states}
     nblocks = 1
@@ -564,13 +627,10 @@ def minimize_prefix_closed(a: StarAutomaton) -> StarAutomaton:
         if block[q] not in reps:
             reps[block[q]] = q
         cell_of[q] = reps[block[q]]
-    trans = {}
-    for q in states:
-        if cell_of[q] == q:
-            for e, t in rows[q].items():
-                trans[(q, e)] = cell_of[t]
-    kept = tuple(q for q in states if cell_of[q] == q)
-    out = StarAutomaton(a.alphabet, kept, cell_of[a.initial], trans)
+    out = StarAutomaton.from_rows(
+        a.alphabet,
+        {q: {e: cell_of[t] for e, t in rows[q].items()} for q in states if cell_of[q] == q},
+        cell_of[a.initial])
     return renumber_bfs(out)
 
 

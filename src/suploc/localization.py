@@ -83,7 +83,7 @@ def profile_safety(plant: BuchiAutomaton, sup: SafetySupervisor, alpha: Event) -
         raise AutomatonError(f"event {alpha!r} is not controllable")
     if sup.is_empty:
         raise AutomatonError("empty supervisor has no profile")
-    return _profile(sup.automaton, alpha, Part.NONE, plant.core)
+    return _profile(sup.automaton, alpha, Part.NONE, _witnesses(sup.automaton, plant.core))
 
 
 def profile_liveness(
@@ -101,21 +101,38 @@ def profile_liveness(
     """
     if alpha not in controlled_plant.alphabet.controllable:
         raise AutomatonError(f"event {alpha!r} is not controllable")
-    return _profile(sup.automaton, alpha, part, controlled_plant.core, sup.tracker,
-                    sup.tracker_sink)
+    return _profile(sup.automaton, alpha, part,
+                    _witnesses(sup.automaton, controlled_plant.core, sup.tracker, sup.tracker_sink))
 
 
-def _profile(aut: StarAutomaton, alpha: Event, part: Part, plant: StarAutomaton,
-             tracker: Optional[StarAutomaton] = None, sink: State = None) -> EnableDisableProfile:
+def _witnesses(aut: StarAutomaton, plant: StarAutomaton, tracker: Optional[StarAutomaton] = None,
+               sink: State = None) -> dict[tuple[Event, Part], set[State]]:
+    """Per (controllable event, scope): the states of `aut` that some string
+    reaches while its joint run in the plant reaches a plant state where the
+    event is defined, from one walk of `aut` x plant (x tracker).  Without a
+    tracker only the scope NONE is filled; with one, a string is in scope C1
+    while the tracker is off its sink and in C2 once it is on it, and NONE
+    holds both."""
+    ctrl, plant_rows = plant.alphabet.controllable, plant.rows
+    out: dict[tuple[Event, Part], set[State]] = {
+        (e, part): set() for e in ctrl for part in Part}
+    for v in lockstep(aut, plant) if tracker is None else lockstep(aut, plant, tracker):
+        x = v[0]
+        parts = (Part.NONE,) if tracker is None else (Part.NONE, Part.C1 if v[2] != sink else Part.C2)
+        for e in plant_rows[v[1]]:
+            if e in ctrl:
+                for part in parts:
+                    out[e, part].add(x)
+    return out
+
+
+def _profile(aut: StarAutomaton, alpha: Event, part: Part,
+             witnesses: dict[tuple[Event, Part], set[State]]) -> EnableDisableProfile:
     """Profile of `aut` for alpha.  A state disables alpha when alpha is
-    undefined there and some string reaching it, run jointly in the plant
-    (and in the tracker, inside the scope `part` names), reaches a plant
-    state where alpha is defined."""
-    followers = (plant,) if tracker is None else (plant, tracker)
-    witness = {v[0] for v in lockstep(aut, *followers)
-               if alpha in plant.rows[v[1]]
-               and (part is Part.NONE or (v[2] != sink) == (part is Part.C1))}
-    enable = {x: alpha in aut.rows[x] for x in aut.states}
+    undefined there and it is one of the `_witnesses` of (alpha, part)."""
+    witness = witnesses[alpha, part]
+    rows = aut.rows
+    enable = {x: alpha in rows[x] for x in aut.states}
     disable = {x: (not enable[x]) and (x in witness) for x in aut.states}
     return EnableDisableProfile(alpha, enable, disable, part)
 
@@ -262,13 +279,8 @@ def build_local_controller(
     cell_moves = _cell_moves(sup_automaton, cong)
     if cell_moves is None:
         raise AutomatonError("cover is not forward-closed")
-    trans = {(i, e): t for i, moves in enumerate(cell_moves) for e, t in moves.items()}
-    aut = StarAutomaton(
-        sup_automaton.alphabet,
-        tuple(range(len(cong.cells))),
-        cong.index[sup_automaton.initial],
-        trans,
-    )
+    aut = StarAutomaton.from_rows(sup_automaton.alphabet, dict(enumerate(cell_moves)),
+                                  cong.index[sup_automaton.initial])
     return LocalController(aut, event, kind, part)
 
 
@@ -281,6 +293,12 @@ def localize_all(
     """One safety controller per controllable event plus two liveness
     controllers (one per scope) per controllable event.
 
+    Each supervisor is walked once: SUP* x plant gives the disablement
+    witnesses of every safety profile, and SUPw x controlled plant x
+    tracker those of every liveness profile, in every scope (`_witnesses`).
+    The per-event entry points `profile_safety` and `profile_liveness`
+    build the same profiles, each from a walk of its own.
+
     Each scoped liveness merging starts from the undivided congruence for its
     event.  That seed is always consistent with the scoped profile, since
     restricting the scope only removes disablement witnesses and so only
@@ -288,17 +306,22 @@ def localize_all(
     AutomatonError otherwise.  This guarantees the scoped controllers never
     exceed the undivided localization in size.
     """
+    events = sorted(plant.alphabet.controllable, key=plant.alphabet.index)
     out: list[LocalController] = []
-    for alpha in sorted(plant.alphabet.controllable, key=plant.alphabet.index):
-        prof = profile_safety(plant, sup_star, alpha)
-        cong = build_congruence(sup_star.automaton, prof)
-        out.append(build_local_controller(sup_star.automaton, cong, alpha, Kind.SAFETY))
-    for alpha in sorted(plant.alphabet.controllable, key=plant.alphabet.index):
-        undivided = profile_liveness(controlled, sup_omega, alpha, Part.NONE)
-        base = build_congruence(sup_omega.automaton, undivided)
+    if not events:
+        return out
+    if sup_star.is_empty:
+        raise AutomatonError("empty supervisor has no profile")
+    star = sup_star.automaton
+    witnesses = _witnesses(star, plant.core)
+    for alpha in events:
+        cong = build_congruence(star, _profile(star, alpha, Part.NONE, witnesses))
+        out.append(build_local_controller(star, cong, alpha, Kind.SAFETY))
+    omega = sup_omega.automaton
+    witnesses = _witnesses(omega, controlled.core, sup_omega.tracker, sup_omega.tracker_sink)
+    for alpha in events:
+        base = build_congruence(omega, _profile(omega, alpha, Part.NONE, witnesses))
         for part in (Part.C1, Part.C2):
-            prof = profile_liveness(controlled, sup_omega, alpha, part)
-            cong = build_congruence(sup_omega.automaton, prof, seed=base)
-            out.append(build_local_controller(sup_omega.automaton, cong, alpha,
-                                              Kind.LIVENESS, part))
+            cong = build_congruence(omega, _profile(omega, alpha, part, witnesses), seed=base)
+            out.append(build_local_controller(omega, cong, alpha, Kind.LIVENESS, part))
     return out

@@ -81,7 +81,7 @@ def clo_automaton(a: BuchiAutomaton) -> BuchiAutomaton:
     """Omega-closure: the limit of pre of the automaton's omega-language."""
     handle = pre_automaton(a)
     if handle.is_empty:
-        empty = StarAutomaton(a.alphabet, (0,), 0, {})
+        empty = StarAutomaton.from_rows(a.alphabet, {0: {}}, 0)
         return BuchiAutomaton(empty, frozenset())
     return BuchiAutomaton(handle.automaton, frozenset(handle.automaton.states))
 
@@ -114,12 +114,12 @@ def star_contained(a: StarLanguageHandle, b: StarLanguageHandle) -> tuple[bool, 
 def _star_compare(a: StarAutomaton, b: StarAutomaton, containment: bool):
     if a.alphabet.events != b.alphabet.events:
         raise AutomatonError("alphabet mismatch")
-    order, edges = explore((a.initial, b.initial), pair_moves(a, b))
+    order, rows = explore((a.initial, b.initial), pair_moves(a, b))
     for i, (qa, qb) in enumerate(order):
         ea, eb = a.rows[qa].keys(), b.rows[qb].keys()
         bad = (ea - eb) if containment else (ea ^ eb)
         if bad:
-            return False, bfs_word(edges, i) + (min(bad, key=a.alphabet.index),)
+            return False, bfs_word(rows, i) + (min(bad, key=a.alphabet.index),)
     return True, None
 
 
@@ -144,8 +144,7 @@ def omega_contained_single_pair(
     bt = totalize(b.core)
     sink = None if bt is b.core else bt.states[-1]
     # the product, on visit indices: node i is the state pair order[i]
-    order, edges = explore((a.core.initial, bt.initial), pair_moves(a.core, bt))
-    rows = StarAutomaton(a.core.alphabet, tuple(range(len(order))), 0, edges).rows
+    order, rows = explore((a.core.initial, bt.initial), pair_moves(a.core, bt))
 
     def b_outside_i(i):
         return order[i][1] == sink or order[i][1] not in ib
@@ -164,11 +163,11 @@ def omega_contained_single_pair(
 
     def path(region, src, dst) -> Word:
         """Shortest non-empty event path src -> dst inside region."""
-        sub_order, sub_edges = explore(src, moves_in(region))
+        sub_order, sub_rows = explore(src, moves_in(region))
         if dst != src:
-            return bfs_word(sub_edges, sub_order.index(dst))
-        i, e = next(k for k, j in sub_edges.items() if j == 0)
-        return bfs_word(sub_edges, i) + (e,)
+            return bfs_word(sub_rows, sub_order.index(dst))
+        i, e = next((i, e) for i, row in sub_rows.items() for e, j in row.items() if j == 0)
+        return bfs_word(sub_rows, i) + (e,)
 
     def cycle_through(region, anchor, waypoints) -> Word:
         """Event path: anchor -> each waypoint in turn -> anchor, inside region."""
@@ -204,7 +203,7 @@ def omega_contained_single_pair(
                 break
     if witness_cycle is None:
         return True, None
-    lasso = LassoWord(bfs_word(edges, anchor), witness_cycle)
+    lasso = LassoWord(bfs_word(rows, anchor), witness_cycle)
     return False, _shrink_lasso(lasso, a, b, a_layer, b_layer)
 
 

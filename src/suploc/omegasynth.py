@@ -49,6 +49,7 @@ from .automata import (
     restrict,
     sink_tracker,
     states_reaching_cycle,
+    tarjan_scc,
 )
 from .omega import clo_automaton, omega_contained_single_pair
 
@@ -108,9 +109,9 @@ def build_rabin_buchi(
     if legal.core.initial not in good:
         raise AutomatonError("legal specification has empty omega-language")
     tracker, sink = sink_tracker(restrict(legal.core, good))
-    origin, trans = explore((plant.core.initial, tracker.initial), pair_moves(plant.core, tracker))
+    origin, rows = explore((plant.core.initial, tracker.initial), pair_moves(plant.core, tracker))
 
-    core = StarAutomaton(alphabet, tuple(range(len(origin))), 0, trans)
+    core = StarAutomaton.from_rows(alphabet, rows, 0)
     rabin_r = frozenset(i for i, (q, l) in enumerate(origin) if l in r_set and l != sink)
     rabin_i = frozenset(i for i, (q, l) in enumerate(origin) if l in i_set and l != sink)
     buchi = frozenset(i for i, (q, l) in enumerate(origin)
@@ -307,57 +308,85 @@ def _enlarge_pattern_map(core, alphabet, winning, phi, r_set, i_set, b_set):
     walk t ~> q of the old graph.  The trial is refused when a state outside
     I lies on such a walk, or when q and t lie outside R and a Buchi state
     lies on such a walk that stays outside R.  That decides what
-    `_pattern_map_wins` would say of the trial map.  It takes at most two
-    forward and two backward reachability passes instead of two SCC passes
-    over the whole graph.
+    `_pattern_map_wins` would say of the trial map.
+
+    The walks are read off reachability closures, int bit masks over the
+    winning states in `core.states` order: per state, the states it reaches
+    (`fwd`) and the states that reach it (`bwd`), itself included.  One pair
+    is kept for the pattern graph and one for its subgraph outside R, each
+    built once per call by `_closures`.  The states on walks t ~> q are
+    fwd[t] & bwd[q], so a trial is a few mask tests.  Graph edges are only
+    ever added, so an accepted edge q -> t updates the closures in place,
+    as in Italiano's incremental transitive closure (TCS 1986): every state
+    of bwd[q] now reaches all of fwd[t], and every state of fwd[t] is
+    reached from all of bwd[q].  The subgraph's pair takes the same update
+    when q and t both lie outside R.
     """
     phi = dict(phi)
+    ordered = [q for q in core.states if q in winning]
+    pos = {q: k for k, q in enumerate(ordered)}
+    outside = [q not in r_set for q in ordered]
+    not_i = sum(1 << k for k, q in enumerate(ordered) if q not in i_set)
+    buchi = sum(1 << k for k, q in enumerate(ordered) if q in b_set)
     succ = _pattern_succ(core, phi, winning)
-    fwd = {q: set(succ(q)) for q in winning}
-    bwd: dict = {q: set() for q in winning}
-    for q in winning:
-        for t in fwd[q]:
-            bwd[t].add(q)
-    for q in core.states:
-        if q not in winning:
-            continue
+    adj = [{pos[t] for t in succ(q)} for q in ordered]
+    fwd, bwd = _closures(adj)
+    fwd_o, bwd_o = _closures([{j for j in ts if outside[j]} if outside[k] else ()
+                              for k, ts in enumerate(adj)])
+    for k, q in enumerate(ordered):
         for e, t in core.rows[q].items():
             if e in phi[q] or e not in alphabet.controllable or t not in winning:
                 continue
-            if t not in fwd[q]:
-                if _closes_bad_cycle(fwd, bwd, q, t, r_set, i_set, b_set):
+            j = pos[t]
+            if j not in adj[k]:
+                both_outside = outside[k] and outside[j]
+                if fwd[j] >> k & 1 and (
+                        fwd[j] & bwd[k] & not_i
+                        or both_outside and fwd_o[j] >> k & 1 and fwd_o[j] & bwd_o[k] & buchi):
                     continue
-                fwd[q].add(t)
-                bwd[t].add(q)
+                adj[k].add(j)
+                _insert_edge(fwd, bwd, k, j)
+                if both_outside:
+                    _insert_edge(fwd_o, bwd_o, k, j)
             phi[q] = phi[q] | {e}
     return phi
 
 
-def _closes_bad_cycle(fwd, bwd, q, t, r_set, i_set, b_set) -> bool:
-    """Whether the new edge q -> t closes a cycle through a state outside I,
-    or a cycle that stays outside R and passes a Buchi state, in the graph
-    `fwd` (`bwd` is its reverse)."""
-    ahead = _reach(fwd, t, ())
-    if q not in ahead:
-        return False
-    if not (ahead & _reach(bwd, q, ())) <= i_set:
-        return True
-    if q in r_set or t in r_set:
-        return False
-    ahead = _reach(fwd, t, r_set)
-    return q in ahead and not b_set.isdisjoint(ahead & _reach(bwd, q, r_set))
+def _closures(adj) -> tuple[list[int], list[int]]:
+    """Reflexive reachability closures of the graph on nodes 0..n-1 whose
+    successors are `adj[i]`, as int bit masks: bit j of fwd[i] and bit i of
+    bwd[j] are set when i reaches j."""
+    preds: list[list[int]] = [[] for _ in adj]
+    for i, ts in enumerate(adj):
+        for j in ts:
+            preds[j].append(i)
+    return _reach_masks(adj), _reach_masks(preds)
 
 
-def _reach(adj, start, avoid):
-    """`start` and every state it reaches in `adj` without entering `avoid`."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for t in adj[stack.pop()]:
-            if t not in seen and t not in avoid:
-                seen.add(t)
-                stack.append(t)
-    return seen
+def _reach_masks(adj) -> list[int]:
+    """Per node, the bit mask of the nodes it reaches in `adj`, itself
+    included.  Tarjan emits each component after every component it
+    reaches, so those masks are final when it is read."""
+    masks = [0] * len(adj)
+    for comp in tarjan_scc(range(len(adj)), adj.__getitem__):
+        mask = 0
+        for v in comp:
+            mask |= 1 << v
+            for w in adj[v]:
+                mask |= masks[w]  # 0 while w is in this component
+        for v in comp:
+            masks[v] = mask
+    return masks
+
+
+def _insert_edge(fwd: list[int], bwd: list[int], q: int, t: int) -> None:
+    """Update reflexive closures in place for a new edge q -> t."""
+    ahead, behind = fwd[t], bwd[q]
+    for masks, members, add in ((fwd, behind, ahead), (bwd, ahead, behind)):
+        while members:
+            low = members & -members
+            masks[low.bit_length() - 1] |= add
+            members ^= low
 
 
 def _pattern_succ(core, phi, region):
@@ -473,7 +502,7 @@ def assemble_fomega(
             return [(e, (t, zrow[e])) for e, t in rows[q].items() if e in pattern]
         return [(e, (t, zrow[e])) for e, t in rows[q].items() if t in prefix_region]
 
-    origin, trans = explore((core.initial, tracker.initial), succ)
-    aut = StarAutomaton(asup.alphabet, tuple(range(len(origin))), 0, trans)
+    origin, rows = explore((core.initial, tracker.initial), succ)
+    aut = StarAutomaton.from_rows(asup.alphabet, rows, 0)
     lift = frozenset(i for i, (q, z) in enumerate(origin) if q in asup.buchi)
     return OmegaSupervisor(aut, lift, tracker, sink)

@@ -74,15 +74,15 @@ def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> SafetySuper
     alphabet = p.alphabet
 
     # reachable product, on visit indices: node i is the state pair order[i]
-    order, trans = explore((p.initial, s.initial), pair_moves(p, s))
-    product = StarAutomaton(alphabet, tuple(range(len(order))), 0, trans)
-    unc, plant_rows, product_rows = alphabet.uncontrollable, p.rows, product.rows
+    order, rows = explore((p.initial, s.initial), pair_moves(p, s))
+    unc, plant_rows = alphabet.uncontrollable, p.rows
     lost = {st for st, (q, _x) in enumerate(order)
-            if any(u in unc and u not in product_rows[st] for u in plant_rows[q])}
+            if any(u in unc and u not in rows[st] for u in plant_rows[q])}
     preds: list[list[int]] = [[] for _ in order]
-    for (src, e), dst in trans.items():
-        if e in alphabet.uncontrollable:
-            preds[dst].append(src)
+    for src, row in rows.items():
+        for e, dst in row.items():
+            if e in unc:
+                preds[dst].append(src)
     stack = list(lost)
     while stack:
         for pr in preds[stack.pop()]:
@@ -91,6 +91,7 @@ def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> SafetySuper
                 stack.append(pr)
     if 0 in lost:
         return SafetySupervisor(None, frozenset())
+    product = StarAutomaton.from_rows(alphabet, rows, 0)
     aut = minimize_prefix_closed(restrict(product, set(range(len(order))) - lost))
     return SafetySupervisor(aut, buchi_lift(aut, plant))
 

@@ -141,21 +141,50 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
     )
 
 
+def _bfs_numbered(core: StarAutomaton) -> bool:
+    """Whether `core` already carries the canonical numbering: its states
+    are the ints 0..n-1 in that order, 0 is initial, and the breadth-first
+    walk from 0 along the rows meets every state, in the order of its
+    number."""
+    rows = core.rows
+    if type(core.initial) is not int or core.initial != 0 \
+            or any(type(q) is not int or q != i for i, q in enumerate(rows)):
+        return False
+    met = 1  # states met so far: 0..met-1
+    for i, row in enumerate(rows.values()):
+        if i >= met:  # the walk ends before state i
+            return False
+        for t in row.values():
+            if t == met:
+                met += 1
+            elif t > met:
+                return False
+    return True
+
+
 def _canonical(aut: AnyAutomaton):
-    """Renumber states densely in BFS order, mapping acceptance sets along."""
+    """Renumber states densely in BFS order, mapping acceptance sets along.
+
+    An automaton whose numbering is already that one (`_bfs_numbered`: the
+    states are 0..n-1, 0 is initial and the BFS from 0 meets them in that
+    order, as every automaton the library builds with `explore`) is returned
+    with its acceptance sets as they are; any other one is explored."""
     core = aut if isinstance(aut, StarAutomaton) else aut.core
-    order, edges = explore(core.initial, core.moves)
-    num = {q: i for i, q in enumerate(order)}
-    new_core = StarAutomaton(core.alphabet, tuple(range(len(order))), 0, edges)
+    if _bfs_numbered(core):
+        def mapped(states):
+            return states
+    else:
+        order, rows = explore(core.initial, core.moves)
+        num = {q: i for i, q in enumerate(order)}
+        core = StarAutomaton.from_rows(core.alphabet, rows, 0)
+
+        def mapped(states):
+            return frozenset(num[q] for q in states if q in num)
     if isinstance(aut, StarAutomaton):
-        return new_core, None, None
+        return core, None, None
     if isinstance(aut, BuchiAutomaton):
-        return new_core, frozenset(num[q] for q in aut.accepting if q in num), None
-    pairs = tuple(
-        (frozenset(num[q] for q in r if q in num), frozenset(num[q] for q in i if q in num))
-        for r, i in aut.rabin_pairs
-    )
-    return new_core, frozenset(num[q] for q in aut.buchi if q in num), pairs
+        return core, mapped(aut.accepting), None
+    return core, mapped(aut.buchi), tuple((mapped(r), mapped(i)) for r, i in aut.rabin_pairs)
 
 
 def serialize_automaton(name: str, aut: AnyAutomaton) -> str:

@@ -2,10 +2,12 @@
 
 Everything here is deliberately brute force: plain string enumeration,
 fixpoints over explicit string sets, exhaustive subset search.  None of it
-shares code paths with the library operations it checks, with one
-exception: `greedy_pattern_map` re-runs the pattern-map enlargement with the
+shares code paths with the library operations it checks, with two
+exceptions: `greedy_pattern_map` re-runs the pattern-map enlargement with the
 library's full winning check per trial, the reference for its edge-local
-shortcut.
+shortcut, and `profile_by_walk` builds one enable/disable profile from a
+`lockstep` walk of its own, the reference for the profiles `localize_all`
+reads off one shared walk per supervisor.
 """
 
 from collections import deque
@@ -17,9 +19,11 @@ from suploc.automata import (
     RabinBuchiAutomaton,
     StarAutomaton,
     lasso_in_star,
+    lockstep,
     run_lasso,
     run_star,
 )
+from suploc.localization import EnableDisableProfile, Part
 from suploc.omegasynth import _pattern_map_wins
 
 
@@ -337,6 +341,22 @@ def disabling_states(sup: StarAutomaton, plant: StarAutomaton, alpha, max_len: i
     same string of length <= max_len, allows it."""
     return {x for x, g in joint_states(sup, plant, max_len)
             if (x, alpha) not in sup.transitions and (g, alpha) in plant.transitions}
+
+
+def profile_by_walk(aut: StarAutomaton, alpha, part: Part, plant: StarAutomaton,
+                    tracker=None, sink=None) -> EnableDisableProfile:
+    """Profile of `aut` for alpha from a walk for this event and scope
+    alone.  A state disables alpha when alpha is undefined there and some
+    string reaching it, run jointly in the plant (and in the tracker, inside
+    the scope `part` names), reaches a plant state where alpha is
+    defined."""
+    followers = (plant,) if tracker is None else (plant, tracker)
+    witness = {v[0] for v in lockstep(aut, *followers)
+               if alpha in plant.rows[v[1]]
+               and (part is Part.NONE or (v[2] != sink) == (part is Part.C1))}
+    enable = {x: alpha in aut.rows[x] for x in aut.states}
+    disable = {x: (not enable[x]) and (x in witness) for x in aut.states}
+    return EnableDisableProfile(alpha, enable, disable, part)
 
 
 def bfs_order(aut: StarAutomaton) -> list:

@@ -19,20 +19,24 @@ from oracles import (
 )
 from perfbench.factory import factory as factory_texts
 
+from suploc import textio
 from suploc.automata import (
     Alphabet,
     AutomatonError,
     BuchiAutomaton,
     LassoWord,
     StarAutomaton,
+    TransitionView,
     all_accepting,
     buchi_intersection,
     explore,
     extend_alphabet,
     lockstep,
+    minimize_prefix_closed,
     omega_visit_set,
     pair_moves,
     reachable_trim,
+    renumber_bfs,
     restrict,
     run_lasso,
     run_star,
@@ -40,6 +44,7 @@ from suploc.automata import (
     sync_product,
     totalize,
 )
+from suploc.omega import clo_automaton
 from suploc.safety import sup_con_star
 from suploc.textio import parse_automaton
 
@@ -400,3 +405,62 @@ def test_product_walks_make_no_keyed_reads():
     assert len(product) == len(joint) == len(sync.states) > len(s.states)
     # the guard counts: one probe of the old kind is seen
     assert (p.initial, "a1") in p.transitions and p.transitions.reads == 1
+
+
+def assert_rows_index(a: StarAutomaton):
+    """A rows-built automaton holds no (state, event)-keyed dict: its
+    `transitions` is a read-only view that answers from the rows, in row
+    order."""
+    t = a.transitions
+    flat = {(q, e): x for q, row in a.rows.items() for e, x in row.items()}
+    assert isinstance(t, TransitionView) and not isinstance(t, dict)
+    assert not hasattr(t, "__setitem__")
+    assert t == flat and list(t) == list(flat) and list(t.items()) == list(flat.items())
+    assert len(t) == len(flat) == a.n_transitions()
+    for key, x in flat.items():
+        assert key in t and t[key] == x and t.get(key) == x
+    for key in ((a.initial, "no-such-event"), ("no-such-state", a.alphabet.events[0])):
+        assert key not in t and t.get(key, "-") == "-"
+        with pytest.raises(KeyError):
+            t[key]
+
+
+def test_constructions_index_by_rows(sf):
+    rng = random.Random(3141)
+    built = []
+    for _ in range(40):
+        al = random_alphabet(rng, rng.randint(1, 4))
+        a = random_star_automaton(rng, al, rng.randint(1, 8), density=rng.random())
+        b, c = (random_buchi(rng, al, rng.randint(1, 6), density=rng.random()) for _ in "bc")
+        wide = Alphabet.make(al.events + ("x",), al.controllable)
+        keep = {a.initial} | set(rng.sample(a.states, rng.randint(0, len(a.states))))
+        built += [StarAutomaton.from_rows(al, explore(a.initial, a.moves)[1], 0),
+                  restrict(a, keep), renumber_bfs(a), totalize(renumber_bfs(a)),
+                  extend_alphabet(a, wide), sync_product([a, b.core], al),
+                  minimize_prefix_closed(a), buchi_intersection(b, all_accepting(a)).core,
+                  buchi_intersection(b, c).core, clo_automaton(b).core]
+    built += [sf["plant"].core, sf["sup"].automaton, sf["prod"].core, sf["supw"].automaton]
+    built += [c.automaton for c in sf["controllers"]]
+    built.append(textio._canonical(parse_automaton(SHUFFLED)[1])[0])
+    for a in built:
+        assert_rows_index(a)
+
+
+def test_both_entry_points_validate_alike():
+    al = Alphabet.make(("a", "b"), ("a",))
+    malformed = [({0: {"z": 0}}, 0),           # unknown event
+                 ({0: {"a": 1}}, 0),           # unknown target
+                 ({0: {"a": 0}, 1: {}}, 2)]    # initial state not a state
+    for rows, initial in malformed:
+        trans = {(q, e): t for q, row in rows.items() for e, t in row.items()}
+        with pytest.raises(AutomatonError) as by_map:
+            StarAutomaton(al, tuple(rows), initial, trans)
+        with pytest.raises(AutomatonError) as by_rows:
+            StarAutomaton.from_rows(al, rows, initial)
+        assert str(by_map.value) == str(by_rows.value)
+    # a row out of alphabet order is put in order by both
+    trans = {(0, "b"): 0, (0, "a"): 1, (1, "b"): 1}
+    by_map = StarAutomaton(al, (0, 1), 0, trans)
+    by_rows = StarAutomaton.from_rows(al, {0: {"b": 0, "a": 1}, 1: {"b": 1}}, 0)
+    assert list(by_map.rows[0].items()) == list(by_rows.rows[0].items()) == [("a", 1), ("b", 0)]
+    assert by_map == by_rows and by_map.transitions is trans

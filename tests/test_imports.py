@@ -1,8 +1,9 @@
 """Every module of the package and of the tests uses each name it imports,
 no module of the package imports an underscore name from another, only
 `automata` reads an automaton's `transitions`, every library function the
-benchmark traces exists, and the CLI builds each supervisor in one stage
-function and exits 3 from one place."""
+benchmark traces exists, every function of the package has a use, and the
+CLI builds each supervisor in one stage function and exits 3 from one
+place."""
 
 import ast
 import importlib
@@ -97,6 +98,40 @@ def test_benchmark_traced_functions_exist():
     missing = [f"{layer}.{name}" for layer, names in TRACED.items() for name in names
                if not callable(getattr(sys.modules[f"suploc.{layer}"], name, None))]
     assert missing == []
+
+
+def dead_functions(sources: dict[str, str], kept) -> list[str]:
+    """``module.name`` of each module-level function of `sources` ({module:
+    source}) that is not in `kept` and that no code of `sources` names,
+    outside the function's own body."""
+    defined, named = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own:
+                defined.append((module, own))
+            named.update(n.id for n in ast.walk(top) if isinstance(n, ast.Name) and n.id != own)
+    return sorted(f"{m}.{f}" for m, f in defined if f not in named and f not in kept)
+
+
+def test_checker_finds_dead_functions():
+    sources = {"a": "def used():\n    return 1\n"
+                    "def dead():\n    return dead()\n"
+                    "def kept():\n    pass\n",
+               "b": "from .a import used\nx = used()\n"}
+    assert dead_functions(sources, {"kept"}) == ["a.dead"]
+
+
+def test_every_function_has_a_use():
+    # a module-level function of the package is named by the package,
+    # re-exported by `__init__` or traced by the benchmark
+    exported = {a.asname or a.name
+                for node in ast.walk(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    traced = {name for names in TRACED.values() for name in names}
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))
+               if p.name != "__init__.py"}
+    assert dead_functions(sources, exported | traced) == []
 
 
 def callers(source: str) -> dict[str, set[str]]:

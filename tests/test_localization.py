@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from harness import random_alphabet, random_star_automaton
-from oracles import enumerate_language, greedy_congruence
+from harness import random_alphabet, random_pipeline, random_star_automaton
+from oracles import enumerate_language, greedy_congruence, profile_by_walk
 
 from suploc.automata import (
     Alphabet,
@@ -13,6 +13,7 @@ from suploc.automata import (
     all_accepting,
     run_star,
 )
+from suploc import localization
 from suploc.localization import (
     ControlCongruence,
     EnableDisableProfile,
@@ -228,6 +229,70 @@ def test_localize_no_controllables():
     ok, _ = existence_check(infa, asup)
     supw = assemble_fomega(asup, ctr, minimal, existence_verified=ok)
     assert localize_all(plant, sup, closed, supw) == []
+
+
+def test_localize_all_walks_each_supervisor_once(factory, monkeypatch):
+    # counted work: SUP* x plant and SUPw x controlled plant x tracker, one
+    # walk each, where a walk per event and scope made 3 + 9 on this factory
+    walks = []
+    inner = localization.lockstep
+
+    def counted(*autos):
+        walks.append(len(autos))
+        return inner(*autos)
+    monkeypatch.setattr(localization, "lockstep", counted)
+    f = factory(3)
+    controllers = localize_all(f["plant"], f["sup"], f["closed"], f["supw"])
+    assert len(controllers) == 3 * len(f["plant"].alphabet.controllable) == 9
+    assert walks == [2, 3]
+
+
+def used_profiles(monkeypatch, p) -> list:
+    """(supervisor automaton, profile) for every profile that `localize_all`
+    hands to `build_congruence` on the pipeline `p`."""
+    seen = []
+    inner = localization.build_congruence
+
+    def recording(aut, prof, seed=None):
+        seen.append((aut, prof))
+        return inner(aut, prof, seed=seed)
+    monkeypatch.setattr(localization, "build_congruence", recording)
+    localize_all(p["plant"], p["sup"], p["closed"], p["supw"])
+    monkeypatch.setattr(localization, "build_congruence", inner)
+    return seen
+
+
+def assert_profiles_match_walks(monkeypatch, p):
+    star, omega, supw = p["sup"].automaton, p["supw"].automaton, p["supw"]
+    got = {}
+    for aut, prof in used_profiles(monkeypatch, p):
+        assert aut is star or aut is omega
+        got[aut is star, prof.event, prof.part] = prof
+        if aut is star:
+            want = profile_by_walk(star, prof.event, prof.part, p["plant"].core)
+        else:
+            want = profile_by_walk(omega, prof.event, prof.part, p["closed"].core,
+                                   supw.tracker, supw.tracker_sink)
+        assert prof == want, (aut is star, prof.event, prof.part)
+    events = p["plant"].alphabet.controllable
+    assert set(got) == ({(True, e, Part.NONE) for e in events}
+                        | {(False, e, part) for e in events for part in Part})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_localize_all_profiles_match_walk_oracle_factory(factory, monkeypatch, n):
+    assert_profiles_match_walks(monkeypatch, factory(n))
+
+
+def test_localize_all_profiles_match_walk_oracle_random(monkeypatch):
+    rng = random.Random(1313)
+    checked = 0
+    while checked < 30:
+        p = random_pipeline(rng)
+        if p is None:
+            continue
+        assert_profiles_match_walks(monkeypatch, p)
+        checked += 1
 
 
 def test_parent_language_contained_in_controllers(sf):

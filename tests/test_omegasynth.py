@@ -195,12 +195,13 @@ def test_controllability_monotone_in_r():
         assert small <= big
 
 
-def random_games(count, seed):
-    """Seeded random single-pair games of 2 to 12 states over 2 to 5 events."""
+def random_games(count, seed, sizes=(2, 12)):
+    """Seeded random single-pair games of `sizes` states (2 to 12 by
+    default) over 2 to 5 events."""
     rng = random.Random(seed)
     for _ in range(count):
         al = random_alphabet(rng, rng.randint(2, 5))
-        yield random_single_pair(rng, al, rng.randint(2, 12), density=rng.uniform(0.3, 0.9)), al
+        yield random_single_pair(rng, al, rng.randint(*sizes), density=rng.uniform(0.3, 0.9)), al
 
 
 def test_enlargement_matches_greedy_oracle(sf, factory, monkeypatch):
@@ -209,6 +210,9 @@ def test_enlargement_matches_greedy_oracle(sf, factory, monkeypatch):
     games = [(sf["prod"], sf["plant"].alphabet)]
     games += [(factory(n)["prod"], factory(n)["plant"].alphabet) for n in (2, 3)]
     games += list(random_games(250, 7))
+    # long paths in the pattern graph: an accepted edge updates closures
+    # that many later trials read
+    games += list(random_games(60, 8, sizes=(15, 40)))
     fast = [controllability_subset(a, al) for a, al in games]
     monkeypatch.setattr(omegasynth, "_enlarge_pattern_map", greedy_pattern_map)
     for (a, al), got in zip(games, fast):
@@ -241,6 +245,36 @@ def test_enlargement_verifies_twice_per_solve(factory, monkeypatch):
     assert restorable_drops(f["prod"], f["plant"].alphabet, ctr.phi, ctr.subset)
     assert calls["solve"] >= 1
     assert calls["wins"] <= 2 * calls["solve"]
+
+
+def test_enlargement_builds_closures_once_per_call(factory, monkeypatch):
+    # one pair of closures for the pattern graph and one for its part
+    # outside R per enlargement, whatever the number of trials; an accepted
+    # edge updates them in place
+    calls = {"enlarge": 0, "closures": 0, "inserts": 0}
+    enlarge, closures, insert = (omegasynth._enlarge_pattern_map, omegasynth._closures,
+                                 omegasynth._insert_edge)
+
+    def counted_enlarge(*args):
+        calls["enlarge"] += 1
+        return enlarge(*args)
+
+    def counted_closures(*args):
+        calls["closures"] += 1
+        return closures(*args)
+
+    def counted_insert(*args):
+        calls["inserts"] += 1
+        return insert(*args)
+
+    monkeypatch.setattr(omegasynth, "_enlarge_pattern_map", counted_enlarge)
+    monkeypatch.setattr(omegasynth, "_closures", counted_closures)
+    monkeypatch.setattr(omegasynth, "_insert_edge", counted_insert)
+    f = factory(3)
+    ctr = controllability_subset(f["prod"], f["plant"].alphabet)
+    assert restorable_drops(f["prod"], f["plant"].alphabet, ctr.phi, ctr.subset)
+    assert calls["enlarge"] >= 1
+    assert calls["closures"] <= 2 * calls["enlarge"] < calls["inserts"]
 
 
 def count_zielonka_depth(monkeypatch) -> dict:

@@ -1,8 +1,17 @@
+import random
+
 import pytest
 
-from harness import corpus_texts
+from harness import (
+    corpus_texts,
+    random_alphabet,
+    random_buchi,
+    random_single_pair,
+    random_star_automaton,
+)
 
-from suploc.automata import BuchiAutomaton, RabinBuchiAutomaton, StarAutomaton
+from suploc import textio
+from suploc.automata import Alphabet, BuchiAutomaton, RabinBuchiAutomaton, StarAutomaton
 from suploc.textio import ParseError, parse_automaton, serialize_automaton, to_dot
 
 SAMPLE = """\
@@ -88,3 +97,68 @@ def test_dot_export(sf):
     assert "doublecircle" in dot
     dot2 = to_dot("prod", sf["prod"])
     assert "R1" in dot2
+
+
+def relabelled(aut, name_of, order):
+    """A copy of `aut` built by the constructor, state q renamed to
+    name_of(q), with the states listed in the order `order` gives them."""
+    core = aut if isinstance(aut, StarAutomaton) else aut.core
+    m = {q: name_of(q) for q in core.states}
+    copy = StarAutomaton(core.alphabet, tuple(m[q] for q in order(core.states)), m[core.initial],
+                         {(m[q], e): m[t] for q in core.states for e, t in core.moves(q)})
+    if isinstance(aut, StarAutomaton):
+        return copy
+    if isinstance(aut, BuchiAutomaton):
+        return BuchiAutomaton(copy, frozenset(m[q] for q in aut.accepting))
+    return RabinBuchiAutomaton(copy, frozenset(m[q] for q in aut.buchi),
+                               tuple((frozenset(m[q] for q in r), frozenset(m[q] for q in i))
+                                     for r, i in aut.rabin_pairs))
+
+
+def test_serialization_ignores_numbering():
+    # the canonical form is the same whether the states already carry the
+    # BFS numbering (the shortcut) or must be renumbered
+    rng = random.Random(4242)
+    for k in range(90):
+        al = random_alphabet(rng, rng.randint(1, 5))
+        n = rng.randint(1, 9)
+        make = (random_star_automaton, random_buchi, random_single_pair)[k % 3]
+        aut = make(rng, al, n, density=rng.random())
+        text = serialize_automaton("x", aut)
+        ids = list(range(3 * n))
+        rng.shuffle(ids)
+
+        def shuffled(states):
+            return rng.sample(states, len(states))
+        for name_of, order in ((lambda q: ids[q], shuffled), (lambda q: f"s{q}", shuffled),
+                               (lambda q: q, shuffled)):
+            assert serialize_automaton("x", relabelled(aut, name_of, order)) == text
+        _, parsed = parse_automaton(text)
+        assert serialize_automaton("x", parsed) == text
+        # the canonical form itself is BFS-numbered: the shortcut serializes it
+        core, buchi, pairs = textio._canonical(aut)
+        canonical = (core if buchi is None else BuchiAutomaton(core, buchi) if pairs is None
+                     else RabinBuchiAutomaton(core, buchi, pairs))
+        assert textio._canonical(canonical)[0] is core
+        assert serialize_automaton("x", canonical) == text
+
+
+def test_canonical_shortcut_fires_on_bfs_numbering(sf):
+    for aut in (sf["plant"], sf["prod"], sf["sup"].automaton, sf["supw"].automaton):
+        core = aut if isinstance(aut, StarAutomaton) else aut.core
+        assert textio._canonical(aut)[0] is core
+
+
+def test_canonical_shortcut_skips_other_numberings():
+    al = Alphabet.make(("a", "b"), ("a",))
+    # states 0..2, but the BFS from 0 meets 2 (on a) before 1 (on b)
+    swapped = BuchiAutomaton(StarAutomaton(al, (0, 1, 2), 0, {(0, "a"): 2, (0, "b"): 1}),
+                             frozenset({2}))
+    # state 2 is unreachable, and it is accepting
+    stray = BuchiAutomaton(StarAutomaton(al, (0, 1, 2), 0, {(0, "a"): 1, (2, "b"): 0}),
+                           frozenset({1, 2}))
+    assert serialize_automaton("x", swapped).splitlines()[4:] == [
+        "trans 0 a 1", "trans 0 b 2", "buchi 1"]
+    assert serialize_automaton("x", stray).splitlines()[4:] == ["trans 0 a 1", "buchi 1"]
+    for aut in (swapped, stray):
+        assert textio._canonical(aut)[0] is not aut.core
