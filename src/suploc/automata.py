@@ -554,24 +554,29 @@ def buchi_intersection(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
         acc = (i for i, (qa, qb) in enumerate(order)
                if qa in a.accepting and qb in b.accepting)
     else:
+        # `explore`'s loop with the phase-counter successor inlined: this
+        # runs once per product state
         rows_a, rows_b, acc_a, acc_b = a.core.rows, b.core.rows, a.accepting, b.accepting
-
-        def hit(qa, qb, phase):
-            return (qa in acc_a) if phase == 0 else (qb in acc_b)
-
-        def succ(v):  # `hit` and `pair_moves` inlined: this runs once per product state
-            qa, qb, phase = v
+        init = (a.core.initial, b.core.initial, 0)
+        num = {init: 0}
+        order = [init]
+        rows = {}
+        acc = []
+        for i, (qa, qb, phase) in enumerate(order):
             if (qa in acc_a) if phase == 0 else (qb in acc_b):
+                acc.append(i)
                 phase = 1 - phase
-            row_a, row_b = rows_a[qa], rows_b[qb]
-            if len(row_a) <= len(row_b):
-                return [(e, (ta, tb, phase)) for e, ta in row_a.items()
-                        if (tb := row_b.get(e)) is not None]
-            return [(e, (ta, tb, phase)) for e, tb in row_b.items()
-                    if (ta := row_a.get(e)) is not None]
-
-        order, rows = explore((a.core.initial, b.core.initial, 0), succ)
-        acc = (i for i, v in enumerate(order) if hit(*v))
+            row = rows[i] = {}
+            row_b = rows_b[qb]
+            for e, ta in rows_a[qa].items():
+                tb = row_b.get(e)
+                if tb is not None:
+                    w = (ta, tb, phase)
+                    j = num.get(w)
+                    if j is None:
+                        j = num[w] = len(order)
+                        order.append(w)
+                    row[e] = j
     return BuchiAutomaton(StarAutomaton.from_rows(a.alphabet, rows, 0), frozenset(acc))
 
 

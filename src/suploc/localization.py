@@ -165,6 +165,11 @@ def build_congruence(
     is raised when it is not consistent with the profile.  Merging only
     coarsens it, so the result never has more cells than the seed.
 
+    When no reachable state enables the event, or none must disable it, the
+    answer is the one cell of all reachable states, returned without a
+    scan: no cell can get both flags, so no merge (of the seed or of the
+    scan) is refused and the scan joins everything into cell 0.
+
     Only pairs of current roots are tried, in the order of the plain
     pairwise scan; every trial skipped would be refused.  A refused trial
     leaves the partition as it was, and a trial refused on a partition
@@ -178,22 +183,15 @@ def build_congruence(
     i stops being a root, the rest of its row is settled the same way.
     """
     order = reachable_states(sup_automaton)
-    pos = {x: i for i, x in enumerate(order)}
-    # per cell root (its least position): the two flags and, per event, the
-    # position of one successor of the cell
-    parent = list(range(len(order)))
     enables = [p.enable.get(x, False) for x in order]
     disables = [p.disable.get(x, False) for x in order]
-    event_pos = sup_automaton.alphabet.position
-    succ = [[None] * len(event_pos) for _ in order]
-    for targets, x in zip(succ, order):
-        for e, t in sup_automaton.rows[x].items():
-            targets[event_pos[e]] = pos[t]
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            i = parent[i]
-        return i
+    if not (any(enables) and any(disables)):
+        return ControlCongruence((frozenset(order),), dict.fromkeys(order, 0))
+    pos = {x: i for i, x in enumerate(order)}
+    # per cell root (its least position): the two flags and the events the
+    # cell defines, each with the position of one successor of the cell
+    parent = list(range(len(order)))
+    succ = [{e: pos[t] for e, t in sup_automaton.rows[x].items()} for x in order]
 
     def merge(i: int, j: int) -> bool:
         """Join the cells of i and j and close; undo it all from the log and
@@ -201,20 +199,29 @@ def build_congruence(
         log = []
         pending = [(i, j)]
         while pending:
-            ra, rb = sorted(map(find, pending.pop()))
+            ra, rb = pending.pop()
+            while parent[ra] != ra:
+                ra = parent[ra]
+            while parent[rb] != rb:
+                rb = parent[rb]
             if ra == rb:
                 continue
-            log.append((ra, rb, enables[ra], disables[ra], succ[ra]))
+            if rb < ra:
+                ra, rb = rb, ra
+            row = succ[ra]
+            log.append((ra, rb, enables[ra], disables[ra], row))
             parent[rb] = ra
             enables[ra] |= enables[rb]
             disables[ra] |= disables[rb]
             if enables[ra] and disables[ra]:
-                for a, b, en, dis, row in reversed(log):
-                    parent[b], enables[a], disables[a], succ[a] = b, en, dis, row
+                for a, b, en, dis, old in reversed(log):
+                    parent[b], enables[a], disables[a], succ[a] = b, en, dis, old
                 return False
-            pending.extend((s, t) for s, t in zip(succ[ra], succ[rb])
-                           if s is not None and t is not None)
-            succ[ra] = [t if s is None else s for s, t in zip(succ[ra], succ[rb])]
+            row = succ[ra] = row.copy()
+            for e, t in succ[rb].items():
+                s = row.setdefault(e, t)
+                if s != t:
+                    pending.append((s, t))
         return True
 
     for cell in (seed.cells if seed is not None else ()):
@@ -229,12 +236,17 @@ def build_congruence(
                 continue
             merge(i, j)
 
-    # roots are least positions: numbered in order, cells go by first member
-    roots = [find(i) for i in range(len(order))]
-    number = {r: k for k, r in enumerate(sorted(set(roots)))}
-    index = {x: number[r] for x, r in zip(order, roots)}
-    cells = tuple(frozenset(x for x in order if index[x] == k) for k in range(len(number)))
-    return ControlCongruence(cells, index)
+    # roots are least positions, so parent[i] < i off a root and one pass in
+    # order leaves every position pointing at its root; cells are numbered
+    # in order of their roots, that is, by first member
+    for i, r in enumerate(parent):
+        parent[i] = parent[r]
+    number = {r: k for k, r in enumerate(sorted(set(parent)))}
+    index = {x: number[r] for x, r in zip(order, parent)}
+    members: list[list[State]] = [[] for _ in number]
+    for x, k in index.items():
+        members[k].append(x)
+    return ControlCongruence(tuple(map(frozenset, members)), index)
 
 
 def check_congruence(sup_automaton: StarAutomaton, p: EnableDisableProfile,
@@ -304,7 +316,11 @@ def localize_all(
     restricting the scope only removes disablement witnesses and so only
     clears "must disable" flags; `build_congruence` checks this and raises
     AutomatonError otherwise.  This guarantees the scoped controllers never
-    exceed the undivided localization in size.
+    exceed the undivided localization in size.  When the scoped profile's
+    `disable` map equals the undivided one's, the undivided congruence is
+    the scoped one and no merging runs: the flags are the same, and every
+    pair of its roots was refused under them, so the seeded scan would
+    return the seed.
     """
     events = sorted(plant.alphabet.controllable, key=plant.alphabet.index)
     out: list[LocalController] = []
@@ -320,8 +336,11 @@ def localize_all(
     omega = sup_omega.automaton
     witnesses = _witnesses(omega, controlled.core, sup_omega.tracker, sup_omega.tracker_sink)
     for alpha in events:
-        base = build_congruence(omega, _profile(omega, alpha, Part.NONE, witnesses))
+        undivided = _profile(omega, alpha, Part.NONE, witnesses)
+        base = build_congruence(omega, undivided)
         for part in (Part.C1, Part.C2):
-            cong = build_congruence(omega, _profile(omega, alpha, part, witnesses), seed=base)
+            scoped = _profile(omega, alpha, part, witnesses)
+            cong = (base if scoped.disable == undivided.disable
+                    else build_congruence(omega, scoped, seed=base))
             out.append(build_local_controller(omega, cong, alpha, Kind.LIVENESS, part))
     return out

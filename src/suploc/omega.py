@@ -13,17 +13,20 @@ accepting on one side and rejecting on the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .automata import (
+    Alphabet,
     AutomatonError,
     BuchiAutomaton,
     LassoWord,
     RabinBuchiAutomaton,
+    Rows,
     StarAutomaton,
     Word,
     acceptance_pair,
     bfs_word,
+    check_alphabet,
     cyclic_sccs,
     explore,
     omega_visit_set,
@@ -99,7 +102,7 @@ def star_equal(a: StarLanguageHandle, b: StarLanguageHandle) -> tuple[bool, Opti
         if a.is_empty and b.is_empty:
             return True, None
         return False, ()
-    return _star_compare(a.automaton, b.automaton, containment=False)
+    return product_compare([a.automaton], a.alphabet, b.automaton, containment=False)
 
 
 def star_contained(a: StarLanguageHandle, b: StarLanguageHandle) -> tuple[bool, Optional[Word]]:
@@ -108,18 +111,61 @@ def star_contained(a: StarLanguageHandle, b: StarLanguageHandle) -> tuple[bool, 
         return True, None
     if b.is_empty:
         return False, ()
-    return _star_compare(a.automaton, b.automaton, containment=True)
+    return product_compare([a.automaton], a.alphabet, b.automaton, containment=True)
 
 
-def _star_compare(a: StarAutomaton, b: StarAutomaton, containment: bool):
-    if a.alphabet.events != b.alphabet.events:
+def product_compare(factors: Sequence[StarAutomaton], alphabet: Alphabet, b: StarAutomaton,
+                    containment: bool = False) -> tuple[bool, Optional[Word]]:
+    """Equality (or, with `containment`, inclusion) of the language of the
+    synchronous product of `factors` over `alphabet` with L(b), decided
+    without building the product.
+
+    One breadth-first walk of the factors' product paired with `b`, events
+    in alphabet order: node i is the vector of the factors' states followed
+    by b's state, numbered as `explore` numbers it, so the nodes and their
+    order are those of the walk `explore` makes over `sync_product(factors,
+    alphabet)` and `b` with `pair_moves`.  The walk stops at the first node
+    where the product enables an event that b does not (or, for equality,
+    the other way round) and returns `bfs_word` to that node followed by
+    the least such event.  Each factor must fit `alphabet` as in
+    `sync_product`, and b must have its events.
+    """
+    for f in factors:
+        check_alphabet(f.alphabet, alphabet)
+    if b.alphabet.events != alphabet.events:
         raise AutomatonError("alphabet mismatch")
-    order, rows = explore((a.initial, b.initial), pair_moves(a, b))
-    for i, (qa, qb) in enumerate(order):
-        ea, eb = a.rows[qa].keys(), b.rows[qb].keys()
-        bad = (ea - eb) if containment else (ea ^ eb)
-        if bad:
-            return False, bfs_word(rows, i) + (min(bad, key=a.alphabet.index),)
+    factor_rows, rows_b = [f.rows for f in factors], b.rows
+    n = len(factors)
+    # per event, in alphabet order: the positions of the factors it moves
+    movers = [(e, [k for k, f in enumerate(factors) if e in f.alphabet]) for e in alphabet.events]
+    init = (*(f.initial for f in factors), b.initial)
+    num = {init: 0}
+    order = [init]
+    rows: Rows = {}
+    for i, v in enumerate(order):  # `order` grows while it is walked: the queue
+        here = [fr[q] for fr, q in zip(factor_rows, v)]
+        row_b = rows_b[v[n]]
+        row = rows[i] = {}
+        for e, ks in movers:
+            for k in ks:
+                if e not in here[k]:
+                    if not containment and e in row_b:
+                        return False, bfs_word(rows, i) + (e,)
+                    break
+            else:
+                tb = row_b.get(e)
+                if tb is None:
+                    return False, bfs_word(rows, i) + (e,)
+                nxt = list(v)
+                for k in ks:
+                    nxt[k] = here[k][e]
+                nxt[n] = tb
+                w = tuple(nxt)
+                j = num.get(w)
+                if j is None:
+                    j = num[w] = len(order)
+                    order.append(w)
+                row[e] = j
     return True, None
 
 

@@ -314,8 +314,9 @@ def _enlarge_pattern_map(core, alphabet, winning, phi, r_set, i_set, b_set):
     winning states in `core.states` order: per state, the states it reaches
     (`fwd`) and the states that reach it (`bwd`), itself included.  One pair
     is kept for the pattern graph and one for its subgraph outside R, each
-    built once per call by `_closures`.  The states on walks t ~> q are
-    fwd[t] & bwd[q], so a trial is a few mask tests.  Graph edges are only
+    built by `_closures` at the first trial that would add an edge, so not
+    at all when every trial's edge is already in the graph.  The states on
+    walks t ~> q are fwd[t] & bwd[q], so a trial is a few mask tests.  Graph edges are only
     ever added, so an accepted edge q -> t updates the closures in place,
     as in Italiano's incremental transitive closure (TCS 1986): every state
     of bwd[q] now reaches all of fwd[t], and every state of fwd[t] is
@@ -330,15 +331,17 @@ def _enlarge_pattern_map(core, alphabet, winning, phi, r_set, i_set, b_set):
     buchi = sum(1 << k for k, q in enumerate(ordered) if q in b_set)
     succ = _pattern_succ(core, phi, winning)
     adj = [{pos[t] for t in succ(q)} for q in ordered]
-    fwd, bwd = _closures(adj)
-    fwd_o, bwd_o = _closures([{j for j in ts if outside[j]} if outside[k] else ()
-                              for k, ts in enumerate(adj)])
+    fwd = None
     for k, q in enumerate(ordered):
         for e, t in core.rows[q].items():
             if e in phi[q] or e not in alphabet.controllable or t not in winning:
                 continue
             j = pos[t]
             if j not in adj[k]:
+                if fwd is None:
+                    fwd, bwd = _closures(adj)
+                    fwd_o, bwd_o = _closures([{m for m in ts if outside[m]} if outside[i] else ()
+                                              for i, ts in enumerate(adj)])
                 both_outside = outside[k] and outside[j]
                 if fwd[j] >> k & 1 and (
                         fwd[j] & bwd[k] & not_i

@@ -1,7 +1,10 @@
 """Machine checks that the local controllers together act exactly like the
 supervisors.
 
-Finite-behavior equivalence is decided exactly on synchronized products.
+Finite-behavior equivalence is decided exactly on synchronized products,
+which are walked, not built: each equality is one breadth-first walk of the
+factors' product paired with the supervisor (`omega.product_compare`),
+stopped at the first node where the two sides enable different events.
 Infinite-behavior equivalence is certified in two tiers.  Tier 1 derives it
 from the finite equality: for prefix-closed star languages the limit
 distributes over intersection, lim(A ^ B) = lim(A) ^ lim(B), a property of
@@ -31,12 +34,10 @@ from .automata import (
     BuchiAutomaton,
     LassoWord,
     lasso_in_star,
-    reachable_trim,
     run_lasso,
-    sync_product,
 )
 from .localization import LocalController
-from .omega import StarLanguageHandle, star_equal
+from .omega import product_compare
 from .omegasynth import OmegaSupervisor
 from .safety import SafetySupervisor
 
@@ -84,22 +85,13 @@ def check_finite_equivalence(
     """Exact decision of the collective finite behavior against the
     supervisors', reported together with both factor equalities."""
     alphabet = plant.alphabet
-    safety = [c for c in controllers if c.kind.value == "safety"]
-    liveness = [c for c in controllers if c.kind.value == "liveness"]
-
-    sup_star_h = sup_star.handle()
-    sup_omega_h = StarLanguageHandle(reachable_trim(sup_omega.automaton))
-
-    star_side = sync_product([plant.core] + [c.automaton for c in safety], alphabet)
-    ok_star, ce_star = star_equal(StarLanguageHandle(star_side), sup_star_h)
-
-    live_side = sync_product(
-        [sup_star.automaton] + [c.automaton for c in liveness], alphabet)
-    ok_live, ce_live = star_equal(StarLanguageHandle(live_side), sup_omega_h)
-
-    full = sync_product(
-        [plant.core] + [c.automaton for c in controllers], alphabet)
-    ok_full, ce_full = star_equal(StarLanguageHandle(full), sup_omega_h)
+    safety = [c.automaton for c in controllers if c.kind.value == "safety"]
+    liveness = [c.automaton for c in controllers if c.kind.value == "liveness"]
+    everyone = [c.automaton for c in controllers]
+    ok_star, ce_star = product_compare([plant.core] + safety, alphabet, sup_star.automaton)
+    ok_live, ce_live = product_compare([sup_star.automaton] + liveness, alphabet,
+                                       sup_omega.automaton)
+    ok_full, ce_full = product_compare([plant.core] + everyone, alphabet, sup_omega.automaton)
 
     report = EquivalenceReport(finite_ok=ok_full)
     report.sub_results = {

@@ -2,12 +2,15 @@
 
 Everything here is deliberately brute force: plain string enumeration,
 fixpoints over explicit string sets, exhaustive subset search.  None of it
-shares code paths with the library operations it checks, with two
+shares code paths with the library operations it checks, with four
 exceptions: `greedy_pattern_map` re-runs the pattern-map enlargement with the
 library's full winning check per trial, the reference for its edge-local
-shortcut, and `profile_by_walk` builds one enable/disable profile from a
+shortcut; `profile_by_walk` builds one enable/disable profile from a
 `lockstep` walk of its own, the reference for the profiles `localize_all`
-reads off one shared walk per supervisor.
+reads off one shared walk per supervisor; and `buchi_intersection_by_explore`
+and `star_compare_by_explore` are the earlier forms of `buchi_intersection`
+and of the prefix-closed language comparison, built on `explore` with a
+successor closure, the references for the inlined loops that replaced them.
 """
 
 from collections import deque
@@ -18,8 +21,12 @@ from suploc.automata import (
     LassoWord,
     RabinBuchiAutomaton,
     StarAutomaton,
+    bfs_word,
+    check_alphabet,
+    explore,
     lasso_in_star,
     lockstep,
+    pair_moves,
     run_lasso,
     run_star,
 )
@@ -419,3 +426,46 @@ def greedy_congruence(aut: StarAutomaton, consistent_pair, seed_cells=None):
     cells = sorted(part, key=lambda c: min(order.index(x) for x in c))
     index = {x: k for k, c in enumerate(cells) for x in c}
     return [frozenset(c) for c in cells], index
+
+
+def buchi_intersection_by_explore(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
+    """The intersection as `buchi_intersection` built it with `explore` and
+    a successor closure that returns each product state's moves as a list:
+    the plain product when one operand accepts everywhere, else the
+    two-phase counter (phase 0 owes a visit to a's set, phase 1 to b's; a
+    state is accepting when it hits the set its phase owes, and the phase
+    of its successors then advances)."""
+    check_alphabet(a.alphabet, b.alphabet, same=True)
+    if set(a.core.states) <= a.accepting or set(b.core.states) <= b.accepting:
+        order, rows = explore((a.core.initial, b.core.initial), pair_moves(a.core, b.core))
+        acc = (i for i, (qa, qb) in enumerate(order)
+               if qa in a.accepting and qb in b.accepting)
+    else:
+        def hit(qa, qb, phase):
+            return (qa in a.accepting) if phase == 0 else (qb in b.accepting)
+
+        moves = pair_moves(a.core, b.core)
+
+        def succ(v):
+            phase = 1 - v[2] if hit(*v) else v[2]
+            return [(e, (ta, tb, phase)) for e, (ta, tb) in moves(v[:2])]
+
+        order, rows = explore((a.core.initial, b.core.initial, 0), succ)
+        acc = (i for i, v in enumerate(order) if hit(*v))
+    return BuchiAutomaton(StarAutomaton.from_rows(a.alphabet, rows, 0), frozenset(acc))
+
+
+def star_compare_by_explore(a: StarAutomaton, b: StarAutomaton, containment: bool = False):
+    """L(a) = L(b) (or, with `containment`, L(a) <= L(b)) as the library
+    decided it on one automaton `a`: explore the whole pair product, then
+    scan its nodes in breadth-first order for the first where a enables an
+    event b does not (or, for equality, the other way round).  Returns
+    (True, None) or (False, `bfs_word` to that node + the least such
+    event)."""
+    order, rows = explore((a.initial, b.initial), pair_moves(a, b))
+    for i, (qa, qb) in enumerate(order):
+        ea, eb = a.rows[qa].keys(), b.rows[qb].keys()
+        bad = (ea - eb) if containment else (ea ^ eb)
+        if bad:
+            return False, bfs_word(rows, i) + (min(bad, key=a.alphabet.index),)
+    return True, None

@@ -11,6 +11,7 @@ from harness import (
     random_star_automaton,
 )
 from oracles import (
+    buchi_intersection_by_explore,
     enumerate_language,
     in_projected_product,
     language_equal_upto,
@@ -19,7 +20,7 @@ from oracles import (
 )
 from perfbench.factory import factory as factory_texts
 
-from suploc import textio
+from suploc import automata, textio
 from suploc.automata import (
     Alphabet,
     AutomatonError,
@@ -272,6 +273,46 @@ def test_buchi_intersection_matches_conjunction():
     for _ in range(100):
         w = random_lasso(rng, al)
         assert run_lasso(both, w) == (run_lasso(a, w) and run_lasso(b, w))
+
+
+def assert_same_buchi(got: BuchiAutomaton, want: BuchiAutomaton):
+    """Same states, rows (in order) and accepting set."""
+    rows = [(q, list(row.items())) for q, row in got.core.rows.items()]
+    assert rows == [(q, list(row.items())) for q, row in want.core.rows.items()]
+    assert (got.core.initial, got.accepting) == (want.core.initial, want.accepting)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_buchi_intersection_matches_explore_oracle_factory(monkeypatch, n):
+    # every intersection step of the n-machine factory's plant composition
+    steps = []
+    inner = automata.buchi_intersection
+
+    def recording(a, b):
+        out = inner(a, b)
+        steps.append((a, b, out))
+        return out
+    monkeypatch.setattr(automata, "buchi_intersection", recording)
+    compose_model(factory_texts(n))
+    assert len(steps) == n
+    phase_counter = 0
+    for a, b, got in steps:
+        assert_same_buchi(got, buchi_intersection_by_explore(a, b))
+        phase_counter += not (set(a.core.states) <= a.accepting
+                              or set(b.core.states) <= b.accepting)
+    assert phase_counter == n - 1
+
+
+def test_buchi_intersection_matches_explore_oracle_random():
+    rng = random.Random(2718)
+    phase_counter = 0
+    for _ in range(60):
+        al = random_alphabet(rng, rng.randint(1, 4))
+        a, b = (random_buchi(rng, al, rng.randint(2, 8), density=rng.random()) for _ in "ab")
+        assert_same_buchi(buchi_intersection(a, b), buchi_intersection_by_explore(a, b))
+        phase_counter += not (set(a.core.states) <= a.accepting
+                              or set(b.core.states) <= b.accepting)
+    assert phase_counter >= 20, phase_counter
 
 
 def test_buchi_intersection_alphabet_mismatch():

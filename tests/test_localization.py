@@ -11,6 +11,7 @@ from suploc.automata import (
     BuchiAutomaton,
     StarAutomaton,
     all_accepting,
+    reachable_states,
     run_star,
 )
 from suploc import localization
@@ -249,16 +250,19 @@ def test_localize_all_walks_each_supervisor_once(factory, monkeypatch):
 
 def used_profiles(monkeypatch, p) -> list:
     """(supervisor automaton, profile) for every profile that `localize_all`
-    hands to `build_congruence` on the pipeline `p`."""
+    builds on the pipeline `p`.  They are recorded where `_profile` makes
+    them: a scoped profile whose disablements equal the undivided one's
+    never reaches `build_congruence`."""
     seen = []
-    inner = localization.build_congruence
+    inner = localization._profile
 
-    def recording(aut, prof, seed=None):
+    def recording(aut, alpha, part, witnesses):
+        prof = inner(aut, alpha, part, witnesses)
         seen.append((aut, prof))
-        return inner(aut, prof, seed=seed)
-    monkeypatch.setattr(localization, "build_congruence", recording)
+        return prof
+    monkeypatch.setattr(localization, "_profile", recording)
     localize_all(p["plant"], p["sup"], p["closed"], p["supw"])
-    monkeypatch.setattr(localization, "build_congruence", inner)
+    monkeypatch.setattr(localization, "_profile", inner)
     return seen
 
 
@@ -419,6 +423,83 @@ def test_congruence_matches_greedy_oracle(factory):
             for seed in (None, base):
                 sizes.append(len(assert_matches_greedy_oracle(supw, prof, seed=seed).cells))
     assert max(sizes) >= 5, sizes
+    # a profile no reachable state must disable: the answer is the one cell
+    # of the reachable states, unseeded and from a seed of many cells, also
+    # when unreachable states carry flags
+    rng = random.Random(5)
+    seeded = 0
+    for _ in range(200):
+        al = random_alphabet(rng, rng.randint(1, 4))
+        aut = with_unreachable(rng, random_star_automaton(
+            rng, al, rng.randint(2, 10), density=rng.random()), rng.randint(1, 3))
+        reachable = set(reachable_states(aut))
+        big = random_profile(rng, aut.states)
+        free = EnableDisableProfile(
+            "e0", big.enable, {x: v and x not in reachable for x, v in big.disable.items()})
+        cong = assert_matches_greedy_oracle(aut, free)
+        assert cong.cells == (frozenset(reachable),)
+        seed = build_congruence(aut, big)
+        seeded += len(seed.cells) > 1
+        assert_matches_greedy_oracle(aut, free, seed=seed)
+    assert seeded >= 50, seeded
+
+
+def with_unreachable(rng, aut: StarAutomaton, extra: int) -> StarAutomaton:
+    """`aut` plus `extra` states that no string reaches, each with moves
+    into the states before it."""
+    first = max(aut.states) + 1
+    states = aut.states + tuple(range(first, first + extra))
+    trans = dict(aut.transitions)
+    for k in range(len(aut.states), len(states)):
+        for e in aut.alphabet.events:
+            if rng.random() < 0.7:
+                trans[states[k], e] = rng.choice(states[:k])
+    return StarAutomaton(aut.alphabet, states, aut.initial, trans)
+
+
+def assert_controllers_match_greedy_quotient(p):
+    """Every controller `localize_all` returns is the quotient by the greedy
+    oracle's congruence: unseeded for the safety and undivided profiles,
+    seeded with the undivided congruence for the scoped ones."""
+    plant, sup, closed, supw = p["plant"], p["sup"], p["closed"], p["supw"]
+    want = []
+    for alpha in sorted(plant.alphabet.controllable, key=plant.alphabet.index):
+        prof = profile_safety(plant, sup, alpha)
+        cells, index = greedy_congruence(sup.automaton, lambda x, y: consistent(prof, x, y))
+        want.append(build_local_controller(
+            sup.automaton, ControlCongruence(tuple(cells), index), alpha, Kind.SAFETY))
+    for alpha in sorted(plant.alphabet.controllable, key=plant.alphabet.index):
+        undivided = profile_liveness(closed, supw, alpha, Part.NONE)
+        base, _ = greedy_congruence(supw.automaton, lambda x, y: consistent(undivided, x, y))
+        for part in (Part.C1, Part.C2):
+            prof = profile_liveness(closed, supw, alpha, part)
+            cells, index = greedy_congruence(
+                supw.automaton, lambda x, y: consistent(prof, x, y), seed_cells=base)
+            want.append(build_local_controller(
+                supw.automaton, ControlCongruence(tuple(cells), index), alpha,
+                Kind.LIVENESS, part))
+    assert localize_all(plant, sup, closed, supw) == want
+    # scoped profiles whose congruence `localize_all` takes over unmerged
+    return sum(profile_liveness(closed, supw, alpha, part).disable
+               == profile_liveness(closed, supw, alpha, Part.NONE).disable
+               for alpha in plant.alphabet.controllable for part in (Part.C1, Part.C2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_localize_all_matches_greedy_quotient_factory(factory, n):
+    assert assert_controllers_match_greedy_quotient(factory(n)) >= 1
+
+
+def test_localize_all_matches_greedy_quotient_random():
+    rng = random.Random(1717)
+    checked = reused = 0
+    while checked < 30:
+        p = random_pipeline(rng)
+        if p is None:
+            continue
+        reused += assert_controllers_match_greedy_quotient(p)
+        checked += 1
+    assert reused >= 10, reused
 
 
 def test_congruence_rejects_inconsistent_seed():

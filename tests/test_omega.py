@@ -3,7 +3,7 @@ import random
 import pytest
 
 from harness import corpus, random_alphabet, random_buchi, random_lasso, random_star_automaton
-from oracles import enumerate_language
+from oracles import enumerate_language, star_compare_by_explore
 
 from suploc.automata import (
     Alphabet,
@@ -13,7 +13,9 @@ from suploc.automata import (
     StarAutomaton,
     extend_alphabet,
     lasso_in_star,
+    minimize_prefix_closed,
     run_lasso,
+    sync_product,
 )
 from suploc.omega import (
     StarLanguageHandle,
@@ -21,6 +23,7 @@ from suploc.omega import (
     is_deadlock_free,
     omega_contained_single_pair,
     pre_automaton,
+    product_compare,
     star_contained,
     star_equal,
 )
@@ -150,6 +153,69 @@ def test_star_equal_is_equivalence_spotcheck():
             for z in autos[:5]:
                 if star_equal(x, y)[0] and star_equal(y, z)[0]:
                     assert star_equal(x, z)[0]
+
+
+def random_factors(rng, al: Alphabet) -> list[StarAutomaton]:
+    """One to three random automata, each over a non-empty part of `al`
+    with `al`'s controllability."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        events = [e for e in al.events if rng.random() < 0.7] or [rng.choice(al.events)]
+        part = Alphabet.make(events, [e for e in events if e in al.controllable])
+        out.append(random_star_automaton(rng, part, rng.randint(1, 5),
+                                         density=rng.uniform(0.3, 1.0)))
+    return out
+
+
+def near(rng, a: StarAutomaton) -> StarAutomaton:
+    """`a` with one transition dropped, or one self-loop added where an
+    event is undefined."""
+    rows = {q: dict(row) for q, row in a.rows.items()}
+    q = rng.choice(a.states)
+    missing = [e for e in a.alphabet.events if e not in rows[q]]
+    if rows[q] and (not missing or rng.random() < 0.5):
+        del rows[q][rng.choice(list(rows[q]))]
+    else:
+        rows[q][rng.choice(missing)] = q
+    return StarAutomaton.from_rows(a.alphabet, rows, a.initial)
+
+
+def test_product_compare_matches_built_product():
+    # the walk of the factors' product against the product built by
+    # `sync_product` and compared by `star_equal`/`star_contained` and by
+    # the whole-product scan they replaced: same verdict, same witness
+    rng = random.Random(1729)
+    verdicts = []
+    for _ in range(600):
+        al = random_alphabet(rng, rng.randint(1, 4))
+        factors = random_factors(rng, al)
+        built = sync_product(factors, al)
+        kind = rng.randrange(3)
+        if kind == 0:
+            b = minimize_prefix_closed(built)
+        elif kind == 1:
+            b = near(rng, minimize_prefix_closed(built))
+        else:
+            b = random_star_automaton(rng, al, rng.randint(1, 6), density=rng.uniform(0.3, 1.0))
+        handles = StarLanguageHandle(built), StarLanguageHandle(b)
+        for containment, by_handles in ((False, star_equal), (True, star_contained)):
+            got = product_compare(factors, al, b, containment)
+            assert got == star_compare_by_explore(built, b, containment) == by_handles(*handles)
+            verdicts.append(got[0])
+    equal = verdicts[::2]
+    assert sum(equal) >= 150 and len(equal) - sum(equal) >= 250, sum(equal)
+    # containment holds where equality fails: a dropped move or a wider b
+    assert sum(verdicts[1::2]) - sum(equal) >= 50
+
+
+def test_product_compare_checks_alphabets():
+    al = Alphabet.make(("a", "b"), ("a",))
+    one = StarAutomaton(Alphabet.make(("a",)), (0,), 0, {(0, "a"): 0})
+    b = StarAutomaton(al, (0,), 0, {(0, "a"): 0})
+    with pytest.raises(AutomatonError, match="controllable"):
+        product_compare([one], al, b)
+    with pytest.raises(AutomatonError, match="alphabet mismatch"):
+        product_compare([b], al, StarAutomaton(Alphabet.make(("a",), ("a",)), (0,), 0, {}))
 
 
 def test_pre_monotone_idempotent():

@@ -277,6 +277,41 @@ def test_enlargement_builds_closures_once_per_call(factory, monkeypatch):
     assert calls["closures"] <= 2 * calls["enlarge"] < calls["inserts"]
 
 
+def test_enlargement_without_trials_builds_no_closures(monkeypatch):
+    # the closures are built at the first trial that would add an edge to
+    # the pattern graph; in these games the base map already takes every
+    # move into the winning states, so no trial needs them
+    calls = {"enlarge": 0, "closures": 0}
+    enlarge, closures = omegasynth._enlarge_pattern_map, omegasynth._closures
+
+    def counted_enlarge(*args):
+        calls["enlarge"] += 1
+        return enlarge(*args)
+
+    def counted_closures(*args):
+        calls["closures"] += 1
+        return closures(*args)
+
+    monkeypatch.setattr(omegasynth, "_enlarge_pattern_map", counted_enlarge)
+    monkeypatch.setattr(omegasynth, "_closures", counted_closures)
+    # nothing to control
+    al = Alphabet.make(("u", "v"))
+    core = StarAutomaton(al, (0, 1), 0, {(0, "u"): 1, (1, "v"): 0})
+    games = [(RabinBuchiAutomaton(core, frozenset({0}), ((frozenset({0}), frozenset({0, 1})),)),
+              al)]
+    # two controllable moves into a winning state and a controllable self-loop
+    al = Alphabet.make(("c", "d", "u"), ("c", "d"))
+    core = StarAutomaton(al, (0, 1, 2), 0, {(0, "c"): 1, (0, "d"): 1, (0, "u"): 2, (1, "u"): 0,
+                                            (2, "u"): 0, (2, "c"): 2})
+    games.append((RabinBuchiAutomaton(core, frozenset({1}),
+                                      ((frozenset({1}), frozenset({0, 1, 2})),)), al))
+    for a, al in games:
+        ctr = controllability_subset(a, al)
+        assert ctr.subset == frozenset(a.core.states)
+        assert ctr.phi == {q: frozenset(a.core.enabled(q)) for q in a.core.states}
+    assert calls == {"enlarge": 2, "closures": 0}
+
+
 def count_zielonka_depth(monkeypatch) -> dict:
     """Route `_zielonka`'s calls, its own recursive ones included, through a
     wrapper that records the deepest nesting in the returned dict."""

@@ -12,7 +12,7 @@ from harness import (
     random_star_automaton,
 )
 from conftest import _pipeline
-from suploc import verify
+from suploc import automata, verify
 from suploc.automata import (
     Alphabet,
     AutomatonError,
@@ -48,6 +48,31 @@ def test_finite_equivalence_factory(sf):
     assert report.sub_results == {
         "safety_factor": True, "liveness_factor": True, "collective": True}
     assert report.counterexample is None
+
+
+def test_finite_equivalence_builds_no_product(factory, monkeypatch):
+    # counted work: the three equalities walk the products, so no
+    # `sync_product` runs and no automaton is built from rows
+    f = factory(3)
+    controllers = localize_all(f["plant"], f["sup"], f["closed"], f["supw"])
+    calls = {"sync_product": 0, "from_rows": 0}
+    inner_sync, inner_rows = automata.sync_product, StarAutomaton.from_rows
+
+    def counted_sync(*args):
+        calls["sync_product"] += 1
+        return inner_sync(*args)
+
+    def counted_rows(cls, *args):
+        calls["from_rows"] += 1
+        return inner_rows(*args)
+    monkeypatch.setattr(automata, "sync_product", counted_sync)
+    monkeypatch.setattr(StarAutomaton, "from_rows", classmethod(counted_rows))
+    report = check_finite_equivalence(f["plant"], f["sup"], f["supw"], controllers)
+    assert report.finite_ok and report.counterexample is None
+    assert calls == {"sync_product": 0, "from_rows": 0}
+    # the guard counts: one product built the old way is seen
+    automata.sync_product([f["plant"].core], f["plant"].alphabet)
+    assert calls == {"sync_product": 1, "from_rows": 1}
 
 
 def test_finite_equivalence_supervisors_as_controllers(sf):
