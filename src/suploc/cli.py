@@ -30,7 +30,7 @@ from .omegasynth import (
     restrict_sup,
 )
 from .safety import SafetySupervisor, controlled_plant, sup_con_star
-from .textio import ParseError, load_automaton, save_automaton, to_dot
+from .textio import ParseError, load_automaton, save_automaton, to_dot, write_text
 from .verify import VerificationError, check_infinite_equivalence
 
 EXIT_OK = 0
@@ -112,8 +112,11 @@ def _save(path, name, aut, dot=None):
     """Write `aut` to `path` and, when `dot` is a path, its DOT rendering."""
     save_automaton(path, name, aut)
     if dot:
-        with open(dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(name, aut))
+        write_text(dot, to_dot(name, aut))
+
+
+def _write_json(path, payload) -> None:
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _sizes(sup) -> dict:
@@ -190,12 +193,10 @@ def cmd_synth_omega(args) -> int:
     sup, ctr = _synth_omega(closed, product, minimal)
     _save(args.out, "sup-omega", BuchiAutomaton(sup.automaton, sup.buchi_lift), args.dot)
     if args.psi_table:
-        with open(args.psi_table, "w", encoding="utf-8") as fh:
-            fh.write("product_state,z_state,enabled_events\n")
-            z_state = dict(lockstep(sup.automaton, sup.tracker))
-            for x in sup.automaton.states:
-                evs = " ".join(sup.automaton.enabled(x))
-                fh.write(f"{x},{z_state[x]},{evs}\n")
+        z_state = dict(lockstep(sup.automaton, sup.tracker))
+        rows = [f"{x},{z_state[x]},{' '.join(sup.automaton.enabled(x))}\n"
+                for x in sup.automaton.states]
+        write_text(args.psi_table, "product_state,z_state,enabled_events\n" + "".join(rows))
     _emit(args, {"product_states": len(product.core.states),
                  "controllability_subset": len(ctr.subset), **_sizes(sup)})
     return EXIT_OK
@@ -357,8 +358,7 @@ def _write_controllers(controllers: list[LocalController], out_dir, dot: bool) -
               dot and os.path.join(out_dir, name + ".dot"))
         manifest.append({"name": name, "event": c.event, "kind": c.kind.value,
                          "part": c.part.value, "states": len(c.automaton.states)})
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 
@@ -382,8 +382,7 @@ def cmd_verify(args) -> int:
     payload = report.as_dict()
     _emit(args, payload)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(args.report, payload)
     return EXIT_OK if (report.finite_ok and report.infinite_ok) else EXIT_VERIFY
 
 
@@ -430,8 +429,7 @@ def cmd_pipeline(args) -> int:
                                 "controllability_subset": len(ctr.subset)}
     payload["sup_omega"] = _sizes(supw)
     payload["controllers"] = manifest
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out_dir, "report.json"), payload)
     _emit(args, payload)
     return EXIT_OK if (report.finite_ok and report.infinite_ok) else EXIT_VERIFY
 

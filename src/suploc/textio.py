@@ -1,4 +1,5 @@
-"""Line-oriented automaton text format and DOT export.
+"""Line-oriented automaton text format, DOT export, and the one routine
+that writes a file.
 
 Format (UTF-8, '#' comments and blank lines ignored, strict keys):
 
@@ -9,10 +10,24 @@ Format (UTF-8, '#' comments and blank lines ignored, strict keys):
     trans <state> <event> <state>
     buchi <state> ...
     rabin R <state> ... ; I <state> ...
+
+`write_text` writes every file the library and the CLI produce.  It opens
+the file without truncating it, writes over the old bytes and then cuts the
+file to the new length.  On ext4 (mounted with the default
+``auto_da_alloc``), truncating a non-empty file to zero makes its ``close``
+start writeback, so rewriting a file opened with mode ``"w"`` waits on the
+disk; rewriting in place does not.  The saving is on rewrites only, which
+is the common case: ``suploc pipeline`` writes into a fixed output
+directory, so every re-run overwrites the last run's files.  A new file
+costs the same as before.  The bytes, the permission bits (0o666 under the
+umask, as ``open(path, "w")`` gives) and the inode of a file are those of a
+truncating write.  A reader during the write may see a partly written file,
+as before; now its tail may still hold the old file's bytes.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Optional, Union
 
 from .automata import (
@@ -191,24 +206,20 @@ def serialize_automaton(name: str, aut: AnyAutomaton) -> str:
     core, buchi, pairs = _canonical(aut)
     kind = ("star" if isinstance(aut, StarAutomaton)
             else "buchi" if isinstance(aut, BuchiAutomaton) else "rabin-buchi")
-    lines = [f"automaton {name}", f"type {kind}"]
     evs = " ".join(
         f"{e}:{'c' if e in core.alphabet.controllable else 'u'}" for e in core.alphabet.events
     )
-    lines.append(f"events {evs}")
-    lines.append(f"initial {core.initial}")
+    out = [f"automaton {name}\ntype {kind}\nevents {evs}\ninitial {core.initial}\n"]
+    rows = core.rows
     for q in core.states:
-        for e, t in core.rows[q].items():
-            lines.append(f"trans {q} {e} {t}")
+        out += [f"trans {q} {e} {t}\n" for e, t in rows[q].items()]
     if buchi is not None:
-        lines.append("buchi " + " ".join(str(q) for q in sorted(buchi)))
+        out.append("buchi " + " ".join(str(q) for q in sorted(buchi)) + "\n")
     if pairs is not None:
         for r, i in pairs:
-            lines.append(
-                "rabin R " + " ".join(str(q) for q in sorted(r))
-                + " ; I " + " ".join(str(q) for q in sorted(i))
-            )
-    return "\n".join(lines) + "\n"
+            out.append("rabin R " + " ".join(str(q) for q in sorted(r))
+                       + " ; I " + " ".join(str(q) for q in sorted(i)) + "\n")
+    return "".join(out)
 
 
 def load_automaton(path) -> tuple[str, AnyAutomaton]:
@@ -216,17 +227,32 @@ def load_automaton(path) -> tuple[str, AnyAutomaton]:
         return parse_automaton(fh.read())
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, in place: the file is created when
+    missing, written over from its start and then cut to the new length
+    (see the module docstring).  When the write fails part-way, the file is
+    cut where the failure left it, so it holds a prefix of `text`, as a
+    truncating write would leave it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    # mode "w" on a descriptor neither truncates nor reopens the file
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
+            fh.write(text)
+            fh.flush()
+        finally:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def save_automaton(path, name: str, aut: AnyAutomaton) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_automaton(name, aut))
+    write_text(path, serialize_automaton(name, aut))
 
 
 def to_dot(name: str, aut: AnyAutomaton) -> str:
     """GraphViz rendering; Buchi states are doubled, Rabin membership is
     annotated on the node label."""
     core, buchi, pairs = _canonical(aut)
-    out = [f'digraph "{name}" {{', "  rankdir=LR;", '  node [shape=circle];',
-           '  __init [shape=point];']
+    out = [f'digraph "{name}" {{\n  rankdir=LR;\n  node [shape=circle];\n'
+           '  __init [shape=point];\n']
     for q in core.states:
         label = str(q)
         attrs = []
@@ -242,10 +268,10 @@ def to_dot(name: str, aut: AnyAutomaton) -> str:
             if tags:
                 label += "\\n" + ",".join(tags)
         attrs.insert(0, f'label="{label}"')
-        out.append(f'  "{q}" [{", ".join(attrs)}];')
-    out.append(f'  __init -> "{core.initial}";')
+        out.append(f'  "{q}" [{", ".join(attrs)}];\n')
+    out.append(f'  __init -> "{core.initial}";\n')
+    rows = core.rows
     for q in core.states:
-        for e, t in core.rows[q].items():
-            out.append(f'  "{q}" -> "{t}" [label="{e}"];')
-    out.append("}")
-    return "\n".join(out) + "\n"
+        out += [f'  "{q}" -> "{t}" [label="{e}"];\n' for e, t in rows[q].items()]
+    out.append("}\n")
+    return "".join(out)

@@ -83,7 +83,10 @@ def check_finite_equivalence(
     controllers: list[LocalController],
 ) -> EquivalenceReport:
     """Exact decision of the collective finite behavior against the
-    supervisors', reported together with both factor equalities."""
+    supervisors', reported together with both factor equalities.  An empty
+    SUP* is an input error: no supervisor exists to compare with."""
+    if sup_star.is_empty:
+        raise AutomatonError("SUP* is empty: there is no safety supervisor to verify against")
     alphabet = plant.alphabet
     safety = [c.automaton for c in controllers if c.kind.value == "safety"]
     liveness = [c.automaton for c in controllers if c.kind.value == "liveness"]

@@ -2,15 +2,19 @@
 
 Everything here is deliberately brute force: plain string enumeration,
 fixpoints over explicit string sets, exhaustive subset search.  None of it
-shares code paths with the library operations it checks, with four
+shares code paths with the library operations it checks, with these
 exceptions: `greedy_pattern_map` re-runs the pattern-map enlargement with the
 library's full winning check per trial, the reference for its edge-local
 shortcut; `profile_by_walk` builds one enable/disable profile from a
 `lockstep` walk of its own, the reference for the profiles `localize_all`
-reads off one shared walk per supervisor; and `buchi_intersection_by_explore`
+reads off one shared walk per supervisor; `buchi_intersection_by_explore`
 and `star_compare_by_explore` are the earlier forms of `buchi_intersection`
 and of the prefix-closed language comparison, built on `explore` with a
-successor closure, the references for the inlined loops that replaced them.
+successor closure, the references for the inlined loops that replaced them;
+and `serialize_by_lines` and `dot_by_lines` are the earlier forms of
+`textio.serialize_automaton` and `textio.to_dot`, which joined a list of
+lines with newlines, on the library's canonical numbering
+(`textio._canonical`).
 """
 
 from collections import deque
@@ -32,6 +36,7 @@ from suploc.automata import (
 )
 from suploc.localization import EnableDisableProfile, Part
 from suploc.omegasynth import _pattern_map_wins
+from suploc.textio import _canonical
 
 
 def enumerate_language(aut: StarAutomaton, max_len: int) -> set[tuple]:
@@ -469,3 +474,59 @@ def star_compare_by_explore(a: StarAutomaton, b: StarAutomaton, containment: boo
         if bad:
             return False, bfs_word(rows, i) + (min(bad, key=a.alphabet.index),)
     return True, None
+
+
+def serialize_by_lines(name: str, aut) -> str:
+    """The ``.aut`` text of `aut`, one line per list entry, joined with
+    newlines."""
+    core, buchi, pairs = _canonical(aut)
+    kind = ("star" if isinstance(aut, StarAutomaton)
+            else "buchi" if isinstance(aut, BuchiAutomaton) else "rabin-buchi")
+    lines = [f"automaton {name}", f"type {kind}"]
+    evs = " ".join(
+        f"{e}:{'c' if e in core.alphabet.controllable else 'u'}" for e in core.alphabet.events
+    )
+    lines.append(f"events {evs}")
+    lines.append(f"initial {core.initial}")
+    for q in core.states:
+        for e, t in core.rows[q].items():
+            lines.append(f"trans {q} {e} {t}")
+    if buchi is not None:
+        lines.append("buchi " + " ".join(str(q) for q in sorted(buchi)))
+    if pairs is not None:
+        for r, i in pairs:
+            lines.append(
+                "rabin R " + " ".join(str(q) for q in sorted(r))
+                + " ; I " + " ".join(str(q) for q in sorted(i))
+            )
+    return "\n".join(lines) + "\n"
+
+
+def dot_by_lines(name: str, aut) -> str:
+    """The DOT rendering of `aut`, one line per list entry, joined with
+    newlines."""
+    core, buchi, pairs = _canonical(aut)
+    out = [f'digraph "{name}" {{', "  rankdir=LR;", '  node [shape=circle];',
+           '  __init [shape=point];']
+    for q in core.states:
+        label = str(q)
+        attrs = []
+        if buchi is not None and q in buchi:
+            attrs.append("shape=doublecircle")
+        if pairs is not None:
+            tags = []
+            for idx, (r, i) in enumerate(pairs, start=1):
+                if q in r:
+                    tags.append(f"R{idx}")
+                if q in i:
+                    tags.append(f"I{idx}")
+            if tags:
+                label += "\\n" + ",".join(tags)
+        attrs.insert(0, f'label="{label}"')
+        out.append(f'  "{q}" [{", ".join(attrs)}];')
+    out.append(f'  __init -> "{core.initial}";')
+    for q in core.states:
+        for e, t in core.rows[q].items():
+            out.append(f'  "{q}" -> "{t}" [label="{e}"];')
+    out.append("}")
+    return "\n".join(out) + "\n"

@@ -1,9 +1,9 @@
 """Every module of the package and of the tests uses each name it imports,
 no module of the package imports an underscore name from another, only
 `automata` reads an automaton's `transitions`, every library function the
-benchmark traces exists, every function of the package has a use, and the
+benchmark traces exists, every function of the package has a use, the
 CLI builds each supervisor in one stage function and exits 3 from one
-place."""
+place, and only `textio` opens a file for writing."""
 
 import ast
 import importlib
@@ -161,3 +161,40 @@ def test_cli_has_one_stage_per_supervisor():
     for name in ("controllability_subset", "existence_check", "assemble_fomega"):
         assert found[name] == {"_synth_omega"}, name
     assert found["EXIT_EXISTENCE"] == {"main"}
+
+
+def write_opens(source: str) -> list[int]:
+    """Lines of `source` that call ``open`` (a name or an attribute, such as
+    ``os.open`` or ``path.open``) with a mode that may write: one holding
+    ``w``, ``a``, ``x`` or ``+``, or one that is not a string literal, as
+    ``os.open``'s flags are not."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) \
+                or getattr(node.func, "id", getattr(node.func, "attr", None)) != "open":
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg in ("mode", "flags")]
+        for mode in modes:
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+                    or set(mode.value) & set("wax+"):
+                out.append(node.lineno)
+    return sorted(out)
+
+
+def test_checker_finds_write_opens():
+    source = ("open(p)\n"
+              "open(p, 'w')\n"
+              "open(p, mode='a', encoding='utf-8')\n"
+              "open(p, 'r', encoding='utf-8')\n"
+              "fd = os.open(p, os.O_WRONLY)\n"
+              "path.open('rb')\n"
+              "path.open(mode='r+')\n"
+              "open(p, m)\n")
+    assert write_opens(source) == [2, 3, 5, 7, 8]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "textio.py"))
+def test_only_textio_writes_files(module):
+    # every file the package writes goes through `textio.write_text`
+    assert write_opens((SRC / module).read_text(encoding="utf-8")) == []

@@ -1,18 +1,26 @@
+import builtins
+import os
 import random
+import shutil
+import stat
 
 import pytest
 
 from harness import (
+    CORPUS,
     corpus_texts,
     random_alphabet,
     random_buchi,
     random_single_pair,
     random_star_automaton,
 )
+from oracles import dot_by_lines, serialize_by_lines
 
 from suploc import textio
 from suploc.automata import Alphabet, BuchiAutomaton, RabinBuchiAutomaton, StarAutomaton
-from suploc.textio import ParseError, parse_automaton, serialize_automaton, to_dot
+from suploc.cli import main
+from suploc.localization import localize_all
+from suploc.textio import ParseError, parse_automaton, serialize_automaton, to_dot, write_text
 
 SAMPLE = """\
 # a tiny machine
@@ -162,3 +170,169 @@ def test_canonical_shortcut_skips_other_numberings():
     assert serialize_automaton("x", stray).splitlines()[4:] == ["trans 0 a 1", "buchi 1"]
     for aut in (swapped, stray):
         assert textio._canonical(aut)[0] is not aut.core
+
+
+def pipeline_artifacts(f) -> dict:
+    """{name: automaton} of every automaton the pipeline writes, on the
+    fixture pipeline `f`."""
+    arts = {"plant": f["plant"], "sup-star": f["closed"], "legal-product": f["prod"],
+            "sup-omega": BuchiAutomaton(f["supw"].automaton, f["supw"].buchi_lift)}
+    for k, c in enumerate(localize_all(f["plant"], f["sup"], f["closed"], f["supw"])):
+        arts[f"loc{k}"] = c.automaton
+    return arts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_serializers_match_line_oracle_on_factory(factory, n):
+    for name, aut in pipeline_artifacts(factory(n)).items():
+        assert serialize_automaton(name, aut) == serialize_by_lines(name, aut), name
+        assert to_dot(name, aut) == dot_by_lines(name, aut), name
+
+
+def two_pair_rabin(rng, al, n, density):
+    """A Rabin-Buchi automaton with two pairs."""
+    one = random_single_pair(rng, al, n, density)
+    states = list(one.core.states)
+    r = frozenset(rng.sample(states, rng.randint(1, len(states))))
+    i = r | frozenset(rng.sample(states, rng.randint(0, len(states))))
+    return RabinBuchiAutomaton(one.core, one.buchi, one.rabin_pairs + ((r, i),))
+
+
+def test_serializers_match_line_oracle_on_random():
+    # 60 automata of each type; every other one has its states renamed to
+    # strings and listed out of order, so the canonical numbering explores
+    rng = random.Random(1515)
+    for make in (random_star_automaton, random_buchi, two_pair_rabin):
+        for k in range(60):
+            al = random_alphabet(rng, rng.randint(1, 5))
+            aut = make(rng, al, rng.randint(1, 9), density=rng.random())
+            if k % 2:
+                aut = relabelled(aut, lambda q: f"s{q}",
+                                 lambda states: rng.sample(states, len(states)))
+            assert serialize_automaton("x", aut) == serialize_by_lines("x", aut)
+            assert to_dot("x", aut) == dot_by_lines("x", aut)
+
+
+@pytest.mark.parametrize("old", [None, "short\n", "a much longer old text\n" * 3,
+                                 "sixteen bytes..\n"],
+                         ids=["new-file", "longer-text", "shorter-text", "equal-length"])
+def test_write_text_rewrites_in_place(tmp_path, old):
+    path = tmp_path / "f.txt"
+    if old is not None:
+        path.write_text(old, encoding="utf-8")
+    new = "new text: \u00e9t\u00e9\n"  # 16 bytes in UTF-8
+    write_text(path, new)
+    assert path.read_bytes() == new.encode("utf-8")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_text_permissions_follow_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "by_open", "w", encoding="utf-8"):
+            pass
+        write_text(tmp_path / "by_write_text", "x")
+    finally:
+        os.umask(old)
+    assert (stat.S_IMODE((tmp_path / "by_write_text").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "by_open").stat().st_mode))
+
+
+def test_write_text_keeps_mode_and_inode(tmp_path):
+    # a rewrite changes the file, not the directory entry: a hard link sees
+    # the new text, as with a truncating write
+    path, link = tmp_path / "f.txt", tmp_path / "link.txt"
+    write_text(path, "old old old\n")
+    path.chmod(0o600)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    write_text(path, "new\n")
+    assert link.read_text(encoding="utf-8") == "new\n"
+    assert path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_write_text_to_directory(tmp_path):
+    with pytest.raises(IsADirectoryError) as err:
+        write_text(tmp_path, "x")
+    assert str(tmp_path) in str(err.value)
+
+
+def test_pipeline_output_blocked_by_directory(tmp_path, capsys):
+    data = tmp_path / "small-factory"
+    shutil.copytree(CORPUS, data, ignore=shutil.ignore_patterns("out"))
+    (data / "out" / "plant.aut").mkdir(parents=True)
+    assert main(["--quiet", "pipeline", str(data / "pipeline.cfg")]) == 2
+    assert capsys.readouterr().err == f"input error: {data / 'out' / 'plant.aut'}: Is a directory\n"
+
+
+@pytest.mark.parametrize("flushed", [False, True])
+def test_failed_write_leaves_the_bytes_written(tmp_path, monkeypatch, flushed):
+    # the write gets 7 characters to the file object (and, with `flushed`,
+    # to the file) and then fails: the file holds exactly those, not the
+    # tail of the longer old text
+    path = tmp_path / "f.txt"
+    path.write_text("old " * 40, encoding="utf-8")
+    real_open = builtins.open
+
+    class Failing:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def write(self, text):
+            self.fh.write(text[:7])
+            if flushed:
+                self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(textio, "open", lambda *a, **k: Failing(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_text(path, "new text that is cut\n")
+    assert path.read_bytes() == b"new tex"
+
+
+def test_pipeline_rerun_truncates_no_artifact(tmp_path, monkeypatch):
+    # counted work: record every `os.open` and `open` of two pipeline runs
+    # into one output directory; the second run rewrites every artifact
+    # through `os.open` without O_TRUNC, and opens none with mode "w" by
+    # path (`write_text` wraps the descriptor, which does not truncate)
+    data = tmp_path / "small-factory"
+    shutil.copytree(CORPUS, data, ignore=shutil.ignore_patterns("out"))
+    real_os_open, real_open = os.open, builtins.open
+    calls = []
+
+    def os_open(path, flags, *args, **kwargs):
+        calls.append((os.fsdecode(path), flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def open_(file, mode="r", *args, **kwargs):
+        calls.append((file if isinstance(file, int) else os.fsdecode(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", open_)
+    argv = ["--quiet", "pipeline", str(data / "pipeline.cfg"), "--dot"]
+    assert main(argv) == 0
+    artifacts = {str(p) for p in (data / "out").rglob("*") if p.is_file()}
+    first = calls[:]
+    calls.clear()
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert len(artifacts) == 18
+    for run in (first, calls):
+        written = {path for path, flags in run
+                   if isinstance(flags, int) and path in artifacts}
+        assert written == artifacts
+    truncating = [(path, how) for path, how in calls if path in artifacts
+                  and (how & os.O_TRUNC if isinstance(how, int) else "w" in how)]
+    assert truncating == []

@@ -34,6 +34,7 @@ from suploc.localization import (
     profile_safety,
 )
 from suploc.omega import StarLanguageHandle
+from suploc.safety import SafetySupervisor
 from suploc.verify import (
     EquivalenceReport,
     VerificationError,
@@ -136,6 +137,16 @@ def test_infinite_equivalence_budget_zero(sf):
         sf["plant"], sf["sup"], sf["supw"], sf["controllers"], lasso_budget=0)
     assert report.infinite_ok
     assert report.checked_lassos == 0
+
+
+@pytest.mark.parametrize("check", [check_finite_equivalence, check_infinite_equivalence])
+def test_empty_safety_supervisor_is_input_error(sf, check):
+    # an empty SUP* has no automaton to compare with; the check says so
+    # instead of failing on the missing automaton
+    empty = SafetySupervisor(None, frozenset())
+    with pytest.raises(AutomatonError, match=r"SUP\* is empty") as err:
+        check(sf["plant"], empty, sf["supw"], sf["controllers"])
+    assert not isinstance(err.value, VerificationError)
 
 
 def unspecified_pipeline(states, transitions):
