@@ -8,13 +8,12 @@ alphabet order, so the outputs are reproducible.  Liveness questions ("can
 this state reach a cycle through a good state?") all go through
 `states_reaching_cycle`.
 
-The successor index is `StarAutomaton.rows`: per state, ``{event: target}``
-in alphabet order.  `explore` emits the rows of the space it walks, and
-`StarAutomaton.from_rows` turns them into an automaton without a second
-index: its `transitions` is a read-only view over the rows.  Every walk, in
-this module and in the others, reads a state's row instead of probing
-`transitions` with a (state, event) key per event of the alphabet; only
-this module reads `transitions` itself.
+The successor index is `StarAutomaton.rows`, per state ``{event: target}``
+in alphabet order; an automaton stores no other transition data.  Input is
+validated where it enters, by the `StarAutomaton` constructor and by
+`textio.parse_automaton`; rows built inside the package (by `explore` and the
+operations below) go to `StarAutomaton.from_rows` unchecked.  Every walk
+reads a state's row rather than probing `transitions`, a read-only view.
 """
 
 from __future__ import annotations
@@ -74,35 +73,9 @@ class Alphabet:
 Rows = dict[State, dict[Event, State]]
 
 
-def _checked_rows(alphabet: Alphabet, rows: Rows, initial: State) -> Rows:
-    """Validate per-state rows and put each in alphabet order, in place.
-
-    Raises on an initial state that is no row's state, a target that is no
-    row's state or an event outside the alphabet; a row is sorted only when
-    its events arrived out of alphabet order."""
-    if initial not in rows:
-        raise AutomatonError("initial state not in state set")
-    position = alphabet.position
-    for q, row in rows.items():
-        last_p = -1
-        ordered = True
-        for e, t in row.items():
-            if t not in rows:
-                raise AutomatonError(f"transition {(q, e, t)} uses unknown state")
-            p = position.get(e)
-            if p is None:
-                raise AutomatonError(f"transition on unknown event {e!r}")
-            if p < last_p:
-                ordered = False
-            last_p = p
-        if not ordered:
-            rows[q] = dict(sorted(row.items(), key=lambda move: position[move[0]]))
-    return rows
-
-
 class TransitionView(Mapping):
     """Read-only ``(state, event) -> target`` view over per-state rows, in
-    row order: the `transitions` of an automaton built from rows."""
+    row order: an automaton's `transitions`."""
 
     __slots__ = ("_rows",)
 
@@ -127,47 +100,48 @@ class TransitionView(Mapping):
         return repr(dict(self.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StarAutomaton:
     """Deterministic partial automaton; every state accepts (prefix-closed language).
 
-    `rows` is the successor index every walk reads: per state, ``{event:
-    target}`` in alphabet order.  The constructor takes `transitions`, a
-    (state, event) -> target mapping, keeps that object and builds the rows
-    from it; `from_rows` takes the rows themselves and gives a read-only
-    `TransitionView` over them as `transitions`.  Both validate through
-    `_checked_rows`.  Like `Alphabet.position` the rows are derived, so they
-    take no part in construction, equality or repr.
+    `rows` is the one successor index and `states` are its keys, in order.
+    The constructor checks a caller's (state, event) -> target mapping and
+    keeps rows built from it, not the mapping; `from_rows` trusts its rows.
     """
 
     alphabet: Alphabet
     states: tuple[State, ...]
     initial: State
-    transitions: Mapping[tuple[State, Event], State]
-    rows: Rows = field(init=False, repr=False, compare=False)
+    rows: Rows
 
-    def __post_init__(self):
-        rows: Rows = {q: {} for q in self.states}
-        if len(rows) != len(self.states):
+    def __init__(self, alphabet: Alphabet, states: Sequence[State], initial: State,
+                 transitions: Mapping[tuple[State, Event], State]):
+        rows: Rows = {q: {} for q in states}
+        if len(rows) != len(states):
             raise AutomatonError("duplicate states")
-        for (q, e), t in self.transitions.items():
-            row = rows.get(q)
-            if row is None:
+        if initial not in rows:
+            raise AutomatonError("initial state not in state set")
+        for (q, e), t in transitions.items():
+            if q not in rows or t not in rows:
                 raise AutomatonError(f"transition {(q, e, t)} uses unknown state")
-            row[e] = t
-        object.__setattr__(self, "rows", _checked_rows(self.alphabet, rows, self.initial))
+            if e not in alphabet:
+                raise AutomatonError(f"transition on unknown event {e!r}")
+            rows[q][e] = t
+        rows = {q: {e: row[e] for e in sorted(row, key=alphabet.index)} for q, row in rows.items()}
+        vars(self).update(alphabet=alphabet, states=tuple(rows), initial=initial, rows=rows)
 
     @classmethod
     def from_rows(cls, alphabet: Alphabet, rows: Rows, initial: State) -> "StarAutomaton":
-        """The automaton whose states are the keys of `rows`, in their order,
-        and whose successors are their rows; `rows` is taken over, not
-        copied."""
-        rows = _checked_rows(alphabet, rows, initial)
+        """The automaton on the keys of `rows`, in order, with their rows as
+        successors, taken over unchecked: `initial` and every target must be
+        a key, every event in `alphabet` and every row in alphabet order."""
         aut = object.__new__(cls)
-        for name, value in (("alphabet", alphabet), ("states", tuple(rows)), ("initial", initial),
-                            ("transitions", TransitionView(rows)), ("rows", rows)):
-            object.__setattr__(aut, name, value)
+        vars(aut).update(alphabet=alphabet, states=tuple(rows), initial=initial, rows=rows)
         return aut
+
+    @property
+    def transitions(self) -> Mapping[tuple[State, Event], State]:
+        return TransitionView(self.rows)
 
     def enabled(self, q: State) -> tuple[Event, ...]:
         return tuple(self.rows[q])
@@ -533,10 +507,6 @@ def all_accepting(a: StarAutomaton) -> BuchiAutomaton:
     return BuchiAutomaton(a, frozenset(a.states))
 
 
-def _is_trivially_accepting(b: BuchiAutomaton) -> bool:
-    return set(b.core.states) <= set(b.accepting)
-
-
 def buchi_intersection(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     """Intersection of two deterministic Buchi automata.
 
@@ -549,7 +519,7 @@ def buchi_intersection(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     visited infinitely often.
     """
     check_alphabet(a.alphabet, b.alphabet, same=True)
-    if _is_trivially_accepting(a) or _is_trivially_accepting(b):
+    if set(a.core.states) <= a.accepting or set(b.core.states) <= b.accepting:
         order, rows = explore((a.core.initial, b.core.initial), pair_moves(a.core, b.core))
         acc = (i for i, (qa, qb) in enumerate(order)
                if qa in a.accepting and qb in b.accepting)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .automata import (
@@ -386,6 +387,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if (report.finite_ok and report.infinite_ok) else EXIT_VERIFY
 
 
+def _remove_stale(out_dir, written: list[str]) -> None:
+    """After a negative verdict, remove what an earlier run left in `out_dir`
+    of the files this run did not write: later stages, the report, the
+    controller manifest and the controllers it lists (by pipeline name)."""
+    manifest = os.path.join("controllers", "manifest.json")
+    try:
+        names = [e["name"] for e in _read_json(os.path.join(out_dir, manifest))
+                 if re.fullmatch(r"loc_[^/]+_(safety|live_c[12])", e["name"])]
+    except (AutomatonError, KeyError, TypeError):
+        names = []
+    stale = [os.path.join("controllers", n + ext) for n in names for ext in (".aut", ".dot")]
+    for f in stale + ["sup_star.aut", "legal_product.aut", "sup_omega.aut", "report.json",
+                      manifest]:
+        if f not in written and os.path.isfile(os.path.join(out_dir, f)):
+            os.remove(os.path.join(out_dir, f))
+
+
 def cmd_pipeline(args) -> int:
     cfg = _read_config(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
@@ -406,15 +424,24 @@ def cmd_pipeline(args) -> int:
     if "alphabet_from" in cfg:
         global_alpha = _load(rel(cfg["alphabet_from"]))[1].alphabet
 
+    written = []
+
+    def save(fname, name, aut):
+        save_automaton(os.path.join(out_dir, fname), name, aut)
+        written.append(fname)
+
     plant = compose_plant(plant_parts, global_alpha)
-    save_automaton(os.path.join(out_dir, "plant.aut"), "plant", plant)
-    sup, closed = _synth_safety(plant, specs)
-    save_automaton(os.path.join(out_dir, "sup_star.aut"), "sup-star", closed)
-    product = build_rabin_buchi(closed, legal)
-    save_automaton(os.path.join(out_dir, "legal_product.aut"), "legal-product", product)
-    supw, ctr = _synth_omega(closed, product, minimal)
-    save_automaton(os.path.join(out_dir, "sup_omega.aut"), "sup-omega",
-                   BuchiAutomaton(supw.automaton, supw.buchi_lift))
+    save("plant.aut", "plant", plant)
+    try:
+        sup, closed = _synth_safety(plant, specs)
+        save("sup_star.aut", "sup-star", closed)
+        product = build_rabin_buchi(closed, legal)
+        save("legal_product.aut", "legal-product", product)
+        supw, ctr = _synth_omega(closed, product, minimal)
+    except NoSupervisor:
+        _remove_stale(out_dir, written)
+        raise
+    save("sup_omega.aut", "sup-omega", BuchiAutomaton(supw.automaton, supw.buchi_lift))
 
     controllers = localize_all(plant, sup, closed, supw)
     manifest = _write_controllers(controllers, os.path.join(out_dir, "controllers"), args.dot)

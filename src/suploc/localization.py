@@ -265,9 +265,9 @@ def check_congruence(sup_automaton: StarAutomaton, p: EnableDisableProfile,
 
 def _cell_moves(sup_automaton: StarAutomaton, cong: ControlCongruence
                 ) -> Optional[list[dict[Event, int]]]:
-    """Per cell: the cell each event leads to from the cell's members, or
-    None when two members lead to two cells on one event."""
-    rows, index = sup_automaton.rows, cong.index
+    """Per cell, in alphabet order: the cell each event leads to from the
+    cell's members; None when two members lead to two cells on one event."""
+    rows, index, position = sup_automaton.rows, cong.index, sup_automaton.alphabet.position
     out = []
     for cell in cong.cells:
         moves: dict[Event, int] = {}
@@ -275,7 +275,7 @@ def _cell_moves(sup_automaton: StarAutomaton, cong: ControlCongruence
             for e, t in rows[x].items():
                 if moves.setdefault(e, index[t]) != index[t]:
                     return None
-        out.append(moves)
+        out.append(dict(sorted(moves.items(), key=lambda move: position[move[0]])))
     return out
 
 

@@ -35,6 +35,7 @@ from .automata import (
     AutomatonError,
     BuchiAutomaton,
     RabinBuchiAutomaton,
+    Rows,
     StarAutomaton,
     explore,
 )
@@ -49,20 +50,17 @@ class ParseError(AutomatonError):
 
 
 def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
-    name = None
-    kind = None
+    """The name and automaton of a text in the format above.  Every line is
+    checked as it is read, so the rows go to `from_rows` as they are; a
+    header line (not ``trans``, ``buchi`` or ``rabin``) may not repeat."""
+    name = kind = initial = None
     alphabet: Optional[Alphabet] = None
-    initial = None
-    states: set[str] = set()
-    state_order: list[str] = []
-    trans: dict[tuple[str, str], str] = {}
+    position: dict[str, int] = {}  # of the declared events
+    header_lines: dict[str, int] = {}  # where each header line was read
+    rows: Rows = {}  # per state, in order of first mention
+    unordered: set[str] = set()  # states whose trans lines left alphabet order
     buchi: Optional[set[str]] = None
     pairs: list[tuple[set[str], set[str]]] = []
-
-    def note_state(s: str):
-        if s not in states:
-            states.add(s)
-            state_order.append(s)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -70,6 +68,21 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
             continue
         fields = line.split()
         key, args = fields[0], fields[1:]
+        if key == "trans":
+            if len(args) != 3:
+                raise ParseError(line_no, "trans takes: src event dst")
+            src, event, dst = args
+            p = position.get(event)
+            if p is None:
+                raise ParseError(line_no, f"unknown event {event!r}")
+            row = rows.setdefault(src, {})
+            if event in row:
+                raise ParseError(line_no, f"nondeterministic transition at {src!r} on {event!r}")
+            if row and p < position[next(reversed(row))]:
+                unordered.add(src)
+            row[event] = dst
+            rows.setdefault(dst, {})
+            continue
         if key == "automaton":
             if len(args) != 1:
                 raise ParseError(line_no, "automaton takes exactly one name")
@@ -94,26 +107,16 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
                 alphabet = Alphabet.make(evs, ctrl)
             except AutomatonError as exc:
                 raise ParseError(line_no, str(exc)) from exc
+            position = alphabet.position
         elif key == "initial":
             if len(args) != 1:
                 raise ParseError(line_no, "initial takes exactly one state")
             initial = args[0]
-            note_state(initial)
-        elif key == "trans":
-            if len(args) != 3:
-                raise ParseError(line_no, "trans takes: src event dst")
-            src, event, dst = args
-            if alphabet is None or event not in alphabet:
-                raise ParseError(line_no, f"unknown event {event!r}")
-            if (src, event) in trans:
-                raise ParseError(line_no, f"nondeterministic transition at {src!r} on {event!r}")
-            note_state(src)
-            note_state(dst)
-            trans[(src, event)] = dst
+            rows.setdefault(initial, {})
         elif key == "buchi":
             buchi = set(args) if buchi is None else buchi | set(args)
             for s in args:
-                note_state(s)
+                rows.setdefault(s, {})
         elif key == "rabin":
             joined = " ".join(args)
             if ";" not in joined or not joined.startswith("R "):
@@ -125,19 +128,18 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
                 raise ParseError(line_no, "rabin line must read: R <states> ; I <states>")
             i_states = i_fields[1:]
             for s in r_states + i_states:
-                note_state(s)
+                rows.setdefault(s, {})
             pairs.append((set(r_states), set(i_states)))
         else:
             raise ParseError(line_no, f"unknown key {key!r}")
+        if key in header_lines:
+            raise ParseError(line_no, f"repeated {key!r} line (first on line {header_lines[key]})")
+        if key not in ("buchi", "rabin"):
+            header_lines[key] = line_no
 
-    if name is None:
-        raise ParseError(0, "missing 'automaton' line")
-    if kind is None:
-        raise ParseError(0, "missing 'type' line")
-    if alphabet is None:
-        raise ParseError(0, "missing 'events' line")
-    if initial is None:
-        raise ParseError(0, "missing 'initial' line")
+    for key in ("automaton", "type", "events", "initial"):
+        if key not in header_lines:
+            raise ParseError(0, f"missing {key!r} line")
     if kind == "star" and (buchi is not None or pairs):
         raise ParseError(0, "star automata carry no acceptance lines")
     if kind == "buchi" and buchi is None:
@@ -145,7 +147,9 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
     if kind == "rabin-buchi" and (buchi is None or not pairs):
         raise ParseError(0, "rabin-buchi automata need 'buchi' and 'rabin' lines")
 
-    core = StarAutomaton(alphabet, tuple(state_order), initial, trans)
+    for q in unordered:
+        rows[q] = dict(sorted(rows[q].items(), key=lambda move: position[move[0]]))
+    core = StarAutomaton.from_rows(alphabet, rows, initial)
     if kind == "star":
         return name, core
     if kind == "buchi":

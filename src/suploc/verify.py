@@ -142,9 +142,7 @@ def check_infinite_equivalence(
     disagreements = 0
     in_plant_count = 0
     first_bad = None
-    checked = 0
     for _ in range(lasso_budget):
-        checked += 1
         # floor(random() * k) is uniform on 0..k-1, as in `random.choices`
         stem_len = floor(draw() * (MAX_STEM + 1))
         cycle_len = 1 + floor(draw() * max_cycle)
@@ -170,7 +168,7 @@ def check_infinite_equivalence(
                 disagreements += 1
                 if first_bad is None:
                     first_bad = w
-    report.checked_lassos = checked
+    report.checked_lassos = max(lasso_budget, 0)
     report.seed = seed
     report.sub_results["tier2_disagreements"] = disagreements
     report.sub_results["tier2_in_plant"] = in_plant_count

@@ -14,7 +14,9 @@ successor closure, the references for the inlined loops that replaced them;
 and `serialize_by_lines` and `dot_by_lines` are the earlier forms of
 `textio.serialize_automaton` and `textio.to_dot`, which joined a list of
 lines with newlines, on the library's canonical numbering
-(`textio._canonical`).
+(`textio._canonical`).  `rows_ok` checks the contract that
+`StarAutomaton.from_rows` trusts its callers to keep, on the automata the
+package builds.
 """
 
 from collections import deque
@@ -530,3 +532,19 @@ def dot_by_lines(name: str, aut) -> str:
             out.append(f'  "{q}" -> "{t}" [label="{e}"];')
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def rows_ok(aut: StarAutomaton) -> bool:
+    """Whether `aut` keeps the contract of `StarAutomaton.from_rows`: its
+    states are the keys of its rows, in their order; the initial state and
+    every target is a key; every event is in the alphabet; and every row
+    lists its events in alphabet order."""
+    rows = aut.rows
+    place = {e: i for i, e in enumerate(aut.alphabet.events)}
+    if tuple(aut.states) != tuple(rows) or aut.initial not in rows:
+        return False
+    for row in rows.values():
+        places = [place.get(e) for e in row]
+        if None in places or places != sorted(places) or any(t not in rows for t in row.values()):
+            return False
+    return True

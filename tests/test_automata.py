@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from harness import (
     random_alphabet,
     random_buchi,
     random_lasso,
+    random_pipeline,
     random_star_automaton,
 )
 from oracles import (
@@ -15,12 +17,14 @@ from oracles import (
     enumerate_language,
     in_projected_product,
     language_equal_upto,
+    rows_ok,
     states_reaching_good_cycle,
     visit_set_by_positions,
 )
+from perfbench.autfile import write_model
 from perfbench.factory import factory as factory_texts
 
-from suploc import automata, textio
+from suploc import automata, cli, textio
 from suploc.automata import (
     Alphabet,
     AutomatonError,
@@ -45,9 +49,13 @@ from suploc.automata import (
     sync_product,
     totalize,
 )
+from suploc.localization import localize_all
 from suploc.omega import clo_automaton
 from suploc.safety import sup_con_star
-from suploc.textio import parse_automaton
+from suploc.textio import parse_automaton, serialize_automaton
+from suploc.verify import check_finite_equivalence
+
+DATA = Path(__file__).parent / "data"
 
 
 def single_loop(al, event):
@@ -409,43 +417,26 @@ def test_rows_follow_alphabet_order():
             assert_rows_match_probe(b)
 
 
-class CountingDict(dict):
-    """A `transitions` dict that counts its keyed reads."""
-
-    reads = 0
-
-    def get(self, key, default=None):
-        self.reads += 1
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        self.reads += 1
-        return super().__contains__(key)
-
-
-def counting(a: StarAutomaton) -> StarAutomaton:
-    return StarAutomaton(a.alphabet, a.states, a.initial, CountingDict(a.transitions))
-
-
-def test_product_walks_make_no_keyed_reads():
+def test_product_walks_make_no_keyed_reads(monkeypatch):
     # counted work instead of wall time: the product walks read the rows and
     # never probe `transitions` by (state, event) key
     plant, spec, _legal, _minimal = compose_model(factory_texts(3))
-    p = counting(plant.core)
-    s = counting(sup_con_star(plant, spec).automaton)
-    for t in (p.transitions, s.transitions):
-        t.reads = 0
+    p = plant.core
+    s = sup_con_star(plant, spec).automaton
+    lookups = []
+    inner = TransitionView.__getitem__
+
+    def counted(view, key):
+        lookups.append(key)
+        return inner(view, key)
+    monkeypatch.setattr(TransitionView, "__getitem__", counted)
     product = explore((s.initial, p.initial), pair_moves(s, p))[0]
     joint = lockstep(s, p)
     sync = sync_product([p, s], p.alphabet)
-    assert (p.transitions.reads, s.transitions.reads) == (0, 0)
+    assert lookups == []
     assert len(product) == len(joint) == len(sync.states) > len(s.states)
     # the guard counts: one probe of the old kind is seen
-    assert (p.initial, "a1") in p.transitions and p.transitions.reads == 1
+    assert (p.initial, "a1") in p.transitions and lookups == [(p.initial, "a1")]
 
 
 def assert_rows_index(a: StarAutomaton):
@@ -487,21 +478,85 @@ def test_constructions_index_by_rows(sf):
         assert_rows_index(a)
 
 
-def test_both_entry_points_validate_alike():
+def test_constructor_validates_mappings():
     al = Alphabet.make(("a", "b"), ("a",))
-    malformed = [({0: {"z": 0}}, 0),           # unknown event
-                 ({0: {"a": 1}}, 0),           # unknown target
-                 ({0: {"a": 0}, 1: {}}, 2)]    # initial state not a state
-    for rows, initial in malformed:
+    malformed = [({0: {"z": 0}}, 0, "transition on unknown event 'z'"),
+                 ({0: {"a": 1}}, 0, "transition (0, 'a', 1) uses unknown state"),
+                 ({0: {"a": 0}, 1: {}}, 2, "initial state not in state set")]
+    for rows, initial, message in malformed:
         trans = {(q, e): t for q, row in rows.items() for e, t in row.items()}
-        with pytest.raises(AutomatonError) as by_map:
+        with pytest.raises(AutomatonError) as err:
             StarAutomaton(al, tuple(rows), initial, trans)
-        with pytest.raises(AutomatonError) as by_rows:
-            StarAutomaton.from_rows(al, rows, initial)
-        assert str(by_map.value) == str(by_rows.value)
-    # a row out of alphabet order is put in order by both
+        assert str(err.value) == message
+        # `from_rows` trusts its caller; the oracle sees the broken contract
+        assert not rows_ok(StarAutomaton.from_rows(al, rows, initial))
+    with pytest.raises(AutomatonError, match="duplicate states"):
+        StarAutomaton(al, (0, 0), 0, {})
+    with pytest.raises(AutomatonError, match=r"transition \(1, 'a', 0\) uses unknown state"):
+        StarAutomaton(al, (0,), 0, {(1, "a"): 0})
+    # a mapping out of alphabet order gives rows in order
     trans = {(0, "b"): 0, (0, "a"): 1, (1, "b"): 1}
     by_map = StarAutomaton(al, (0, 1), 0, trans)
-    by_rows = StarAutomaton.from_rows(al, {0: {"b": 0, "a": 1}, 1: {"b": 1}}, 0)
-    assert list(by_map.rows[0].items()) == list(by_rows.rows[0].items()) == [("a", 1), ("b", 0)]
-    assert by_map == by_rows and by_map.transitions is trans
+    by_rows = StarAutomaton.from_rows(al, {0: {"a": 1, "b": 0}, 1: {"b": 1}}, 0)
+    assert list(by_map.rows[0].items()) == [("a", 1), ("b", 0)] and rows_ok(by_map)
+    assert by_map == by_rows and repr(by_map) == repr(by_rows)
+    assert not rows_ok(StarAutomaton.from_rows(al, {0: {"b": 0, "a": 1}, 1: {"b": 1}}, 0))
+
+
+def test_constructor_keeps_no_reference_to_its_mapping():
+    al = Alphabet.make(("a", "b"), ("a",))
+    trans = {(0, "a"): 1, (1, "b"): 0}
+    x = StarAutomaton(al, (0, 1), 0, trans)
+    fresh = StarAutomaton(al, (0, 1), 0, dict(trans))
+    del trans[(0, "a")]
+    trans[(0, "b")] = 0
+    assert dict(x.transitions) == {(0, "a"): 1, (1, "b"): 0}
+    assert x.rows == {0: {"a": 1}, 1: {"b": 0}}
+    assert run_star(x, ["a"]) == 1 and run_star(x, ["b"]) is None
+    assert x == fresh
+
+
+def shuffled_text(rng: random.Random, text: str) -> str:
+    """`text` with the lines after its header lines in a random order."""
+    header = ("automaton", "type", "events", "initial")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    body = [ln for ln in lines if ln.split()[0] not in header]
+    rng.shuffle(body)
+    return "\n".join([ln for ln in lines if ln.split()[0] in header] + body) + "\n"
+
+
+def test_internal_rows_keep_the_from_rows_contract(monkeypatch, tmp_path):
+    # `from_rows` does not check its rows; every automaton the package
+    # builds, the parser's included, must still keep its contract
+    built, broken = [], []
+    inner = StarAutomaton.from_rows.__func__
+
+    def checked(cls, alphabet, rows, initial):
+        aut = inner(cls, alphabet, rows, initial)
+        built.append(aut)
+        if not rows_ok(aut):
+            broken.append(aut)
+        return aut
+    monkeypatch.setattr(StarAutomaton, "from_rows", classmethod(checked))
+    models = {f"f{n}": factory_texts(n) for n in (2, 3)}
+    models |= {d.name: {f.name: f.read_text() for f in d.iterdir()}
+               for d in sorted(DATA.iterdir()) if d.is_dir()}
+    exits = []
+    for name, files in models.items():
+        write_model(tmp_path / name, files)
+        exits.append(cli.main(["--quiet", "pipeline", str(tmp_path / name / "pipeline.cfg")]))
+    assert exits.count(0) >= 3 and 3 in exits
+    rng = random.Random(2718)
+    pipelines = 0
+    while pipelines < 30:
+        inst = random_pipeline(rng)
+        if inst is not None:
+            pipelines += 1
+            controllers = localize_all(inst["plant"], inst["sup"], inst["closed"], inst["supw"])
+            check_finite_equivalence(inst["plant"], inst["sup"], inst["supw"], controllers)
+    for text in [f.read_text() for f in sorted(DATA.glob("*/*.aut"))] + [SHUFFLED]:
+        name, aut = parse_automaton(text)
+        for _ in range(3):
+            again = parse_automaton(shuffled_text(rng, text))[1]
+            assert serialize_automaton(name, again) == serialize_automaton(name, aut)
+    assert len(built) > 1000 and broken == []

@@ -256,19 +256,23 @@ def test_star_legal_spec_rejected(corpus_run, tmp_path, capsys):
     assert "m1.aut: expected BuchiAutomaton or RabinBuchiAutomaton" in capsys.readouterr().err
 
 
-def test_empty_safety_supervisor_is_negative_verdict(tmp_path, capsys):
-    # the uncontrollable u leaves the initial state and the spec forbids it
-    (tmp_path / "plant.aut").write_text(
-        "automaton plant\ntype star\nevents c:c u:u\ninitial 0\n"
-        "trans 0 c 0\ntrans 0 u 1\n")
-    (tmp_path / "spec.aut").write_text(
-        "automaton spec\ntype star\nevents c:c u:u\ninitial 0\ntrans 0 c 0\n")
-    (tmp_path / "live.aut").write_text(
-        "automaton live\ntype buchi\nevents c:c u:u\ninitial 0\ntrans 0 c 0\nbuchi 0\n")
-    (tmp_path / "p.cfg").write_text(json.dumps({
+# a model without a safety supervisor: the uncontrollable u leaves the
+# initial state and the spec forbids it
+NO_SUP_STAR = {
+    "plant.aut": "automaton plant\ntype star\nevents c:c u:u\ninitial 0\n"
+                 "trans 0 c 0\ntrans 0 u 1\n",
+    "spec.aut": "automaton spec\ntype star\nevents c:c u:u\ninitial 0\ntrans 0 c 0\n",
+    "live.aut": "automaton live\ntype buchi\nevents c:c u:u\ninitial 0\ntrans 0 c 0\nbuchi 0\n",
+    "pipeline.cfg": json.dumps({
         "plant_components": ["plant.aut"], "safety_specs": ["spec.aut"],
-        "legal_spec": "live.aut", "minimal_spec": "live.aut", "output_dir": "out"}))
-    assert run_cli("pipeline", tmp_path / "p.cfg") == 3
+        "legal_spec": "live.aut", "minimal_spec": "live.aut", "output_dir": "out"}),
+}
+
+
+def test_empty_safety_supervisor_is_negative_verdict(tmp_path, capsys):
+    for fname, text in NO_SUP_STAR.items():
+        (tmp_path / fname).write_text(text)
+    assert run_cli("pipeline", tmp_path / "pipeline.cfg") == 3
     assert "no safety supervisor" in capsys.readouterr().err
     assert run_cli("synth-safety", "--plant", tmp_path / "out" / "plant.aut",
                    "--spec", tmp_path / "spec.aut", "--out", tmp_path / "sup.aut") == 3
@@ -276,6 +280,44 @@ def test_empty_safety_supervisor_is_negative_verdict(tmp_path, capsys):
     assert json.loads(captured.out) == {"empty": True}
     assert "no safety supervisor" in captured.err
     assert not (tmp_path / "sup.aut").exists()
+
+
+def files_under(directory: Path) -> dict[str, bytes]:
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in directory.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("second", ["r0002", "no-sup-star"])
+def test_negative_verdict_leaves_no_stale_artifacts(corpus, tmp_path, second):
+    # a reused output directory: the corpus run fills it; the second run
+    # stops at the game (r0002) or at SUP* (exit 3) and must leave its own
+    # files and nothing of the corpus run's, apart from files the pipeline
+    # does not write
+    data = tmp_path / second
+    if second == "r0002":
+        shutil.copytree(DATA / second, data)
+    else:
+        data.mkdir()
+        for fname, text in NO_SUP_STAR.items():
+            (data / fname).write_text(text)
+    assert run_cli("--quiet", "pipeline", data / "pipeline.cfg") == 3
+    alone = files_under(data / "out")
+    assert set(alone) == ({"plant.aut", "sup_star.aut", "legal_product.aut"}
+                          if second == "r0002" else {"plant.aut"})
+
+    out = tmp_path / "out"
+    for cfg in (corpus / "pipeline.cfg", data / "pipeline.cfg"):
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "output_dir": str(out)}))
+    assert run_cli("--quiet", "pipeline", "--dot", corpus / "pipeline.cfg") == 0
+    (out / "notes.txt").write_text("not the pipeline's")
+    (out / "controllers" / "mine.aut").write_text("not the pipeline's")
+    manifest = out / "controllers" / "manifest.json"
+    entries = json.loads(manifest.read_text())
+    assert len(entries) == 6 and len(files_under(out / "controllers")) == 14
+    manifest.write_text(json.dumps(entries + [{"name": "mine"}, {"name": "../notes"}]))
+    assert run_cli("--quiet", "pipeline", data / "pipeline.cfg") == 3
+    assert files_under(out) == {**alone, "notes.txt": b"not the pipeline's",
+                                "controllers/mine.aut": b"not the pipeline's"}
 
 
 def test_spec_over_foreign_events_is_input_error(corpus_run, tmp_path, capsys):

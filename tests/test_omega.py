@@ -177,6 +177,7 @@ def near(rng, a: StarAutomaton) -> StarAutomaton:
         del rows[q][rng.choice(list(rows[q]))]
     else:
         rows[q][rng.choice(missing)] = q
+        rows[q] = {e: rows[q][e] for e in a.alphabet.events if e in rows[q]}
     return StarAutomaton.from_rows(a.alphabet, rows, a.initial)
 
 

@@ -68,6 +68,43 @@ def test_parse_strictness(line, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("line,line_no,key", [
+    ("automaton y", 9, "automaton"),
+    ("type buchi", 9, "type"),
+    ("events b1:u a1:c", 9, "events"),
+    ("events a1:c", 9, "events"),
+    ("initial 1", 9, "initial"),
+    ("initial 0", 9, "initial"),
+])
+def test_parse_rejects_repeated_header_lines(line, line_no, key):
+    # a second header line used to replace the first: a star text would
+    # parse as Buchi automaton y, or with its alphabet reordered
+    first = {"automaton": 2, "type": 3, "events": 4, "initial": 6}[key]
+    with pytest.raises(ParseError) as err:
+        parse_automaton(SAMPLE + line + "\nbuchi 1\n")
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: repeated {key!r} line (first on line {first})"
+
+
+def test_parse_repeat_check_follows_line_checks():
+    # a malformed second line is reported as malformed; a dropped event
+    # used by a trans line is caught at the repeated line, with its number
+    for line, message in [("events a1", "line 9: event 'a1' needs :c or :u"),
+                          ("events a1:c a1:u", "line 9: duplicate event labels"),
+                          ("initial", "line 9: initial takes exactly one state"),
+                          ("events a1:c", "line 9: repeated 'events' line (first on line 4)")]:
+        with pytest.raises(ParseError) as err:
+            parse_automaton(SAMPLE + line + "\n")
+        assert str(err.value) == message
+
+
+def test_parse_allows_repeated_acceptance_lines():
+    text = (SAMPLE.replace("type star", "type rabin-buchi")
+            + "buchi 0\nbuchi 1\nrabin R 0 ; I 0 1\nrabin R 1 ; I 1\n")
+    _, aut = parse_automaton(text)
+    assert aut.buchi == {"0", "1"} and len(aut.rabin_pairs) == 2
+
+
 def test_parse_error_carries_line_number():
     text = SAMPLE + "bogus\n"
     with pytest.raises(ParseError) as err:
