@@ -6,7 +6,9 @@ so with `explore`, the one place where the numbering policy lives: states are
 numbered densely, breadth-first from the initial state, iterating events in
 alphabet order, so the outputs are reproducible.  Liveness questions ("can
 this state reach a cycle through a good state?") all go through
-`states_reaching_cycle`.
+`states_reaching_cycle`; on an automaton's own acceptance, through
+`live_states`.  Acceptance comes from the automaton's type
+(`acceptance_pair`).
 
 The successor index is `StarAutomaton.rows`, per state ``{event: target}``
 in alphabet order; an automaton stores no other transition data.  Input is
@@ -268,26 +270,28 @@ def omega_visit_set(core: StarAutomaton, w: LassoWord) -> Optional[frozenset[Sta
     return frozenset(trace[pass_start[q]:])
 
 
-def run_lasso(a: BuchiAutomaton, w: LassoWord) -> bool:
-    """Whether the Buchi automaton accepts the lasso word."""
-    omega = omega_visit_set(a.core, w)
-    return omega is not None and bool(omega & a.accepting)
-
-
-def acceptance_pair(aut: BuchiAutomaton | RabinBuchiAutomaton, layer: str
-                    ) -> tuple[frozenset[State], frozenset[State]]:
-    """(R, I) view of an acceptance condition: a run is accepted when the
-    states it visits infinitely often meet R and stay inside I.  A Buchi
-    set F is (F, every state); a Rabin-Buchi automaton answers for its
-    "buchi" layer or its single "rabin" pair."""
-    states = frozenset(aut.core.states)
+def run_lasso(aut: BuchiAutomaton | RabinBuchiAutomaton, w: LassoWord) -> bool:
+    """Whether the automaton accepts the lasso word, by the acceptance its
+    type carries (see `acceptance_pair`)."""
+    omega = omega_visit_set(aut.core, w)
+    if omega is None:
+        return False
     if isinstance(aut, BuchiAutomaton):
-        return aut.accepting, states
-    if layer == "buchi":
-        return aut.buchi, states
-    if layer == "rabin":
-        return aut.single_pair()
-    raise AutomatonError(f"unknown acceptance layer {layer!r}")
+        return not omega.isdisjoint(aut.accepting)
+    r, i = aut.single_pair()
+    return not omega.isdisjoint(r) and omega <= i
+
+
+def acceptance_pair(aut: BuchiAutomaton | RabinBuchiAutomaton
+                    ) -> tuple[frozenset[State], frozenset[State]]:
+    """(R, I) view of an automaton's acceptance: a run is accepted when the
+    states it visits infinitely often meet R and stay inside I.  A Buchi
+    set F is (F, every state); a Rabin-Buchi automaton answers with its
+    single pair, and its Buchi layer is asked as
+    ``BuchiAutomaton(aut.core, aut.buchi)``."""
+    if isinstance(aut, BuchiAutomaton):
+        return aut.accepting, frozenset(aut.core.states)
+    return aut.single_pair()
 
 
 def lasso_in_star(a: StarAutomaton, w: LassoWord) -> bool:
@@ -574,8 +578,7 @@ def buchi_lift(target: StarAutomaton, reference: BuchiAutomaton) -> frozenset[St
     Requires L(target) to be contained in L(reference); a string of the
     target that falls off the reference raises.
     """
-    if target.alphabet.events != reference.alphabet.events:
-        raise AutomatonError("alphabet mismatch")
+    check_alphabet(target.alphabet, reference.alphabet, same=True)
     return frozenset(qt for qt, qr in lockstep(target, reference.core)
                      if qr in reference.accepting)
 
@@ -696,3 +699,12 @@ def states_reaching_cycle(states: Sequence[State], succ, good, inside=None) -> s
                 found.add(q)
                 stack.append(q)
     return found
+
+
+def live_states(aut: BuchiAutomaton | RabinBuchiAutomaton) -> set[State]:
+    """Reachable states from which some run is accepted: those that reach a
+    cycle meeting R and staying inside I, for the (R, I) of
+    `acceptance_pair`."""
+    r, i = acceptance_pair(aut)
+    core = aut.core
+    return states_reaching_cycle(reachable_states(core), core.targets, r, inside=i)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .automata import (
@@ -16,7 +15,6 @@ from .automata import (
     alphabet_union,
     compose_plant,
     lockstep,
-    sink_tracker,
     sync_product,
 )
 from .localization import Kind, LocalController, Part, localize_all
@@ -28,6 +26,7 @@ from .omegasynth import (
     controllability_subset,
     existence_check,
     inf_closure,
+    minimal_tracker,
     restrict_sup,
 )
 from .safety import SafetySupervisor, controlled_plant, sup_con_star
@@ -327,8 +326,7 @@ def _rebuild_supervisors(args):
     _, omega_b = _load(args.sup_omega, BuchiAutomaton)
     _, minimal = _load(args.minimal, BuchiAutomaton)
     sup_star = SafetySupervisor(star_b.core, star_b.accepting)
-    tracker, sink = sink_tracker(minimal.core)
-    sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, tracker, sink)
+    sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, *minimal_tracker(minimal))
     return plant, sup_star, sup_omega
 
 
@@ -341,11 +339,12 @@ def cmd_localize(args) -> int:
     return EXIT_OK
 
 
-def _controller_name(c: LocalController) -> str:
-    if c.kind is Kind.SAFETY:
-        return f"loc_{c.event}_safety"
-    suffix = "c1" if c.part is Part.C1 else "c2"
-    return f"loc_{c.event}_live_{suffix}"
+def _controller_name(event, kind, part) -> str:
+    """The file name (without extension) the pipeline gives a controller,
+    from its manifest entry's event, kind and part."""
+    if kind == Kind.SAFETY.value:
+        return f"loc_{event}_safety"
+    return f"loc_{event}_live_{'c1' if part == Part.C1.value else 'c2'}"
 
 
 def _write_controllers(controllers: list[LocalController], out_dir, dot: bool) -> list[dict]:
@@ -354,7 +353,7 @@ def _write_controllers(controllers: list[LocalController], out_dir, dot: bool) -
     os.makedirs(out_dir, exist_ok=True)
     manifest = []
     for c in controllers:
-        name = _controller_name(c)
+        name = _controller_name(c.event, c.kind.value, c.part.value)
         _save(os.path.join(out_dir, name + ".aut"), name, c.automaton,
               dot and os.path.join(out_dir, name + ".dot"))
         manifest.append({"name": name, "event": c.event, "kind": c.kind.value,
@@ -388,13 +387,15 @@ def cmd_verify(args) -> int:
 
 
 def _remove_stale(out_dir, written: list[str]) -> None:
-    """After a negative verdict, remove what an earlier run left in `out_dir`
-    of the files this run did not write: later stages, the report, the
-    controller manifest and the controllers it lists (by pipeline name)."""
+    """After a run stopped part-way, remove what an earlier run left in
+    `out_dir` of the files this run did not write: later stages, the report,
+    the controller manifest and the controllers it lists under the names the
+    pipeline gives them (`_controller_name`)."""
     manifest = os.path.join("controllers", "manifest.json")
     try:
         names = [e["name"] for e in _read_json(os.path.join(out_dir, manifest))
-                 if re.fullmatch(r"loc_[^/]+_(safety|live_c[12])", e["name"])]
+                 if "/" not in e["name"]
+                 and e["name"] == _controller_name(e.get("event"), e.get("kind"), e.get("part"))]
     except (AutomatonError, KeyError, TypeError):
         names = []
     stale = [os.path.join("controllers", n + ext) for n in names for ext in (".aut", ".dot")]
@@ -432,18 +433,20 @@ def cmd_pipeline(args) -> int:
 
     plant = compose_plant(plant_parts, global_alpha)
     save("plant.aut", "plant", plant)
+    # stopping part-way (exit 3, or exit 2 on inputs that do not fit
+    # together), the run removes what an earlier one left of later stages
     try:
         sup, closed = _synth_safety(plant, specs)
         save("sup_star.aut", "sup-star", closed)
         product = build_rabin_buchi(closed, legal)
         save("legal_product.aut", "legal-product", product)
         supw, ctr = _synth_omega(closed, product, minimal)
-    except NoSupervisor:
+        save("sup_omega.aut", "sup-omega", BuchiAutomaton(supw.automaton, supw.buchi_lift))
+        controllers = localize_all(plant, sup, closed, supw)
+    except (NoSupervisor, AutomatonError):
         _remove_stale(out_dir, written)
         raise
-    save("sup_omega.aut", "sup-omega", BuchiAutomaton(supw.automaton, supw.buchi_lift))
 
-    controllers = localize_all(plant, sup, closed, supw)
     manifest = _write_controllers(controllers, os.path.join(out_dir, "controllers"), args.dot)
 
     report = check_infinite_equivalence(

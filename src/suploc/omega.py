@@ -29,13 +29,13 @@ from .automata import (
     check_alphabet,
     cyclic_sccs,
     explore,
-    omega_visit_set,
+    live_states,
     pair_moves,
     reachable_states,
     reachable_trim,
     restrict,
-    states_reaching_cycle,
-    totalize,
+    run_lasso,
+    sink_tracker,
 )
 
 
@@ -73,11 +73,10 @@ def pre_automaton(a: BuchiAutomaton | StarAutomaton | StarLanguageHandle) -> Sta
         return StarLanguageHandle(reachable_trim(a.automaton))
     if isinstance(a, StarAutomaton):
         return StarLanguageHandle(reachable_trim(a))
-    core = a.core
-    good = states_reaching_cycle(reachable_states(core), core.targets, a.accepting)
-    if core.initial not in good:
+    good = live_states(a)
+    if a.core.initial not in good:
         return StarLanguageHandle(None)
-    return StarLanguageHandle(reachable_trim(restrict(core, good)))
+    return StarLanguageHandle(reachable_trim(restrict(a.core, good)))
 
 
 def clo_automaton(a: BuchiAutomaton) -> BuchiAutomaton:
@@ -91,8 +90,7 @@ def clo_automaton(a: BuchiAutomaton) -> BuchiAutomaton:
 
 def is_deadlock_free(a: BuchiAutomaton) -> bool:
     """True iff every reachable state reaches an accepting cycle."""
-    reach = reachable_states(a.core)
-    return len(states_reaching_cycle(reach, a.core.targets, a.accepting)) == len(reach)
+    return len(live_states(a)) == len(reachable_states(a.core))
 
 
 def star_equal(a: StarLanguageHandle, b: StarLanguageHandle) -> tuple[bool, Optional[Word]]:
@@ -132,8 +130,7 @@ def product_compare(factors: Sequence[StarAutomaton], alphabet: Alphabet, b: Sta
     """
     for f in factors:
         check_alphabet(f.alphabet, alphabet)
-    if b.alphabet.events != alphabet.events:
-        raise AutomatonError("alphabet mismatch")
+    check_alphabet(b.alphabet, alphabet, same=True)
     factor_rows, rows_b = [f.rows for f in factors], b.rows
     n = len(factors)
     # per event, in alphabet order: the positions of the factors it moves
@@ -172,34 +169,22 @@ def product_compare(factors: Sequence[StarAutomaton], alphabet: Alphabet, b: Sta
 def omega_contained_single_pair(
     a: BuchiAutomaton | RabinBuchiAutomaton,
     b: BuchiAutomaton | RabinBuchiAutomaton,
-    a_layer: str = "rabin",
-    b_layer: str = "rabin",
 ) -> tuple[bool, Optional[LassoWord]]:
-    """Decide S(a) <= S(b); on failure return a lasso in S(a) \\ S(b).
+    """Decide S(a) <= S(b), each by the acceptance its type carries (see
+    `acceptance_pair`); on failure return a lasso in S(a) \\ S(b).
 
-    Searches the synchronized product (b totalized with a dead sink) for a
-    reachable cycle accepting for a's condition and rejecting for b's.  Two
-    cycle shapes cover all counterexamples: a cycle inside I_a avoiding R_b
-    that hits R_a, and a cycle inside I_a hitting both R_a and the complement
-    of I_b.
+    Searches the synchronized product with b's `sink_tracker` (b trimmed and
+    totalized with a dead sink) for a reachable cycle accepting for a's
+    condition and rejecting for b's.  Two cycle shapes cover all
+    counterexamples: a cycle inside I_a avoiding R_b that hits R_a, and a
+    cycle inside I_a hitting both R_a and the complement of I_b.
     """
-    if a.core.alphabet.events != b.core.alphabet.events:
-        raise AutomatonError("alphabet mismatch")
-    ra, ia = acceptance_pair(a, a_layer)
-    rb, ib = acceptance_pair(b, b_layer)
-    bt = totalize(b.core)
-    sink = None if bt is b.core else bt.states[-1]
+    check_alphabet(a.alphabet, b.alphabet, same=True)
+    ra, ia = acceptance_pair(a)
+    rb, ib = acceptance_pair(b)
+    bt, sink = sink_tracker(b.core)
     # the product, on visit indices: node i is the state pair order[i]
     order, rows = explore((a.core.initial, bt.initial), pair_moves(a.core, bt))
-
-    def b_outside_i(i):
-        return order[i][1] == sink or order[i][1] not in ib
-
-    def b_in_r(i):
-        return order[i][1] != sink and order[i][1] in rb
-
-    def a_in_r(i):
-        return order[i][0] in ra
 
     def moves_in(region):
         return lambda i: [(e, j) for e, j in rows[i].items() if j in region]
@@ -228,21 +213,20 @@ def omega_contained_single_pair(
 
     witness_cycle = None
     anchor = None
-    indices = range(len(order))
-    # shape 1: cycle inside I_a, avoiding R_b, hitting R_a
-    region1 = {i for i in indices if order[i][0] in ia and not b_in_r(i)}
+    # shape 1: cycle inside I_a, avoiding R_b (as the sink does), hitting R_a
+    region1 = {i for i, (qa, qb) in enumerate(order) if qa in ia and (qb == sink or qb not in rb)}
     for comp in cyclic_sccs(sorted(region1), targets_in(region1)):
-        hits = [i for i in comp if a_in_r(i)]
+        hits = [i for i in comp if order[i][0] in ra]
         if hits:
             anchor = min(hits)
             witness_cycle = cycle_through(set(comp), anchor, [])
             break
     if witness_cycle is None:
         # shape 2: cycle inside I_a hitting R_a and leaving I_b
-        region2 = {i for i in indices if order[i][0] in ia}
+        region2 = {i for i, (qa, _qb) in enumerate(order) if qa in ia}
         for comp in cyclic_sccs(sorted(region2), targets_in(region2)):
-            hits = [i for i in comp if a_in_r(i)]
-            outs = [i for i in comp if b_outside_i(i)]
+            hits = [i for i in comp if order[i][0] in ra]
+            outs = [i for i in comp if order[i][1] == sink or order[i][1] not in ib]
             if hits and outs:
                 anchor = min(hits)
                 witness_cycle = cycle_through(set(comp), anchor, [min(outs)])
@@ -250,25 +234,15 @@ def omega_contained_single_pair(
     if witness_cycle is None:
         return True, None
     lasso = LassoWord(bfs_word(rows, anchor), witness_cycle)
-    return False, _shrink_lasso(lasso, a, b, a_layer, b_layer)
+    return False, _shrink_lasso(lasso, a, b)
 
 
-def lasso_accepted(aut, w: LassoWord, layer: str) -> bool:
-    """Whether the lasso word is accepted by the automaton's `layer` (see
-    `acceptance_pair`)."""
-    omega = omega_visit_set(aut.core, w)
-    if omega is None:
-        return False
-    r, i = acceptance_pair(aut, layer)
-    return bool(omega & r) and omega <= i
-
-
-def _shrink_lasso(w: LassoWord, a, b, a_layer, b_layer) -> LassoWord:
+def _shrink_lasso(w: LassoWord, a, b) -> LassoWord:
     """Greedy deterministic minimization: shorten the stem, then the cycle,
     keeping the lasso inside S(a) \\ S(b)."""
 
     def still_witness(cand: LassoWord) -> bool:
-        return lasso_accepted(a, cand, a_layer) and not lasso_accepted(b, cand, b_layer)
+        return run_lasso(a, cand) and not run_lasso(b, cand)
 
     for k in range(len(w.stem) + 1):
         cand = LassoWord(w.stem[:k], w.cycle)

@@ -44,8 +44,8 @@ from .automata import (
     buchi_intersection,
     check_alphabet,
     explore,
+    live_states,
     pair_moves,
-    reachable_states,
     restrict,
     sink_tracker,
     states_reaching_cycle,
@@ -96,7 +96,7 @@ def build_rabin_buchi(
     plant ^ lim(SUP*) ^ clo(E_l): on the bundled factory it accepts
     a1 b1 (a2 b2 g2)^omega, a word that never empties buffer 1.
     """
-    r_set, i_set = acceptance_pair(legal, "rabin")
+    r_set, i_set = acceptance_pair(legal)
     check_alphabet(legal.alphabet, plant.alphabet, same=True)
     alphabet = plant.alphabet
 
@@ -104,8 +104,7 @@ def build_rabin_buchi(
     # the pruned tracker is then made total with an absorbing dead sink so
     # the product's star layer accepts the plant's finite behavior exactly
     # (strings outside pre(E_l) run into the sink, which satisfies nothing)
-    good = states_reaching_cycle(reachable_states(legal.core), legal.core.targets, r_set,
-                                 inside=i_set)
+    good = live_states(legal)
     if legal.core.initial not in good:
         raise AutomatonError("legal specification has empty omega-language")
     tracker, sink = sink_tracker(restrict(legal.core, good))
@@ -250,8 +249,7 @@ def controllability_subset(a: RabinBuchiAutomaton, alphabet: Alphabet) -> Contro
     """
     r_set, i_set = a.single_pair()
     core = a.core
-    if core.alphabet.events != alphabet.events:
-        raise AutomatonError("alphabet mismatch")
+    check_alphabet(core.alphabet, alphabet, same=True)
 
     allowed = set(core.states)
     while True:
@@ -450,7 +448,13 @@ def existence_check(
     inf_a: BuchiAutomaton, sup_e: RabinBuchiAutomaton
 ) -> tuple[bool, Optional[LassoWord]]:
     """The supervisor existence condition: inf F(A) <= sup C(E_l)."""
-    return omega_contained_single_pair(inf_a, sup_e, a_layer="buchi", b_layer="rabin")
+    return omega_contained_single_pair(inf_a, sup_e)
+
+
+def minimal_tracker(minimal: BuchiAutomaton) -> tuple[StarAutomaton, Optional[State]]:
+    """SUPw's tracker of the minimal behavior and its sink (`sink_tracker`);
+    with no sink, SUPw's pattern branch is never taken."""
+    return sink_tracker(minimal.core)
 
 
 def assemble_fomega(
@@ -473,7 +477,6 @@ def assemble_fomega(
     """
     if not existence_verified:
         raise AutomatonError("assemble_fomega requires a passed existence check")
-    r_set, i_set = asup.single_pair()
     core = asup.core
     # the full-enablement branch may only move inside the prefix region of
     # the restricted legal behavior: states reaching an accepting cycle.  On
@@ -481,8 +484,7 @@ def assemble_fomega(
     # branch enables every defined event.
     if core.initial not in c.subset:
         raise AutomatonError("restricted legal behavior is empty")
-    prefix_region = states_reaching_cycle(reachable_states(core), core.targets, r_set,
-                                          inside=i_set)
+    prefix_region = live_states(asup)
     if core.initial not in prefix_region:
         raise AutomatonError("restricted legal behavior is empty")
     rows, unc = core.rows, asup.alphabet.uncontrollable
@@ -493,9 +495,7 @@ def assemble_fomega(
                     "prefix region of the restricted legal behavior is not "
                     "controllable; the controllability subset is inconsistent")
 
-    # with a total tracker every string stays a prefix of the minimal
-    # behavior and the pattern branch is never taken
-    tracker, sink = sink_tracker(minimal.core)
+    tracker, sink = minimal_tracker(minimal)
 
     def succ(v):
         q, z = v

@@ -22,6 +22,7 @@ from .automata import (
     StarAutomaton,
     State,
     buchi_lift,
+    check_alphabet,
     explore,
     minimize_prefix_closed,
     pair_moves,
@@ -69,8 +70,7 @@ def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> SafetySuper
         return SafetySupervisor(None, frozenset())
     p = plant.core
     s = spec.automaton
-    if p.alphabet.events != s.alphabet.events:
-        raise AutomatonError("alphabet mismatch")
+    check_alphabet(s.alphabet, p.alphabet, same=True)
     alphabet = p.alphabet
 
     # reachable product, on visit indices: node i is the state pair order[i]
@@ -118,8 +118,7 @@ def check_star_controllability(
         return True, None
     p = plant.core
     s = k.automaton
-    if p.alphabet.events != s.alphabet.events:
-        raise AutomatonError("alphabet mismatch")
+    check_alphabet(s.alphabet, p.alphabet, same=True)
     unc = p.alphabet.uncontrollable
     for q, x in explore((p.initial, s.initial), pair_moves(p, s))[0]:
         for u in p.rows[q]:

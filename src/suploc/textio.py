@@ -11,6 +11,10 @@ Format (UTF-8, '#' comments and blank lines ignored, strict keys):
     buchi <state> ...
     rabin R <state> ... ; I <state> ...
 
+The lines may come in any order, except that every ``trans`` line must
+follow the ``events`` line: a transition's event is checked against the
+declared events as the line is read.
+
 `write_text` writes every file the library and the CLI produce.  It opens
 the file without truncating it, writes over the old bytes and then cuts the
 file to the new length.  On ext4 (mounted with the default
@@ -72,6 +76,8 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
             if len(args) != 3:
                 raise ParseError(line_no, "trans takes: src event dst")
             src, event, dst = args
+            if alphabet is None:
+                raise ParseError(line_no, "'trans' line before the 'events' line")
             p = position.get(event)
             if p is None:
                 raise ParseError(line_no, f"unknown event {event!r}")

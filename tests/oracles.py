@@ -14,9 +14,11 @@ successor closure, the references for the inlined loops that replaced them;
 and `serialize_by_lines` and `dot_by_lines` are the earlier forms of
 `textio.serialize_automaton` and `textio.to_dot`, which joined a list of
 lines with newlines, on the library's canonical numbering
-(`textio._canonical`).  `rows_ok` checks the contract that
-`StarAutomaton.from_rows` trusts its callers to keep, on the automata the
-package builds.
+(`textio._canonical`).  `lasso_accepted` is the earlier layered form of
+`run_lasso`, which picked the acceptance condition by a layer name, on the
+oracle's own visit set: the reference for reading it off the type.
+`rows_ok` checks the contract that `StarAutomaton.from_rows` trusts its
+callers to keep, on the automata the package builds.
 """
 
 from collections import deque
@@ -125,6 +127,26 @@ def visit_set_by_positions(core: StarAutomaton, w: LassoWord):
             return None
         pos = (pos + 1) % len(w.cycle)
     return frozenset(trace[seen[(q, pos)]:])
+
+
+def lasso_accepted(aut, w: LassoWord, layer: str) -> bool:
+    """Whether the lasso word is accepted by the automaton's `layer`: a
+    Buchi automaton's set F, or a Rabin-Buchi automaton's "buchi" layer,
+    read as the pair (F, every state); or such an automaton's single
+    "rabin" pair (R, I), met and never left by the infinity set."""
+    omega = visit_set_by_positions(aut.core, w)
+    if omega is None:
+        return False
+    states = frozenset(aut.core.states)
+    if isinstance(aut, BuchiAutomaton):
+        r, i = aut.accepting, states
+    elif layer == "buchi":
+        r, i = aut.buchi, states
+    elif layer == "rabin":
+        (r, i), = aut.rabin_pairs
+    else:
+        raise ValueError(f"unknown acceptance layer {layer!r}")
+    return bool(omega & r) and omega <= i
 
 
 # ---------------------------------------------------------------------------

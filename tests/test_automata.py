@@ -10,13 +10,16 @@ from harness import (
     random_buchi,
     random_lasso,
     random_pipeline,
+    random_single_pair,
     random_star_automaton,
 )
 from oracles import (
+    bfs_order,
     buchi_intersection_by_explore,
     enumerate_language,
     in_projected_product,
     language_equal_upto,
+    lasso_accepted,
     rows_ok,
     states_reaching_good_cycle,
     visit_set_by_positions,
@@ -30,12 +33,15 @@ from suploc.automata import (
     AutomatonError,
     BuchiAutomaton,
     LassoWord,
+    RabinBuchiAutomaton,
     StarAutomaton,
     TransitionView,
     all_accepting,
     buchi_intersection,
+    buchi_lift,
     explore,
     extend_alphabet,
+    live_states,
     lockstep,
     minimize_prefix_closed,
     omega_visit_set,
@@ -50,8 +56,14 @@ from suploc.automata import (
     totalize,
 )
 from suploc.localization import localize_all
-from suploc.omega import clo_automaton
-from suploc.safety import sup_con_star
+from suploc.omega import (
+    StarLanguageHandle,
+    clo_automaton,
+    omega_contained_single_pair,
+    product_compare,
+)
+from suploc.omegasynth import controllability_subset
+from suploc.safety import check_star_controllability, sup_con_star
 from suploc.textio import parse_automaton, serialize_automaton
 from suploc.verify import check_finite_equivalence
 
@@ -363,6 +375,82 @@ def test_states_reaching_cycle_matches_reachability_oracle():
         for cut in (None, inside):
             assert states_reaching_cycle(ordered, succ, good, inside=cut) == \
                 states_reaching_good_cycle(ordered, succ, good, inside=cut)
+
+
+def test_run_lasso_matches_layered_oracle():
+    # acceptance read off the type: a Rabin-Buchi automaton by its pair, its
+    # Buchi layer as BuchiAutomaton(core, buchi), as the layer names did
+    rng = random.Random(1710)
+    accepted = {"rabin": 0, "buchi": 0}
+    for _ in range(200):
+        al = random_alphabet(rng, rng.randint(2, 4))
+        a = random_single_pair(rng, al, rng.randint(2, 7), density=rng.uniform(0.5, 1.0))
+        layer = BuchiAutomaton(a.core, a.buchi)
+        for _ in range(30):
+            w = random_lasso(rng, al, max_stem=4, max_cycle=4)
+            for aut, name in ((a, "rabin"), (layer, "buchi")):
+                got = run_lasso(aut, w)
+                assert got == lasso_accepted(a, w, name), (name, w)
+                accepted[name] += got
+    # both answers occur often enough for the comparison to mean something
+    assert min(accepted.values()) > 300, accepted
+
+
+def test_live_states_matches_oracle():
+    # an unreachable state on an accepting cycle must not count as live
+    rng = random.Random(1711)
+    for _ in range(200):
+        al = random_alphabet(rng, rng.randint(1, 4))
+        n = rng.randint(1, 8)
+        aut = (random_buchi if rng.random() < 0.5 else random_single_pair)(
+            rng, al, n, density=rng.random())
+        core = aut.core
+        lost = StarAutomaton(al, (*core.states, "x"), core.initial,
+                             {**core.transitions, ("x", al.events[0]): "x"})
+        if isinstance(aut, BuchiAutomaton):
+            cases = [(aut, aut.accepting, None),
+                     (BuchiAutomaton(lost, aut.accepting | {"x"}), aut.accepting | {"x"}, None)]
+        else:
+            (r, i), = aut.rabin_pairs
+            cases = [(aut, r, i),
+                     (RabinBuchiAutomaton(lost, aut.buchi, ((r | {"x"}, i | {"x"}),)),
+                      r | {"x"}, i | {"x"})]
+        for a, good, inside in cases:
+            def succ(q, edges=a.core.transitions):
+                return [t for (s, _e), t in edges.items() if s == q]
+
+            want = states_reaching_good_cycle(bfs_order(a.core), succ, good, inside=inside)
+            assert live_states(a) == want
+
+
+def _flagged(controllable):
+    """A one-state automaton looping on a and b, with `controllable` as the
+    controllable events."""
+    al = Alphabet.make(("a", "b"), controllable)
+    return StarAutomaton(al, (0,), 0, {(0, "a"): 0, (0, "b"): 0})
+
+
+@pytest.mark.parametrize("entry", [
+    "buchi_lift", "sup_con_star", "check_star_controllability", "product_compare",
+    "omega_contained_single_pair", "controllability_subset"])
+def test_operand_disagreeing_on_controllability_rejected(entry):
+    # the operands list the same events, but `b` is controllable in `flipped`
+    # and uncontrollable in `core`
+    core, flipped = _flagged(("a",)), _flagged(("a", "b"))
+    buchi, handle = BuchiAutomaton(core, frozenset({0})), StarLanguageHandle(flipped)
+    calls = {
+        "buchi_lift": lambda: buchi_lift(flipped, buchi),
+        "sup_con_star": lambda: sup_con_star(buchi, handle),
+        "check_star_controllability": lambda: check_star_controllability(buchi, handle),
+        "product_compare": lambda: product_compare([core], core.alphabet, flipped),
+        "omega_contained_single_pair": lambda: omega_contained_single_pair(
+            buchi, BuchiAutomaton(flipped, frozenset({0}))),
+        "controllability_subset": lambda: controllability_subset(
+            RabinBuchiAutomaton(flipped, frozenset(), ((frozenset({0}), frozenset({0})),)),
+            core.alphabet),
+    }
+    with pytest.raises(AutomatonError, match="'b' is controllable in one alphabet only"):
+        calls[entry]()
 
 
 # trans lines out of alphabet order and interleaved across states

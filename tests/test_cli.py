@@ -320,6 +320,31 @@ def test_negative_verdict_leaves_no_stale_artifacts(corpus, tmp_path, second):
                                 "controllers/mine.aut": b"not the pipeline's"}
 
 
+def test_input_error_part_way_leaves_no_stale_artifacts(corpus, tmp_path, capsys):
+    # a reused output directory: the corpus run fills it; a copy whose legal
+    # specification accepts nothing (its one Buchi state is unreachable)
+    # stops with exit 2 after writing the plant and SUP*, and must leave its
+    # own files and nothing of the corpus run's
+    bad = tmp_path / "empty-legal"
+    shutil.copytree(corpus, bad, ignore=shutil.ignore_patterns("out"))
+    maxspec = bad / "maxspec.aut"
+    maxspec.write_text(maxspec.read_text().replace("buchi 3 4", "buchi 99"))
+    assert run_cli("--quiet", "pipeline", bad / "pipeline.cfg") == 2
+    alone = files_under(bad / "out")
+    assert set(alone) == {"plant.aut", "sup_star.aut"}
+
+    out = tmp_path / "out"
+    for cfg in (corpus / "pipeline.cfg", bad / "pipeline.cfg"):
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "output_dir": str(out)}))
+    assert run_cli("--quiet", "pipeline", "--dot", corpus / "pipeline.cfg") == 0
+    assert len(files_under(out)) == 18
+    (out / "notes.txt").write_text("not the pipeline's")
+    capsys.readouterr()
+    assert run_cli("--quiet", "pipeline", bad / "pipeline.cfg") == 2
+    assert "legal specification has empty omega-language" in capsys.readouterr().err
+    assert files_under(out) == {**alone, "notes.txt": b"not the pipeline's"}
+
+
 def test_spec_over_foreign_events_is_input_error(corpus_run, tmp_path, capsys):
     spec = tmp_path / "zz.aut"
     spec.write_text("automaton zz\ntype star\nevents a1:c zz:u\ninitial 0\ntrans 0 a1 0\n")

@@ -243,7 +243,7 @@ def test_omega_containment_counterexample():
     f2 = extend_alphabet(c["f2"], c["minspec"].alphabet)
     from suploc.automata import buchi_intersection
     both = buchi_intersection(f1, f2)
-    ok, witness = omega_contained_single_pair(f1, both, a_layer="buchi", b_layer="buchi")
+    ok, witness = omega_contained_single_pair(f1, both)
     assert not ok
     assert run_lasso(f1, witness)
     assert not run_lasso(both, witness)
@@ -265,7 +265,7 @@ def test_omega_containment_random_sound():
         al = random_alphabet(rng, 3)
         a = random_buchi(rng, al, 4)
         b = random_buchi(rng, al, 4)
-        ok, witness = omega_contained_single_pair(a, b, a_layer="buchi", b_layer="buchi")
+        ok, witness = omega_contained_single_pair(a, b)
         if ok:
             for _ in range(200):
                 w = random_lasso(rng, al)

@@ -98,6 +98,14 @@ def test_parse_repeat_check_follows_line_checks():
         assert str(err.value) == message
 
 
+def test_parse_trans_before_events():
+    # the transition's event is declared, but on a later line
+    text = "automaton m\ntype star\ninitial 0\ntrans 0 a 1\nevents a:c\n"
+    with pytest.raises(ParseError) as err:
+        parse_automaton(text)
+    assert str(err.value) == "line 4: 'trans' line before the 'events' line"
+
+
 def test_parse_allows_repeated_acceptance_lines():
     text = (SAMPLE.replace("type star", "type rabin-buchi")
             + "buchi 0\nbuchi 1\nrabin R 0 ; I 0 1\nrabin R 1 ; I 1\n")
