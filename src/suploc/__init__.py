@@ -53,7 +53,6 @@ from .omegasynth import (
     restrict_sup,
 )
 from .safety import (
-    SafetySupervisor,
     check_star_controllability,
     controlled_plant,
     sup_con_star,

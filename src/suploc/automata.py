@@ -35,15 +35,16 @@ class AutomatonError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Global event set with a controllable/uncontrollable partition.
+    """Global event set and its controllable events.
 
-    `position` maps each event to its place in `events`; it is derived from
-    `events`, so it takes no part in construction, equality, hashing or repr.
+    `uncontrollable` (the other events) and `position` (each event's place
+    in `events`) are derived from the two fields, so they take no part in
+    construction, equality, hashing or repr.
     """
 
     events: tuple[Event, ...]
     controllable: frozenset[Event]
-    uncontrollable: frozenset[Event]
+    uncontrollable: frozenset[Event] = field(init=False, repr=False, compare=False)
     position: dict[Event, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -52,18 +53,14 @@ class Alphabet:
             raise AutomatonError("duplicate event labels")
         if any(not e for e in self.events):
             raise AutomatonError("empty event label")
-        evset = frozenset(self.events)
-        if self.controllable | self.uncontrollable != evset or self.controllable & self.uncontrollable:
-            raise AutomatonError("controllable/uncontrollable must partition the event set")
+        unknown = self.controllable.difference(self.events)
+        if unknown:
+            raise AutomatonError(f"controllable events not in event set: {sorted(unknown)}")
+        object.__setattr__(self, "uncontrollable", frozenset(self.events) - self.controllable)
 
     @classmethod
     def make(cls, events: Iterable[Event], controllable: Iterable[Event] = ()) -> "Alphabet":
-        events = tuple(events)
-        ctrl = frozenset(controllable)
-        unknown = ctrl - set(events)
-        if unknown:
-            raise AutomatonError(f"controllable events not in event set: {sorted(unknown)}")
-        return cls(events, ctrl, frozenset(events) - ctrl)
+        return cls(tuple(events), frozenset(controllable))
 
     def index(self, event: Event) -> int:
         return self.position[event]
@@ -185,10 +182,11 @@ class BuchiAutomaton:
 
 @dataclass(frozen=True)
 class RabinBuchiAutomaton:
-    """One transition structure carrying a Buchi set and Rabin pairs.
+    """One transition structure carrying a Buchi set and one Rabin pair,
+    held as the 1-tuple `rabin_pairs`.
 
-    The Rabin convention is: a run is accepted by pair (R, I) iff the set of
-    states visited infinitely often meets R and stays inside I.
+    The Rabin convention is: a run is accepted by the pair (R, I) iff the
+    set of states visited infinitely often meets R and stays inside I.
     """
 
     core: StarAutomaton
@@ -196,20 +194,20 @@ class RabinBuchiAutomaton:
     rabin_pairs: tuple[tuple[frozenset[State], frozenset[State]], ...]
 
     def __post_init__(self):
+        if len(self.rabin_pairs) != 1:
+            raise AutomatonError(f"expected one Rabin pair, got {len(self.rabin_pairs)}")
         states = set(self.core.states)
         if not self.buchi <= states:
             raise AutomatonError("buchi set not a subset of states")
-        for r, i in self.rabin_pairs:
-            if not (r <= states and i <= states):
-                raise AutomatonError("rabin pair not a subset of states")
+        r, i = self.rabin_pairs[0]
+        if not (r <= states and i <= states):
+            raise AutomatonError("rabin pair not a subset of states")
 
     @property
     def alphabet(self) -> Alphabet:
         return self.core.alphabet
 
     def single_pair(self) -> tuple[frozenset[State], frozenset[State]]:
-        if len(self.rabin_pairs) != 1:
-            raise AutomatonError(f"expected one Rabin pair, got {len(self.rabin_pairs)}")
         return self.rabin_pairs[0]
 
 

@@ -29,8 +29,8 @@ from .omegasynth import (
     minimal_tracker,
     restrict_sup,
 )
-from .safety import SafetySupervisor, controlled_plant, sup_con_star
-from .textio import ParseError, load_automaton, save_automaton, to_dot, write_text
+from .safety import controlled_plant, sup_con_star
+from .textio import TYPE_NAMES, ParseError, load_automaton, save_automaton, to_dot, write_text
 from .verify import VerificationError, check_infinite_equivalence
 
 EXIT_OK = 0
@@ -119,11 +119,12 @@ def _write_json(path, payload) -> None:
     write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _sizes(sup) -> dict:
-    """The size summary of a SUP* or SUPw."""
-    return {"states": len(sup.automaton.states),
-            "transitions": sup.automaton.n_transitions(),
-            "buchi": len(sup.buchi_lift)}
+def _sizes(saved: BuchiAutomaton) -> dict:
+    """The size summary of a SUP* or SUPw, from the Buchi automaton it is
+    saved as: the closed loop, or SUPw with its lifted marking."""
+    return {"states": len(saved.core.states),
+            "transitions": saved.core.n_transitions(),
+            "buchi": len(saved.accepting)}
 
 
 def cmd_product(args) -> int:
@@ -162,9 +163,9 @@ def _synth_safety(plant: BuchiAutomaton, specs: list[StarAutomaton]):
 
 def cmd_synth_safety(args) -> int:
     _, plant = _load(args.plant, BuchiAutomaton)
-    sup, closed = _synth_safety(plant, [_load_safety_spec(p) for p in args.spec])
+    _sup, closed = _synth_safety(plant, [_load_safety_spec(p) for p in args.spec])
     _save(args.out, "sup-star", closed, args.dot)
-    _emit(args, _sizes(sup))
+    _emit(args, _sizes(closed))
     return EXIT_OK
 
 
@@ -191,14 +192,15 @@ def cmd_synth_omega(args) -> int:
     _, minimal = _load(args.minimal, BuchiAutomaton)
     product = build_rabin_buchi(closed, legal)
     sup, ctr = _synth_omega(closed, product, minimal)
-    _save(args.out, "sup-omega", BuchiAutomaton(sup.automaton, sup.buchi_lift), args.dot)
+    saved = BuchiAutomaton(sup.automaton, sup.buchi_lift)
+    _save(args.out, "sup-omega", saved, args.dot)
     if args.psi_table:
         z_state = dict(lockstep(sup.automaton, sup.tracker))
         rows = [f"{x},{z_state[x]},{' '.join(sup.automaton.enabled(x))}\n"
                 for x in sup.automaton.states]
         write_text(args.psi_table, "product_state,z_state,enabled_events\n" + "".join(rows))
     _emit(args, {"product_states": len(product.core.states),
-                 "controllability_subset": len(ctr.subset), **_sizes(sup)})
+                 "controllability_subset": len(ctr.subset), **_sizes(saved)})
     return EXIT_OK
 
 
@@ -206,8 +208,7 @@ def cmd_info(args) -> int:
     name, aut = _load(args.file)
     info: dict = {"name": name}
     core = aut if isinstance(aut, StarAutomaton) else aut.core
-    info["type"] = ("star" if isinstance(aut, StarAutomaton)
-                    else "buchi" if isinstance(aut, BuchiAutomaton) else "rabin-buchi")
+    info["type"] = TYPE_NAMES[type(aut)]
     info["states"] = len(core.states)
     info["transitions"] = core.n_transitions()
     info["events"] = {
@@ -318,14 +319,15 @@ def _rebuild_supervisors(args):
     """The plant, SUP* and SUPw from the pipeline artifacts named by the
     ``--plant``, ``--sup-star``, ``--sup-omega`` and ``--minimal`` inputs.
 
-    The supervisors are stored as Buchi automata (structure + lift); the
-    liveness supervisor's tracker is rebuilt from the minimal behavior.
+    Both are stored as Buchi automata: SUP* is the structure of its closed
+    loop, SUPw the structure with its marking, and SUPw's tracker is rebuilt
+    from the minimal behavior.
     """
     _, plant = _load(args.plant, BuchiAutomaton)
     _, star_b = _load(args.sup_star, BuchiAutomaton)
     _, omega_b = _load(args.sup_omega, BuchiAutomaton)
     _, minimal = _load(args.minimal, BuchiAutomaton)
-    sup_star = SafetySupervisor(star_b.core, star_b.accepting)
+    sup_star = StarLanguageHandle(star_b.core)
     sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, *minimal_tracker(minimal))
     return plant, sup_star, sup_omega
 
@@ -386,19 +388,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if (report.finite_ok and report.infinite_ok) else EXIT_VERIFY
 
 
-def _remove_stale(out_dir, written: list[str]) -> None:
-    """After a run stopped part-way, remove what an earlier run left in
-    `out_dir` of the files this run did not write: later stages, the report,
-    the controller manifest and the controllers it lists under the names the
-    pipeline gives them (`_controller_name`)."""
+def _remove_stale(out_dir, written: list[str], controllers: list[LocalController]) -> None:
+    """After a run stopped part-way, remove from `out_dir` the files of the
+    stages it did not finish: the later stages an earlier run left, the
+    report, the controller manifest, and the controllers named in that
+    manifest or in `controllers` (this run's), under the names the pipeline
+    gives them (`_controller_name`)."""
     manifest = os.path.join("controllers", "manifest.json")
     try:
         names = [e["name"] for e in _read_json(os.path.join(out_dir, manifest))
-                 if "/" not in e["name"]
-                 and e["name"] == _controller_name(e.get("event"), e.get("kind"), e.get("part"))]
+                 if e["name"] == _controller_name(e.get("event"), e.get("kind"), e.get("part"))]
     except (AutomatonError, KeyError, TypeError):
         names = []
-    stale = [os.path.join("controllers", n + ext) for n in names for ext in (".aut", ".dot")]
+    names += [_controller_name(c.event, c.kind.value, c.part.value) for c in controllers]
+    stale = [os.path.join("controllers", n + ext) for n in names if "/" not in n
+             for ext in (".aut", ".dot")]
     for f in stale + ["sup_star.aut", "legal_product.aut", "sup_omega.aut", "report.json",
                       manifest]:
         if f not in written and os.path.isfile(os.path.join(out_dir, f)):
@@ -412,9 +416,6 @@ def cmd_pipeline(args) -> int:
     def rel(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    out_dir = rel(cfg["output_dir"])
-    os.makedirs(out_dir, exist_ok=True)
-
     plant_parts = [_load(rel(p))[1] for p in cfg["plant_components"]]
     specs = [_load_safety_spec(rel(p)) for p in cfg["safety_specs"]]
     _, legal = _load(rel(cfg["legal_spec"]), LEGAL_TYPES)
@@ -425,6 +426,8 @@ def cmd_pipeline(args) -> int:
     if "alphabet_from" in cfg:
         global_alpha = _load(rel(cfg["alphabet_from"]))[1].alphabet
 
+    out_dir = rel(cfg["output_dir"])
+    os.makedirs(out_dir, exist_ok=True)
     written = []
 
     def save(fname, name, aut):
@@ -434,30 +437,32 @@ def cmd_pipeline(args) -> int:
     plant = compose_plant(plant_parts, global_alpha)
     save("plant.aut", "plant", plant)
     # stopping part-way (exit 3, or exit 2 on inputs that do not fit
-    # together), the run removes what an earlier one left of later stages
+    # together or on a file that cannot be written), the run removes what
+    # an earlier one left of later stages and the controllers it wrote
+    controllers = []
     try:
         sup, closed = _synth_safety(plant, specs)
         save("sup_star.aut", "sup-star", closed)
         product = build_rabin_buchi(closed, legal)
         save("legal_product.aut", "legal-product", product)
         supw, ctr = _synth_omega(closed, product, minimal)
-        save("sup_omega.aut", "sup-omega", BuchiAutomaton(supw.automaton, supw.buchi_lift))
+        supw_saved = BuchiAutomaton(supw.automaton, supw.buchi_lift)
+        save("sup_omega.aut", "sup-omega", supw_saved)
         controllers = localize_all(plant, sup, closed, supw)
-    except (NoSupervisor, AutomatonError):
-        _remove_stale(out_dir, written)
+        manifest = _write_controllers(controllers, os.path.join(out_dir, "controllers"), args.dot)
+    except (NoSupervisor, AutomatonError, OSError):
+        _remove_stale(out_dir, written, controllers)
         raise
-
-    manifest = _write_controllers(controllers, os.path.join(out_dir, "controllers"), args.dot)
 
     report = check_infinite_equivalence(
         plant, sup, supw, controllers, lasso_budget=args.lassos, seed=args.seed)
     payload = report.as_dict()
-    payload["sup_star"] = _sizes(sup)
+    payload["sup_star"] = _sizes(closed)
     payload["legal_product"] = {"states": len(product.core.states),
                                 "buchi": len(product.buchi),
                                 "rabin_r": len(product.rabin_pairs[0][0]),
                                 "controllability_subset": len(ctr.subset)}
-    payload["sup_omega"] = _sizes(supw)
+    payload["sup_omega"] = _sizes(supw_saved)
     payload["controllers"] = manifest
     _write_json(os.path.join(out_dir, "report.json"), payload)
     _emit(args, payload)

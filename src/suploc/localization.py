@@ -34,8 +34,8 @@ from .automata import (
     lockstep,
     reachable_states,
 )
+from .omega import StarLanguageHandle
 from .omegasynth import OmegaSupervisor
-from .safety import SafetySupervisor
 
 
 class Part(Enum):
@@ -76,7 +76,8 @@ class LocalController:
     part: Part = Part.NONE
 
 
-def profile_safety(plant: BuchiAutomaton, sup: SafetySupervisor, alpha: Event) -> EnableDisableProfile:
+def profile_safety(plant: BuchiAutomaton, sup: StarLanguageHandle,
+                   alpha: Event) -> EnableDisableProfile:
     """Enable/disable summary of the safety supervisor for one event, with
     disablement witnessed against the plant over all strings."""
     if alpha not in plant.alphabet.controllable:
@@ -298,7 +299,7 @@ def build_local_controller(
 
 def localize_all(
     plant: BuchiAutomaton,
-    sup_star: SafetySupervisor,
+    sup_star: StarLanguageHandle,
     controlled: BuchiAutomaton,
     sup_omega: OmegaSupervisor,
 ) -> list[LocalController]:

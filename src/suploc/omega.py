@@ -60,10 +60,10 @@ class StarLanguageHandle:
         return self.automaton.alphabet
 
 
-def pre_automaton(a: BuchiAutomaton | StarAutomaton | StarLanguageHandle) -> StarLanguageHandle:
+def pre_automaton(a: BuchiAutomaton | StarLanguageHandle) -> StarLanguageHandle:
     """Automaton for the set of finite prefixes of the declared language.
 
-    For a star automaton this is just the trim structure.  For a Buchi
+    For a star language this is just the trim structure.  For a Buchi
     automaton, states that cannot reach an accepting cycle contribute no
     prefixes and are pruned first.
     """
@@ -71,8 +71,6 @@ def pre_automaton(a: BuchiAutomaton | StarAutomaton | StarLanguageHandle) -> Sta
         if a.is_empty:
             return a
         return StarLanguageHandle(reachable_trim(a.automaton))
-    if isinstance(a, StarAutomaton):
-        return StarLanguageHandle(reachable_trim(a))
     good = live_states(a)
     if a.core.initial not in good:
         return StarLanguageHandle(None)

@@ -21,8 +21,7 @@ subset of the defined events containing every defined uncontrollable event)
 and the plant picks an event from the pattern.  The game is solved on the
 product states themselves, with Zielonka's algorithm over a controllable-
 predecessor attractor, so a state with k controllable events adds k moves
-to the game rather than 2^k pattern nodes.  Only the multi-pair case is out
-of scope and rejected.
+to the game rather than 2^k pattern nodes.
 """
 
 from __future__ import annotations
@@ -90,11 +89,6 @@ def build_rabin_buchi(
     product state is marked when its plant state is accepting and its legal
     state is off the sink); the Rabin pair of the legal automaton is lifted
     through the product.
-
-    The Buchi layer is only as exact as the plant's marking.  With the
-    lifted marking of `controlled_plant` it over-approximates
-    plant ^ lim(SUP*) ^ clo(E_l): on the bundled factory it accepts
-    a1 b1 (a2 b2 g2)^omega, a word that never empties buffer 1.
     """
     r_set, i_set = acceptance_pair(legal)
     check_alphabet(legal.alphabet, plant.alphabet, same=True)

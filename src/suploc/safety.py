@@ -12,7 +12,6 @@ canonical regardless of how the plant's liveness layers were composed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .automata import (
@@ -31,43 +30,17 @@ from .automata import (
 from .omega import StarLanguageHandle
 
 
-@dataclass(frozen=True)
-class SafetySupervisor:
-    """Implementation of the supremal safe supervisor.
-
-    `automaton` is None when the supremal controllable sublanguage is empty
-    (a normal outcome, not an error).  `buchi_lift` marks supervisor states
-    reachable by some string that lands on an accepting plant state; it turns
-    the supervisor structure into the controlled plant's Buchi automaton.
-
-    That marking over-approximates the closed loop plant ^ lim(SUP*): a
-    cycle of marked supervisor states may be run by a word whose plant run
-    never meets an accepting plant state.  On the bundled factory the lifted
-    automaton accepts a1 b1 (a2 b2 g2)^omega, which starves buffer 1's
-    removal fairness, while the exact closed loop has 14 states, 8 of them
-    accepting.
-    """
-
-    automaton: Optional[StarAutomaton]
-    buchi_lift: frozenset[State]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.automaton is None
-
-    def handle(self) -> StarLanguageHandle:
-        return StarLanguageHandle(self.automaton)
-
-
-def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> SafetySupervisor:
+def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> StarLanguageHandle:
     """Supremal controllable (and prefix-closed) sublanguage of spec ^ L(plant).
 
     A product state is lost when the plant allows an uncontrollable event
     there that the product lacks, or when an uncontrollable product move
-    leads to a lost state; the supervisor is the trimmed, minimized rest.
+    leads to a lost state; the supervisor is the trimmed, minimized rest,
+    and the empty language (a normal outcome, not an error) when the
+    initial state is lost.
     """
     if spec.is_empty:
-        return SafetySupervisor(None, frozenset())
+        return StarLanguageHandle(None)
     p = plant.core
     s = spec.automaton
     check_alphabet(s.alphabet, p.alphabet, same=True)
@@ -90,23 +63,27 @@ def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> SafetySuper
                 lost.add(pr)
                 stack.append(pr)
     if 0 in lost:
-        return SafetySupervisor(None, frozenset())
+        return StarLanguageHandle(None)
     product = StarAutomaton.from_rows(alphabet, rows, 0)
-    aut = minimize_prefix_closed(restrict(product, set(range(len(order))) - lost))
-    return SafetySupervisor(aut, buchi_lift(aut, plant))
+    return StarLanguageHandle(
+        minimize_prefix_closed(restrict(product, set(range(len(order))) - lost)))
 
 
-def controlled_plant(plant: BuchiAutomaton, sup: SafetySupervisor) -> BuchiAutomaton:
+def controlled_plant(plant: BuchiAutomaton, sup: StarLanguageHandle) -> BuchiAutomaton:
     """The closed loop as a Buchi automaton: the supervisor's transition
-    structure with its lifted acceptance marking.
+    structure, marked at the states some string reaches while the plant
+    ends in an accepting state (`buchi_lift`).
 
-    The star layer is exact, the Buchi layer is not: it accepts a superset
-    of plant ^ lim(SUP*) (see `SafetySupervisor`; on the bundled factory
-    a1 b1 (a2 b2 g2)^omega is accepted but violates the plant's fairness).
+    The star layer is exact, the Buchi layer is not: the marking
+    over-approximates plant ^ lim(SUP*).  A cycle of marked supervisor
+    states may be run by a word whose plant run never meets an accepting
+    plant state.  On the bundled factory the lifted automaton accepts
+    a1 b1 (a2 b2 g2)^omega, which starves buffer 1's removal fairness,
+    while the exact closed loop has 14 states, 8 of them accepting.
     """
     if sup.is_empty:
         raise AutomatonError("empty supervisor has no controlled plant")
-    return BuchiAutomaton(sup.automaton, sup.buchi_lift)
+    return BuchiAutomaton(sup.automaton, buchi_lift(sup.automaton, plant))
 
 
 def check_star_controllability(

@@ -13,7 +13,10 @@ Format (UTF-8, '#' comments and blank lines ignored, strict keys):
 
 The lines may come in any order, except that every ``trans`` line must
 follow the ``events`` line: a transition's event is checked against the
-declared events as the line is read.
+declared events as the line is read.  Only ``trans`` and ``buchi`` lines
+may repeat, so a Rabin-Buchi automaton has one pair.  An event label may
+not contain ``/`` or a NUL character, since the pipeline names each local
+controller's file after its event.
 
 `write_text` writes every file the library and the CLI produce.  It opens
 the file without truncating it, writes over the old bytes and then cuts the
@@ -46,6 +49,9 @@ from .automata import (
 
 AnyAutomaton = Union[StarAutomaton, BuchiAutomaton, RabinBuchiAutomaton]
 
+# the value of the ``type`` line, per automaton type
+TYPE_NAMES = {StarAutomaton: "star", BuchiAutomaton: "buchi", RabinBuchiAutomaton: "rabin-buchi"}
+
 
 class ParseError(AutomatonError):
     def __init__(self, line_no: int, message: str):
@@ -56,7 +62,7 @@ class ParseError(AutomatonError):
 def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
     """The name and automaton of a text in the format above.  Every line is
     checked as it is read, so the rows go to `from_rows` as they are; a
-    header line (not ``trans``, ``buchi`` or ``rabin``) may not repeat."""
+    line other than ``trans`` or ``buchi`` may not repeat."""
     name = kind = initial = None
     alphabet: Optional[Alphabet] = None
     position: dict[str, int] = {}  # of the declared events
@@ -64,7 +70,7 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
     rows: Rows = {}  # per state, in order of first mention
     unordered: set[str] = set()  # states whose trans lines left alphabet order
     buchi: Optional[set[str]] = None
-    pairs: list[tuple[set[str], set[str]]] = []
+    pair: Optional[tuple[frozenset[str], frozenset[str]]] = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -94,7 +100,7 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
                 raise ParseError(line_no, "automaton takes exactly one name")
             name = args[0]
         elif key == "type":
-            if args not in (["star"], ["buchi"], ["rabin-buchi"]):
+            if len(args) != 1 or args[0] not in TYPE_NAMES.values():
                 raise ParseError(line_no, f"unknown type {' '.join(args)!r}")
             kind = args[0]
         elif key == "events":
@@ -106,6 +112,9 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
                 label, flag = spec.rsplit(":", 1)
                 if flag not in ("c", "u") or not label:
                     raise ParseError(line_no, f"bad event spec {spec!r}")
+                for bad in ("/", "\0"):
+                    if bad in label:
+                        raise ParseError(line_no, f"event label {label!r} may not contain {bad!r}")
                 evs.append(label)
                 if flag == "c":
                     ctrl.append(label)
@@ -135,22 +144,22 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
             i_states = i_fields[1:]
             for s in r_states + i_states:
                 rows.setdefault(s, {})
-            pairs.append((set(r_states), set(i_states)))
+            pair = (frozenset(r_states), frozenset(i_states))
         else:
             raise ParseError(line_no, f"unknown key {key!r}")
         if key in header_lines:
             raise ParseError(line_no, f"repeated {key!r} line (first on line {header_lines[key]})")
-        if key not in ("buchi", "rabin"):
+        if key != "buchi":
             header_lines[key] = line_no
 
     for key in ("automaton", "type", "events", "initial"):
         if key not in header_lines:
             raise ParseError(0, f"missing {key!r} line")
-    if kind == "star" and (buchi is not None or pairs):
+    if kind == "star" and (buchi is not None or pair is not None):
         raise ParseError(0, "star automata carry no acceptance lines")
     if kind == "buchi" and buchi is None:
         raise ParseError(0, "buchi automata need a 'buchi' line")
-    if kind == "rabin-buchi" and (buchi is None or not pairs):
+    if kind == "rabin-buchi" and (buchi is None or pair is None):
         raise ParseError(0, "rabin-buchi automata need 'buchi' and 'rabin' lines")
 
     for q in unordered:
@@ -160,10 +169,7 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
         return name, core
     if kind == "buchi":
         return name, BuchiAutomaton(core, frozenset(buchi))
-    return name, RabinBuchiAutomaton(
-        core, frozenset(buchi),
-        tuple((frozenset(r), frozenset(i)) for r, i in pairs),
-    )
+    return name, RabinBuchiAutomaton(core, frozenset(buchi), (pair,))
 
 
 def _bfs_numbered(core: StarAutomaton) -> bool:
@@ -214,21 +220,19 @@ def _canonical(aut: AnyAutomaton):
 
 def serialize_automaton(name: str, aut: AnyAutomaton) -> str:
     core, buchi, pairs = _canonical(aut)
-    kind = ("star" if isinstance(aut, StarAutomaton)
-            else "buchi" if isinstance(aut, BuchiAutomaton) else "rabin-buchi")
     evs = " ".join(
         f"{e}:{'c' if e in core.alphabet.controllable else 'u'}" for e in core.alphabet.events
     )
-    out = [f"automaton {name}\ntype {kind}\nevents {evs}\ninitial {core.initial}\n"]
+    out = [f"automaton {name}\ntype {TYPE_NAMES[type(aut)]}\nevents {evs}\ninitial {core.initial}\n"]
     rows = core.rows
     for q in core.states:
         out += [f"trans {q} {e} {t}\n" for e, t in rows[q].items()]
     if buchi is not None:
         out.append("buchi " + " ".join(str(q) for q in sorted(buchi)) + "\n")
     if pairs is not None:
-        for r, i in pairs:
-            out.append("rabin R " + " ".join(str(q) for q in sorted(r))
-                       + " ; I " + " ".join(str(q) for q in sorted(i)) + "\n")
+        (r, i), = pairs
+        out.append("rabin R " + " ".join(str(q) for q in sorted(r))
+                   + " ; I " + " ".join(str(q) for q in sorted(i)) + "\n")
     return "".join(out)
 
 
@@ -269,12 +273,7 @@ def to_dot(name: str, aut: AnyAutomaton) -> str:
         if buchi is not None and q in buchi:
             attrs.append("shape=doublecircle")
         if pairs is not None:
-            tags = []
-            for idx, (r, i) in enumerate(pairs, start=1):
-                if q in r:
-                    tags.append(f"R{idx}")
-                if q in i:
-                    tags.append(f"I{idx}")
+            tags = [tag for tag, part in zip(("R1", "I1"), pairs[0]) if q in part]
             if tags:
                 label += "\\n" + ",".join(tags)
         attrs.insert(0, f'label="{label}"')

@@ -37,9 +37,8 @@ from .automata import (
     run_lasso,
 )
 from .localization import LocalController
-from .omega import product_compare
+from .omega import StarLanguageHandle, product_compare
 from .omegasynth import OmegaSupervisor
-from .safety import SafetySupervisor
 
 # longest stem and longest cycle of a tier-2 lasso
 MAX_STEM = 8
@@ -78,7 +77,7 @@ class EquivalenceReport:
 
 def check_finite_equivalence(
     plant: BuchiAutomaton,
-    sup_star: SafetySupervisor,
+    sup_star: StarLanguageHandle,
     sup_omega: OmegaSupervisor,
     controllers: list[LocalController],
 ) -> EquivalenceReport:
@@ -108,7 +107,7 @@ def check_finite_equivalence(
 
 def check_infinite_equivalence(
     plant: BuchiAutomaton,
-    sup_star: SafetySupervisor,
+    sup_star: StarLanguageHandle,
     sup_omega: OmegaSupervisor,
     controllers: list[LocalController],
     lasso_budget: int = 500,

@@ -49,7 +49,7 @@ from suploc.omegasynth import (
     build_rabin_buchi,
     controllability_subset,
 )
-from suploc.safety import sup_con_star
+from suploc.safety import controlled_plant, sup_con_star
 from suploc.verify import check_finite_equivalence, check_infinite_equivalence
 from suploc.localization import EnableDisableProfile, check_congruence
 
@@ -68,11 +68,12 @@ def report(num, title, budget, t0, checks):
 def test_criterion_01_safety_supervisor(sf):
     t0 = time.time()
     sup = sup_con_star(sf["plant"], sf["spec"])
+    closed = controlled_plant(sf["plant"], sup)
     checks = [
         ("states == 8", len(sup.automaton.states) == 8, len(sup.automaton.states)),
         ("transitions == 14", sup.automaton.n_transitions() == 14,
          sup.automaton.n_transitions()),
-        ("|B_X*| == 5", len(sup.buchi_lift) == 5, len(sup.buchi_lift)),
+        ("|B_X*| == 5", len(closed.accepting) == 5, len(closed.accepting)),
     ]
     report(1, "safety supervisor 8/14, marking 5", 1.0, t0, checks)
 

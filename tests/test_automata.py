@@ -79,7 +79,7 @@ def test_alphabet_partition():
     assert al.controllable == {"a"}
     assert al.uncontrollable == {"b"}
     with pytest.raises(AutomatonError):
-        Alphabet(("a", "b"), frozenset("a"), frozenset("a"))
+        Alphabet(("a", "b"), frozenset("c"))
     with pytest.raises(AutomatonError):
         Alphabet.make(("a", "a"))
 

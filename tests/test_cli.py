@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -342,6 +343,48 @@ def test_input_error_part_way_leaves_no_stale_artifacts(corpus, tmp_path, capsys
     capsys.readouterr()
     assert run_cli("--quiet", "pipeline", bad / "pipeline.cfg") == 2
     assert "legal specification has empty omega-language" in capsys.readouterr().err
+    assert files_under(out) == {**alone, "notes.txt": b"not the pipeline's"}
+
+
+def rename_event(directory: Path, old: str, new: str) -> None:
+    """Rename event `old` to `new` in every automaton file of `directory`."""
+    for f in directory.glob("*.aut"):
+        f.write_text(re.sub(rf"\b{old}\b", new, f.read_text()))
+
+
+@pytest.mark.parametrize("label,shown", [("a/1", "'/'"), ("a\x001", "'\\x00'")])
+def test_pipeline_rejects_labels_that_cannot_name_a_file(corpus, capsys, label, shown):
+    # a controller's file is named after its event, so a label that cannot
+    # be part of a file name is refused as its file is read: nothing is
+    # written, not even the output directory
+    rename_event(corpus, "a1", label)
+    assert run_cli("--quiet", "pipeline", corpus / "pipeline.cfg") == 2
+    assert capsys.readouterr().err == (f"parse error: {corpus / 'm1.aut'}: line 4: "
+                                       f"event label {label!r} may not contain {shown}\n")
+    assert not (corpus / "out").exists()
+
+
+@pytest.mark.parametrize("event", ["a1", "a2"])
+def test_failed_controller_write_leaves_no_stale_artifacts(corpus, tmp_path, capsys, event):
+    # a copy where `event` has a label too long for a controller's file
+    # name gets through SUPw and fails to write that event's first
+    # controller (a2's comes after one of a1's); alone, it must leave only
+    # the files of the stages it finished, and after the corpus run into
+    # the same output directory, also nothing of the corpus run's
+    long = tmp_path / "long-label"
+    shutil.copytree(corpus, long)
+    rename_event(long, event, "a" * 250)
+    assert run_cli("--quiet", "pipeline", long / "pipeline.cfg") == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    alone = files_under(long / "out")
+    assert set(alone) == {"plant.aut", "sup_star.aut", "legal_product.aut", "sup_omega.aut"}
+
+    out = tmp_path / "out"
+    for cfg in (corpus / "pipeline.cfg", long / "pipeline.cfg"):
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "output_dir": str(out)}))
+    assert run_cli("--quiet", "pipeline", "--dot", corpus / "pipeline.cfg") == 0
+    (out / "notes.txt").write_text("not the pipeline's")
+    assert run_cli("--quiet", "pipeline", long / "pipeline.cfg") == 2
     assert files_under(out) == {**alone, "notes.txt": b"not the pipeline's"}
 
 

@@ -3,7 +3,8 @@ no module of the package imports an underscore name from another, only
 `automata` reads an automaton's `transitions`, every library function the
 benchmark traces exists, every function of the package has a use, the
 CLI builds each supervisor in one stage function and exits 3 from one
-place, and only `textio` opens a file for writing."""
+place, only `safety.controlled_plant` calls `buchi_lift`, and only
+`textio` opens a file for writing."""
 
 import ast
 import importlib
@@ -161,6 +162,14 @@ def test_cli_has_one_stage_per_supervisor():
     for name in ("controllability_subset", "existence_check", "assemble_fomega"):
         assert found[name] == {"_synth_omega"}, name
     assert found["EXIT_EXISTENCE"] == {"main"}
+
+
+def test_one_caller_of_buchi_lift():
+    # the lifted marking over-approximates the closed loop; it is made in
+    # one place, so replacing it by the exact closed loop touches one site
+    found = {(p.stem, fn) for p in sorted(SRC.glob("*.py"))
+             for fn in callers(p.read_text(encoding="utf-8")).get("buchi_lift", ())}
+    assert found == {("safety", "controlled_plant")}
 
 
 def write_opens(source: str) -> list[int]:

@@ -301,9 +301,8 @@ def test_localize_all_profiles_match_walk_oracle_random(monkeypatch):
 
 def test_parent_language_contained_in_controllers(sf):
     supw_handle = StarLanguageHandle(sf["supw"].automaton)
-    sup_handle = sf["sup"].handle()
     for c in sf["controllers"]:
-        parent = sup_handle if c.kind is Kind.SAFETY else supw_handle
+        parent = sf["sup"] if c.kind is Kind.SAFETY else supw_handle
         ok, _ = star_contained(parent, StarLanguageHandle(c.automaton))
         assert ok
 

@@ -58,7 +58,7 @@ def test_legal_product_factory_counts(sf):
 def test_legal_product_star_layer(sf):
     # the star layer accepts exactly the safety-supervised behavior (the
     # legal tracker is total, so prefixes impose nothing)
-    ok, _ = star_equal(StarLanguageHandle(sf["prod"].core), sf["sup"].handle())
+    ok, _ = star_equal(StarLanguageHandle(sf["prod"].core), sf["sup"])
     assert ok
 
 
@@ -93,13 +93,12 @@ def test_legal_product_self_spec(sf):
 
 
 def test_legal_product_multi_pair_rejected(sf):
-    multi = RabinBuchiAutomaton(
-        sf["maxspec"].core,
-        frozenset(sf["maxspec"].core.states),
-        ((sf["maxspec"].accepting, frozenset(sf["maxspec"].core.states)),) * 2,
-    )
     with pytest.raises(AutomatonError):
-        build_rabin_buchi(sf["closed"], multi)
+        RabinBuchiAutomaton(
+            sf["maxspec"].core,
+            frozenset(sf["maxspec"].core.states),
+            ((sf["maxspec"].accepting, frozenset(sf["maxspec"].core.states)),) * 2,
+        )
 
 
 def test_controllability_subset_factory(sf):

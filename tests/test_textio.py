@@ -107,10 +107,15 @@ def test_parse_trans_before_events():
 
 
 def test_parse_allows_repeated_acceptance_lines():
+    # `buchi` lines may repeat; a second `rabin` line would be a second
+    # pair, which a Rabin-Buchi automaton does not hold
     text = (SAMPLE.replace("type star", "type rabin-buchi")
-            + "buchi 0\nbuchi 1\nrabin R 0 ; I 0 1\nrabin R 1 ; I 1\n")
+            + "buchi 0\nbuchi 1\nrabin R 0 ; I 0 1\n")
     _, aut = parse_automaton(text)
-    assert aut.buchi == {"0", "1"} and len(aut.rabin_pairs) == 2
+    assert aut.buchi == {"0", "1"} and len(aut.rabin_pairs) == 1
+    with pytest.raises(ParseError) as err:
+        parse_automaton(text + "rabin R 1 ; I 1\n")
+    assert str(err.value) == "line 12: repeated 'rabin' line (first on line 11)"
 
 
 def test_parse_error_carries_line_number():
@@ -234,20 +239,11 @@ def test_serializers_match_line_oracle_on_factory(factory, n):
         assert to_dot(name, aut) == dot_by_lines(name, aut), name
 
 
-def two_pair_rabin(rng, al, n, density):
-    """A Rabin-Buchi automaton with two pairs."""
-    one = random_single_pair(rng, al, n, density)
-    states = list(one.core.states)
-    r = frozenset(rng.sample(states, rng.randint(1, len(states))))
-    i = r | frozenset(rng.sample(states, rng.randint(0, len(states))))
-    return RabinBuchiAutomaton(one.core, one.buchi, one.rabin_pairs + ((r, i),))
-
-
 def test_serializers_match_line_oracle_on_random():
     # 60 automata of each type; every other one has its states renamed to
     # strings and listed out of order, so the canonical numbering explores
     rng = random.Random(1515)
-    for make in (random_star_automaton, random_buchi, two_pair_rabin):
+    for make in (random_star_automaton, random_buchi, random_single_pair):
         for k in range(60):
             al = random_alphabet(rng, rng.randint(1, 5))
             aut = make(rng, al, rng.randint(1, 9), density=rng.random())

@@ -34,7 +34,6 @@ from suploc.localization import (
     profile_safety,
 )
 from suploc.omega import StarLanguageHandle
-from suploc.safety import SafetySupervisor
 from suploc.verify import (
     EquivalenceReport,
     VerificationError,
@@ -143,7 +142,7 @@ def test_infinite_equivalence_budget_zero(sf):
 def test_empty_safety_supervisor_is_input_error(sf, check):
     # an empty SUP* has no automaton to compare with; the check says so
     # instead of failing on the missing automaton
-    empty = SafetySupervisor(None, frozenset())
+    empty = StarLanguageHandle(None)
     with pytest.raises(AutomatonError, match=r"SUP\* is empty") as err:
         check(sf["plant"], empty, sf["supw"], sf["controllers"])
     assert not isinstance(err.value, VerificationError)
