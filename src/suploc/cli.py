@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -15,6 +16,7 @@ from .automata import (
     alphabet_union,
     compose_plant,
     lockstep,
+    sink_tracker,
     sync_product,
 )
 from .localization import Kind, LocalController, Part, localize_all
@@ -26,7 +28,6 @@ from .omegasynth import (
     controllability_subset,
     existence_check,
     inf_closure,
-    minimal_tracker,
     restrict_sup,
 )
 from .safety import controlled_plant, sup_con_star
@@ -328,7 +329,7 @@ def _rebuild_supervisors(args):
     _, omega_b = _load(args.sup_omega, BuchiAutomaton)
     _, minimal = _load(args.minimal, BuchiAutomaton)
     sup_star = StarLanguageHandle(star_b.core)
-    sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, *minimal_tracker(minimal))
+    sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, *sink_tracker(minimal.core))
     return plant, sup_star, sup_omega
 
 
@@ -336,7 +337,7 @@ def cmd_localize(args) -> int:
     plant, sup_star, sup_omega = _rebuild_supervisors(args)
     closed = controlled_plant(plant, sup_star)
     controllers = localize_all(plant, sup_star, closed, sup_omega)
-    manifest = _write_controllers(controllers, args.out_dir, args.dot)
+    manifest = _write_controllers(controllers, args.out_dir, args.dot, [])
     _emit(args, {"controllers": manifest})
     return EXIT_OK
 
@@ -349,18 +350,47 @@ def _controller_name(event, kind, part) -> str:
     return f"loc_{event}_live_{'c1' if part == Part.C1.value else 'c2'}"
 
 
-def _write_controllers(controllers: list[LocalController], out_dir, dot: bool) -> list[dict]:
-    """Save each controller (and its DOT rendering) plus ``manifest.json``;
-    returns the manifest."""
+@contextlib.contextmanager
+def _replacing(directory, finished: list, files, sub=""):
+    """Let the run inside replace the files the CLI writes in `directory`:
+    on leaving, by any exit, remove each of them whose path is not in
+    `finished`, which the run extends as it finishes its stages.  They are
+    `files`, the ``manifest.json`` of the subdirectory `sub`, and the
+    controllers (``.aut`` and ``.dot``) it names under the names the CLI
+    gives them (`_controller_name`)."""
+    manifest = os.path.join(directory, sub, "manifest.json")
+    try:
+        named = [os.path.join(sub, e["name"] + ext) for e in _read_json(manifest)
+                 if isinstance(e, dict)
+                 and e.get("name") == _controller_name(e.get("event"), e.get("kind"), e.get("part"))
+                 and "/" not in e["name"] for ext in (".aut", ".dot")]
+    except (AutomatonError, TypeError):
+        named = []
+    try:
+        yield
+    finally:
+        for path in {manifest, *(os.path.join(directory, f) for f in [*files, *named])}:
+            if path not in finished and os.path.isfile(path):
+                os.remove(path)
+
+
+def _write_controllers(controllers: list[LocalController], out_dir, dot: bool,
+                       finished: list) -> list[dict]:
+    """Replace the controller set in `out_dir` by `controllers` (and their
+    DOT renderings) and the ``manifest.json`` naming them; adds the paths
+    written to `finished` and returns the manifest."""
+    names = [_controller_name(c.event, c.kind.value, c.part.value) for c in controllers]
     os.makedirs(out_dir, exist_ok=True)
-    manifest = []
-    for c in controllers:
-        name = _controller_name(c.event, c.kind.value, c.part.value)
-        _save(os.path.join(out_dir, name + ".aut"), name, c.automaton,
-              dot and os.path.join(out_dir, name + ".dot"))
-        manifest.append({"name": name, "event": c.event, "kind": c.kind.value,
-                         "part": c.part.value, "states": len(c.automaton.states)})
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    with _replacing(out_dir, finished, [n + ext for n in names for ext in (".aut", ".dot")]):
+        manifest, files = [], [os.path.join(out_dir, "manifest.json")]
+        for name, c in zip(names, controllers):
+            path = os.path.join(out_dir, name)
+            _save(path + ".aut", name, c.automaton, dot and path + ".dot")
+            files += [path + ".aut", path + ".dot"] if dot else [path + ".aut"]
+            manifest.append({"name": name, "event": c.event, "kind": c.kind.value,
+                             "part": c.part.value, "states": len(c.automaton.states)})
+        _write_json(files[0], manifest)
+        finished.extend(files)
     return manifest
 
 
@@ -388,27 +418,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if (report.finite_ok and report.infinite_ok) else EXIT_VERIFY
 
 
-def _remove_stale(out_dir, written: list[str], controllers: list[LocalController]) -> None:
-    """After a run stopped part-way, remove from `out_dir` the files of the
-    stages it did not finish: the later stages an earlier run left, the
-    report, the controller manifest, and the controllers named in that
-    manifest or in `controllers` (this run's), under the names the pipeline
-    gives them (`_controller_name`)."""
-    manifest = os.path.join("controllers", "manifest.json")
-    try:
-        names = [e["name"] for e in _read_json(os.path.join(out_dir, manifest))
-                 if e["name"] == _controller_name(e.get("event"), e.get("kind"), e.get("part"))]
-    except (AutomatonError, KeyError, TypeError):
-        names = []
-    names += [_controller_name(c.event, c.kind.value, c.part.value) for c in controllers]
-    stale = [os.path.join("controllers", n + ext) for n in names if "/" not in n
-             for ext in (".aut", ".dot")]
-    for f in stale + ["sup_star.aut", "legal_product.aut", "sup_omega.aut", "report.json",
-                      manifest]:
-        if f not in written and os.path.isfile(os.path.join(out_dir, f)):
-            os.remove(os.path.join(out_dir, f))
-
-
 def cmd_pipeline(args) -> int:
     cfg = _read_config(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
@@ -428,43 +437,38 @@ def cmd_pipeline(args) -> int:
 
     out_dir = rel(cfg["output_dir"])
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    finished = []
 
-    def save(fname, name, aut):
-        save_automaton(os.path.join(out_dir, fname), name, aut)
-        written.append(fname)
+    def finish(fname, write, *content):
+        write(os.path.join(out_dir, fname), *content)
+        finished.append(os.path.join(out_dir, fname))
 
     plant = compose_plant(plant_parts, global_alpha)
-    save("plant.aut", "plant", plant)
-    # stopping part-way (exit 3, or exit 2 on inputs that do not fit
-    # together or on a file that cannot be written), the run removes what
-    # an earlier one left of later stages and the controllers it wrote
-    controllers = []
-    try:
+    finish("plant.aut", save_automaton, "plant", plant)
+    # after `plant.aut`, the run leaves exactly the files of the stages it finished
+    stages = ("sup_star.aut", "legal_product.aut", "sup_omega.aut", "report.json")
+    with _replacing(out_dir, finished, stages, "controllers"):
         sup, closed = _synth_safety(plant, specs)
-        save("sup_star.aut", "sup-star", closed)
+        finish("sup_star.aut", save_automaton, "sup-star", closed)
         product = build_rabin_buchi(closed, legal)
-        save("legal_product.aut", "legal-product", product)
+        finish("legal_product.aut", save_automaton, "legal-product", product)
         supw, ctr = _synth_omega(closed, product, minimal)
         supw_saved = BuchiAutomaton(supw.automaton, supw.buchi_lift)
-        save("sup_omega.aut", "sup-omega", supw_saved)
+        finish("sup_omega.aut", save_automaton, "sup-omega", supw_saved)
         controllers = localize_all(plant, sup, closed, supw)
-        manifest = _write_controllers(controllers, os.path.join(out_dir, "controllers"), args.dot)
-    except (NoSupervisor, AutomatonError, OSError):
-        _remove_stale(out_dir, written, controllers)
-        raise
-
-    report = check_infinite_equivalence(
-        plant, sup, supw, controllers, lasso_budget=args.lassos, seed=args.seed)
-    payload = report.as_dict()
-    payload["sup_star"] = _sizes(closed)
-    payload["legal_product"] = {"states": len(product.core.states),
-                                "buchi": len(product.buchi),
-                                "rabin_r": len(product.rabin_pairs[0][0]),
-                                "controllability_subset": len(ctr.subset)}
-    payload["sup_omega"] = _sizes(supw_saved)
-    payload["controllers"] = manifest
-    _write_json(os.path.join(out_dir, "report.json"), payload)
+        manifest = _write_controllers(controllers, os.path.join(out_dir, "controllers"), args.dot,
+                                      finished)
+        report = check_infinite_equivalence(
+            plant, sup, supw, controllers, lasso_budget=args.lassos, seed=args.seed)
+        payload = report.as_dict()
+        payload["sup_star"] = _sizes(closed)
+        payload["legal_product"] = {"states": len(product.core.states),
+                                    "buchi": len(product.buchi),
+                                    "rabin_r": len(product.rabin_pairs[0][0]),
+                                    "controllability_subset": len(ctr.subset)}
+        payload["sup_omega"] = _sizes(supw_saved)
+        payload["controllers"] = manifest
+        finish("report.json", _write_json, payload)
     _emit(args, payload)
     return EXIT_OK if (report.finite_ok and report.infinite_ok) else EXIT_VERIFY
 

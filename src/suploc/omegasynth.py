@@ -445,12 +445,6 @@ def existence_check(
     return omega_contained_single_pair(inf_a, sup_e)
 
 
-def minimal_tracker(minimal: BuchiAutomaton) -> tuple[StarAutomaton, Optional[State]]:
-    """SUPw's tracker of the minimal behavior and its sink (`sink_tracker`);
-    with no sink, SUPw's pattern branch is never taken."""
-    return sink_tracker(minimal.core)
-
-
 def assemble_fomega(
     asup: RabinBuchiAutomaton,
     c: ControllabilityResult,
@@ -489,7 +483,7 @@ def assemble_fomega(
                     "prefix region of the restricted legal behavior is not "
                     "controllable; the controllability subset is inconsistent")
 
-    tracker, sink = minimal_tracker(minimal)
+    tracker, sink = sink_tracker(minimal.core)
 
     def succ(v):
         q, z = v

@@ -112,7 +112,6 @@ def check_infinite_equivalence(
     controllers: list[LocalController],
     lasso_budget: int = 500,
     seed: int = 0,
-    max_cycle: int = MAX_CYCLE,
 ) -> EquivalenceReport:
     """Two-tier check of the collective infinite behavior.
 
@@ -121,7 +120,7 @@ def check_infinite_equivalence(
     lim(A ^ B) = lim(A) ^ lim(B) for star languages, the infinite behaviors
     agree as well.  Tier 2 checks `lasso_budget` seeded random lassos on
     both sides: stem length uniform on 0..MAX_STEM, cycle length uniform on
-    1..max_cycle, events uniform over the plant's alphabet, drawn one at a
+    1..MAX_CYCLE, events uniform over the plant's alphabet, drawn one at a
     time while the plant follows them (see the module docstring).  A lasso
     the plant cannot follow counts as checked and agreeing, since both sides
     are "in the plant and ...".  `sub_results["tier2_in_plant"]` counts the
@@ -144,7 +143,7 @@ def check_infinite_equivalence(
     for _ in range(lasso_budget):
         # floor(random() * k) is uniform on 0..k-1, as in `random.choices`
         stem_len = floor(draw() * (MAX_STEM + 1))
-        cycle_len = 1 + floor(draw() * max_cycle)
+        cycle_len = 1 + floor(draw() * MAX_CYCLE)
         word = []
         q = plant.core.initial
         for _ in range(stem_len + cycle_len):

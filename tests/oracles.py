@@ -32,10 +32,8 @@ from suploc.automata import (
     bfs_word,
     check_alphabet,
     explore,
-    lasso_in_star,
     lockstep,
     pair_moves,
-    run_lasso,
     run_star,
 )
 from suploc.localization import EnableDisableProfile, Part
@@ -99,14 +97,6 @@ def supremal_controllable_finite(universe: set[tuple], legal: set[tuple],
             return k
         # removing a string removes all its extensions
         k = {w for w in k if not any(w[:i] in bad for i in range(len(w) + 1))}
-
-
-def lasso_semantic_closed_loop(plant_buchi, star_automata, w: LassoWord) -> bool:
-    """Membership of a lasso in the closed loop: accepted by the plant and
-    inside the limit of every supervisor/controller language."""
-    if not run_lasso(plant_buchi, w):
-        return False
-    return all(lasso_in_star(a, w) for a in star_automata)
 
 
 def visit_set_by_positions(core: StarAutomaton, w: LassoWord):

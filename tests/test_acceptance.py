@@ -212,7 +212,7 @@ def test_criterion_07_infinite_equivalence(sf):
     t0 = time.time()
     rep = check_infinite_equivalence(
         sf["plant"], sf["sup"], sf["supw"], sf["controllers"],
-        lasso_budget=500, seed=2026, max_cycle=12)
+        lasso_budget=500, seed=2026)
     checks = [
         ("tier-1 certification", rep.sub_results["tier1"] is True,
          rep.sub_results["tier1"]),

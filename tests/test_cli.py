@@ -388,6 +388,120 @@ def test_failed_controller_write_leaves_no_stale_artifacts(corpus, tmp_path, cap
     assert files_under(out) == {**alone, "notes.txt": b"not the pipeline's"}
 
 
+NOT_OURS = b"not the pipeline's"
+
+
+def add_files_not_ours(top: Path, controllers: Path) -> dict[str, bytes]:
+    """Add files the CLI does not write to an output directory that a corpus
+    run with `--dot` filled: ``notes.txt`` in `top`, ``mine.aut`` beside
+    the controllers, and manifest entries naming them; returns them by
+    their paths under `top`."""
+    (top / "notes.txt").write_bytes(NOT_OURS)
+    (controllers / "mine.aut").write_bytes(NOT_OURS)
+    manifest = controllers / "manifest.json"
+    entries = json.loads(manifest.read_text())
+    assert len(entries) == 6 and len(list(controllers.glob("*.dot"))) == 6
+    manifest.write_text(json.dumps(entries + [{"name": "mine"}, {"name": "../notes"}]))
+    return {f.relative_to(top).as_posix(): NOT_OURS
+            for f in (top / "notes.txt", controllers / "mine.aut")}
+
+
+def r0475_alone(tmp_path, code):
+    """A copy of tests/data/r0475 and the files its pipeline run, ending in
+    exit `code`, leaves in a fresh output directory."""
+    data = tmp_path / "r0475"
+    shutil.copytree(DATA / "r0475", data)
+    assert run_cli("--quiet", "pipeline", data / "pipeline.cfg") == code
+    return data, files_under(data / "out")
+
+
+def point_at(out: Path, *models: Path) -> None:
+    """Make the pipeline configuration of each of `models` write into `out`."""
+    for cfg in (m / "pipeline.cfg" for m in models):
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "output_dir": str(out)}))
+
+
+def test_pipeline_rerun_replaces_every_artifact(corpus, tmp_path):
+    # a reused output directory: after the corpus run, r0475 (exit 0, no
+    # --dot) must leave exactly what it writes alone, plus the files the
+    # pipeline does not write; none of the corpus's controllers or DOT files
+    data, alone = r0475_alone(tmp_path, 0)
+    assert "report.json" in alone and len(alone) == 12
+    out = tmp_path / "out"
+    point_at(out, corpus, data)
+    assert run_cli("--quiet", "pipeline", "--dot", corpus / "pipeline.cfg") == 0
+    extra = add_files_not_ours(out, out / "controllers")
+    assert run_cli("--quiet", "pipeline", data / "pipeline.cfg") == 0
+    assert files_under(out) == {**alone, **extra}
+
+
+def test_verification_error_leaves_no_stale_report(corpus, tmp_path, monkeypatch, capsys):
+    # exit 4 from a VerificationError writes no report.json, so the corpus
+    # run's report, which vouches for its controllers, must go too
+    import suploc.cli as cli
+    from suploc.verify import VerificationError
+
+    def contradiction(*args, **kwargs):
+        raise VerificationError("tier-2 sampling contradicts tier 1")
+    out = tmp_path / "out"
+    point_at(out, corpus)
+    assert run_cli("--quiet", "pipeline", "--dot", corpus / "pipeline.cfg") == 0
+    extra = add_files_not_ours(out, out / "controllers")
+    monkeypatch.setattr(cli, "check_infinite_equivalence", contradiction)
+    data, alone = r0475_alone(tmp_path, 4)
+    assert "report.json" not in alone and len(alone) == 11
+    point_at(out, data)
+    capsys.readouterr()
+    assert run_cli("--quiet", "pipeline", data / "pipeline.cfg") == 4
+    assert "verification error" in capsys.readouterr().err
+    assert files_under(out) == {**alone, **extra}
+
+
+def test_manifest_entry_not_an_object_hides_no_controller(corpus, tmp_path):
+    # the entries the CLI would not write are skipped one by one, so the
+    # corpus's controllers still go
+    data, alone = r0475_alone(tmp_path, 0)
+    out = tmp_path / "out"
+    point_at(out, corpus, data)
+    assert run_cli("--quiet", "pipeline", corpus / "pipeline.cfg") == 0
+    manifest = out / "controllers" / "manifest.json"
+    manifest.write_text(json.dumps(json.loads(manifest.read_text()) + ["junk", 7, None, []]))
+    assert run_cli("--quiet", "pipeline", data / "pipeline.cfg") == 0
+    assert files_under(out) == alone
+
+
+def test_rerun_without_dot_removes_dot_files(corpus):
+    # the same controllers again, without --dot: their renderings go
+    out = corpus / "out"
+    assert run_cli("--quiet", "pipeline", "--dot", corpus / "pipeline.cfg") == 0
+    assert len(list(out.rglob("*.dot"))) == 6
+    assert run_cli("--quiet", "pipeline", corpus / "pipeline.cfg") == 0
+    assert not list(out.rglob("*.dot")) and len(files_under(out)) == 12
+
+
+def localize(model: Path, minimal: str, out_dir: Path, *flags) -> int:
+    """`suploc localize` on the pipeline artifacts of `model`."""
+    out = model / "out"
+    return run_cli("--quiet", "localize", "--plant", out / "plant.aut",
+                   "--sup-star", out / "sup_star.aut", "--sup-omega", out / "sup_omega.aut",
+                   "--minimal", model / minimal, "--out-dir", out_dir, *flags)
+
+
+def test_localize_rerun_replaces_the_controller_set(corpus_run, tmp_path):
+    # one --out-dir for the corpus's controllers (with --dot) and then
+    # r0475's: it must hold r0475's alone, plus the files the CLI does not
+    # write there
+    data, _ = r0475_alone(tmp_path, 0)
+    assert localize(data, "minimal.aut", tmp_path / "alone") == 0
+    alone = files_under(tmp_path / "alone")
+    assert len(alone) == 7 and "manifest.json" in alone
+    locs = tmp_path / "locs"
+    assert localize(corpus_run, "minspec.aut", locs, "--dot") == 0
+    extra = add_files_not_ours(locs, locs)
+    assert localize(data, "minimal.aut", locs) == 0
+    assert files_under(locs) == {**alone, **extra}
+
+
 def test_spec_over_foreign_events_is_input_error(corpus_run, tmp_path, capsys):
     spec = tmp_path / "zz.aut"
     spec.write_text("automaton zz\ntype star\nevents a1:c zz:u\ninitial 0\ntrans 0 a1 0\n")

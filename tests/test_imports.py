@@ -1,10 +1,11 @@
 """Every module of the package and of the tests uses each name it imports,
 no module of the package imports an underscore name from another, only
 `automata` reads an automaton's `transitions`, every library function the
-benchmark traces exists, every function of the package has a use, the
-CLI builds each supervisor in one stage function and exits 3 from one
-place, only `safety.controlled_plant` calls `buchi_lift`, and only
-`textio` opens a file for writing."""
+benchmark traces exists, every function of the package and of the test
+support modules has a use, the CLI builds each supervisor in one stage
+function and exits 3 from one place, only `safety.controlled_plant` calls
+`buchi_lift`, only `textio` opens a file for writing, and only one
+function removes files."""
 
 import ast
 import importlib
@@ -135,6 +136,14 @@ def test_every_function_has_a_use():
     assert dead_functions(sources, exported | traced) == []
 
 
+def test_every_test_support_function_has_a_use():
+    # a function of the modules the tests import helpers from is named by
+    # some module of the tests; test functions themselves are never named
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
+    dead = dead_functions(sources, set())
+    assert [f for f in dead if f.split(".")[0] in ("conftest", "harness", "oracles")] == []
+
+
 def callers(source: str) -> dict[str, set[str]]:
     """{name: the top-level functions of `source` that call it or return it}."""
     out: dict[str, set[str]] = {}
@@ -207,3 +216,34 @@ def test_checker_finds_write_opens():
 def test_only_textio_writes_files(module):
     # every file the package writes goes through `textio.write_text`
     assert write_opens((SRC / module).read_text(encoding="utf-8")) == []
+
+
+REMOVERS = ("os.remove", "os.unlink", "shutil.rmtree", "remove", "unlink", "rmtree")
+
+
+def file_removers(source: str) -> list[str]:
+    """The top-level definitions of `source` (by name, or ``<module>`` for
+    other statements) that call ``os.remove``, ``os.unlink``,
+    ``shutil.rmtree``, one of them imported by name, or an ``unlink``
+    method such as ``Path.unlink``."""
+    return sorted(getattr(top, "name", "<module>") for top in ast.parse(source).body
+                  if any(isinstance(n, ast.Call) and (ast.unparse(n.func) in REMOVERS
+                                                      or ast.unparse(n.func).endswith(".unlink"))
+                         for n in ast.walk(top)))
+
+
+def test_checker_finds_file_removers():
+    source = ("import os, shutil\n"
+              "def keep(p):\n    seen.remove(p)\n    os.path.isfile(p)\n"
+              "def rm(p):\n    os.remove(p)\n"
+              "class Tidy:\n    def clear(self, d):\n        shutil.rmtree(d)\n"
+              "def nested(p):\n    def inner():\n        Path(p).unlink()\n    inner()\n"
+              "os.unlink('x')\n")
+    assert file_removers(source) == ["<module>", "Tidy", "nested", "rm"]
+
+
+def test_one_function_removes_files():
+    # what a run leaves in an output directory is decided in one place
+    found = [(p.stem, f) for p in sorted(SRC.glob("*.py"))
+             for f in file_removers(p.read_text(encoding="utf-8"))]
+    assert found == [("cli", "_replacing")]

@@ -178,7 +178,7 @@ def test_infinite_equivalence_same_seed_same_report():
 def test_tier2_lasso_distribution(monkeypatch):
     # the free plant follows every lasso, so each one is drawn in full and
     # reaches run_lasso: stem length uniform on 0..8, cycle length on
-    # 1..max_cycle, events uniform
+    # 1..12 (MAX_CYCLE), events uniform
     p = free_pipeline()
     drawn = []
 
@@ -187,15 +187,15 @@ def test_tier2_lasso_distribution(monkeypatch):
         return run_lasso(plant, w)
     monkeypatch.setattr(verify, "run_lasso", recording_run_lasso)
     check_infinite_equivalence(p["plant"], p["sup"], p["supw"], p["controllers"],
-                               lasso_budget=3000, seed=5, max_cycle=6)
+                               lasso_budget=3000, seed=5)
     assert len(drawn) == 3000
     stems = Counter(len(w.stem) for w in drawn)
     cycles = Counter(len(w.cycle) for w in drawn)
     events = Counter(e for w in drawn for e in w.stem + w.cycle)
     assert sorted(stems) == list(range(9))
-    assert sorted(cycles) == list(range(1, 7))
+    assert sorted(cycles) == list(range(1, 13))
     assert all(abs(n - 3000 / 9) < 80 for n in stems.values()), stems
-    assert all(abs(n - 3000 / 6) < 100 for n in cycles.values()), cycles
+    assert all(abs(n - 3000 / 12) < 75 for n in cycles.values()), cycles
     assert abs(events["a"] - events["u"]) < 0.05 * sum(events.values()), events
 
 
