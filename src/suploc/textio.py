@@ -54,8 +54,11 @@ TYPE_NAMES = {StarAutomaton: "star", BuchiAutomaton: "buchi", RabinBuchiAutomato
 
 
 class ParseError(AutomatonError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    """A text the format rejects; `line_no` is None for an error of the
+    whole text, such as a missing line."""
+
+    def __init__(self, line_no: Optional[int], message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -133,15 +136,11 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
             for s in args:
                 rows.setdefault(s, {})
         elif key == "rabin":
-            joined = " ".join(args)
-            if ";" not in joined or not joined.startswith("R "):
-                raise ParseError(line_no, "rabin line must read: R <states> ; I <states>")
-            r_part, i_part = joined.split(";", 1)
-            r_states = r_part.split()[1:]
+            r_part, sep, i_part = " ".join(args).partition(";")
             i_fields = i_part.split()
-            if not i_fields or i_fields[0] != "I":
+            if not sep or not r_part.startswith("R ") or i_fields[:1] != ["I"]:
                 raise ParseError(line_no, "rabin line must read: R <states> ; I <states>")
-            i_states = i_fields[1:]
+            r_states, i_states = r_part.split()[1:], i_fields[1:]
             for s in r_states + i_states:
                 rows.setdefault(s, {})
             pair = (frozenset(r_states), frozenset(i_states))
@@ -154,13 +153,13 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
 
     for key in ("automaton", "type", "events", "initial"):
         if key not in header_lines:
-            raise ParseError(0, f"missing {key!r} line")
+            raise ParseError(None, f"missing {key!r} line")
     if kind == "star" and (buchi is not None or pair is not None):
-        raise ParseError(0, "star automata carry no acceptance lines")
+        raise ParseError(None, "star automata carry no acceptance lines")
     if kind == "buchi" and buchi is None:
-        raise ParseError(0, "buchi automata need a 'buchi' line")
+        raise ParseError(None, "buchi automata need a 'buchi' line")
     if kind == "rabin-buchi" and (buchi is None or pair is None):
-        raise ParseError(0, "rabin-buchi automata need 'buchi' and 'rabin' lines")
+        raise ParseError(None, "rabin-buchi automata need 'buchi' and 'rabin' lines")
 
     for q in unordered:
         rows[q] = dict(sorted(rows[q].items(), key=lambda move: position[move[0]]))

@@ -151,6 +151,21 @@ def test_synth_safety_and_omega_roundtrip(corpus, tmp_path, capsys):
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["finite_ok"] and rep["infinite_ok"]
 
+    # a controller that disables a1 where SUP* enables it fails the finite
+    # check, and the report says which factor and which string
+    loc = loc_dir / "loc_a1_safety.aut"
+    loc.write_text(loc.read_text().replace("trans 0 a1 0\n", ""))
+    assert run_cli("verify", "--plant", out_dir / "plant.aut",
+                   "--sup-star", tmp_path / "sup.aut",
+                   "--sup-omega", tmp_path / "supw.aut",
+                   "--minimal", corpus / "minspec.aut",
+                   "--controllers", loc_dir,
+                   "--lassos", "200", "--report", tmp_path / "rep.json") == 4
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert rep["finite_ok"] is False and rep["counterexample"] == ["a1"]
+    assert {k: rep["sub_results"][k] for k in ("safety_factor", "collective", "liveness_factor")} \
+        == {"safety_factor": False, "collective": False, "liveness_factor": True}
+
 
 @pytest.mark.parametrize("count", ["-3", "many"])
 def test_lasso_count_must_be_non_negative(corpus, capsys, count):
@@ -571,6 +586,20 @@ def test_pipeline_without_alphabet_from(corpus_run):
         assert (ref / f).read_bytes() == (got / f).read_bytes(), f
 
 
+def test_minimal_spec_with_states_named_sink(corpus_run):
+    # the liveness tracker totalizes the minimal spec; its sink gets a name
+    # no state has, so states named `sink` and `sink0` change no artifact
+    spec = re.sub(r"(?<= )[01]\b", lambda m: ("sink", "sink0")[int(m.group())],
+                  (corpus_run / "minspec.aut").read_text())
+    assert "initial sink\ntrans sink a1 sink0\n" in spec
+    (corpus_run / "sinkspec.aut").write_text(spec)
+    cfg = json.loads((corpus_run / "pipeline.cfg").read_text())
+    cfg.update(minimal_spec="sinkspec.aut", alphabet_from="sinkspec.aut", output_dir="sinks")
+    (corpus_run / "sinks.cfg").write_text(json.dumps(cfg))
+    assert run_cli("--quiet", "pipeline", corpus_run / "sinks.cfg") == 0
+    assert files_under(corpus_run / "sinks") == files_under(corpus_run / "out")
+
+
 def test_input_errors_name_no_line(corpus, tmp_path, capsys):
     # a missing file or a wrong automaton type is no error of a parsed line
     assert run_cli("info", tmp_path / "nofile.aut") == 2
@@ -582,6 +611,15 @@ def test_input_errors_name_no_line(corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "m1.aut: expected BuchiAutomaton or RabinBuchiAutomaton" in err
     assert "line 0" not in err
+    # nor is a line the file lacks
+    noinit = tmp_path / "noinit.aut"
+    noinit.write_text("automaton x\ntype star\nevents a:u\n")
+    nobuchi = tmp_path / "nobuchi.aut"
+    nobuchi.write_text("automaton x\ntype buchi\nevents a:u\ninitial 0\n")
+    for path, message in [(noinit, "missing 'initial' line"),
+                          (nobuchi, "buchi automata need a 'buchi' line")]:
+        assert run_cli("info", path) == 2
+        assert capsys.readouterr().err == f"parse error: {path}: {message}\n"
 
 
 def test_readme_stage_chain_matches_pipeline(corpus_run, tmp_path):

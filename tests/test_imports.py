@@ -1,11 +1,13 @@
-"""Every module of the package and of the tests uses each name it imports,
-no module of the package imports an underscore name from another, only
-`automata` reads an automaton's `transitions`, every library function the
-benchmark traces exists, every function of the package and of the test
-support modules has a use, the CLI builds each supervisor in one stage
-function and exits 3 from one place, only `safety.controlled_plant` calls
-`buchi_lift`, only `textio` opens a file for writing, and only one
-function removes files."""
+"""The package root binds no name, so each name has one home, its
+submodule.  Every module of the package and of the tests uses each name it
+imports, no module of the package imports an underscore name from another,
+only `automata` reads an automaton's `transitions`, every library function
+the benchmark traces exists, every function of the package has a use in the
+package, in the benchmark's trace or, for six checkers, in the tests, every
+function of the test support modules has a use, the CLI builds each
+supervisor in one stage function and exits 3 from one place, only
+`safety.controlled_plant` calls `buchi_lift`, only `textio` opens a file
+for writing, and only one function removes files."""
 
 import ast
 import importlib
@@ -18,9 +20,8 @@ from perfbench.spans import TRACED
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "suploc"
-# __init__ imports names only to re-export them
 IMPORTING = (
-    [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))]
     + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))])
 
 
@@ -124,16 +125,39 @@ def test_checker_finds_dead_functions():
     assert dead_functions(sources, {"kept"}) == ["a.dead"]
 
 
+# The checkers that no stage of the pipeline calls, each with a test that
+# calls it to check what the stages build.
+TEST_ONLY = {
+    "run_star": "test_verify.py::test_finite_equivalence_counterexample_replays",
+    "check_congruence": "test_localization.py::test_congruence_validates",
+    "is_deadlock_free": "test_omega.py::test_deadlock_free_counterexamples",
+    "star_equal": "test_omega.py::test_star_equal_depth_three_difference",
+    "star_contained": "test_omega.py::test_star_contained",
+    "check_star_controllability": "test_safety.py::test_check_controllability_witness",
+}
+
+
 def test_every_function_has_a_use():
     # a module-level function of the package is named by the package,
-    # re-exported by `__init__` or traced by the benchmark
-    exported = {a.asname or a.name
-                for node in ast.walk(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")))
-                if isinstance(node, ast.ImportFrom) for a in node.names}
+    # traced by the benchmark or one of the checkers above
     traced = {name for names in TRACED.values() for name in names}
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))
-               if p.name != "__init__.py"}
-    assert dead_functions(sources, exported | traced) == []
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_functions(sources, traced | set(TEST_ONLY)) == []
+
+
+@pytest.mark.parametrize("checker", sorted(TEST_ONLY))
+def test_kept_checker_is_called_by_its_test(checker):
+    file_name, test_name = TEST_ONLY[checker].split("::")
+    test, = [fn for fn in ast.parse((TESTS / file_name).read_text(encoding="utf-8")).body
+             if isinstance(fn, ast.FunctionDef) and fn.name == test_name]
+    assert checker in callers(ast.unparse(test))
+
+
+def test_package_root_binds_no_name():
+    # every name lives in its submodule and is imported from there, so the
+    # root holds its docstring and nothing else
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert len(tree.body) == 1 and ast.get_docstring(tree) is not None
 
 
 def test_every_test_support_function_has_a_use():

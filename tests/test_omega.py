@@ -27,6 +27,7 @@ from suploc.omega import (
     star_contained,
     star_equal,
 )
+from suploc.safety import sup_con_star
 
 
 def test_pre_deadlock_free_buchi_keeps_structure():
@@ -280,6 +281,20 @@ def test_star_contained():
     assert ok
     ok, witness = star_contained(StarLanguageHandle(big), StarLanguageHandle(small))
     assert not ok and witness == ("b",)
+
+
+def test_empty_languages():
+    # the empty language (no string, not even the empty one) is a handle
+    # with no automaton; a nonempty language holds the empty string
+    empty = StarLanguageHandle(None)
+    loop = StarAutomaton.from_rows(Alphabet.make(("a",), ("a",)), {0: {"a": 0}}, 0)
+    full = StarLanguageHandle(loop)
+    assert star_equal(empty, StarLanguageHandle(None)) == (True, None)
+    assert star_equal(empty, full) == star_equal(full, empty) == (False, ())
+    assert star_contained(empty, full) == (True, None)
+    assert star_contained(full, empty) == (False, ())
+    assert pre_automaton(empty) is empty
+    assert sup_con_star(BuchiAutomaton(loop, frozenset({0})), empty).is_empty
 
 
 def test_limit_membership_by_running():

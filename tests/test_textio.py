@@ -60,6 +60,12 @@ def test_parse_buchi_and_rabin():
     ("trans 0 zz 1", "unknown event"),
     ("trans 0 a1 2\ntrans 0 a1 3", "nondeterministic"),
     ("events a1", "needs :c or :u"),
+    ("trans 0 a1", "trans takes: src event dst"),
+    ("automaton y z", "automaton takes exactly one name"),
+    ("type omega", "unknown type 'omega'"),
+    ("events a1:x", "bad event spec 'a1:x'"),
+    ("rabin R 0 I 0", "rabin line must read: R <states> ; I <states>"),
+    ("rabin R 0 ; J 0", "rabin line must read: R <states> ; I <states>"),
 ])
 def test_parse_strictness(line, fragment):
     text = SAMPLE + line + "\n"
@@ -126,8 +132,19 @@ def test_parse_error_carries_line_number():
 
 
 def test_missing_sections():
-    with pytest.raises(ParseError):
-        parse_automaton("automaton x\ntype buchi\nevents a:u\ninitial 0\n")
+    # an error of the whole text names no line
+    for text, message in [
+            ("automaton x\ntype buchi\nevents a:u\ninitial 0\n",
+             "buchi automata need a 'buchi' line"),
+            ("automaton x\ntype star\nevents a:u\n", "missing 'initial' line"),
+            ("automaton x\ntype star\nevents a:u\ninitial 0\nbuchi 0\n",
+             "star automata carry no acceptance lines"),
+            ("automaton x\ntype rabin-buchi\nevents a:u\ninitial 0\nbuchi 0\n",
+             "rabin-buchi automata need 'buchi' and 'rabin' lines")]:
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text)
+        assert str(err.value) == message
+        assert err.value.line_no is None
 
 
 def test_round_trip_corpus():
