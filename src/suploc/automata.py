@@ -6,7 +6,8 @@ so with `explore`, the one place where the numbering policy lives: states are
 numbered densely, breadth-first from the initial state, iterating events in
 alphabet order, so the outputs are reproducible.  Liveness questions ("can
 this state reach a cycle through a good state?") all go through
-`states_reaching_cycle`; on an automaton's own acceptance, through
+`good_sccs`, and the states that reach such a cycle come from
+`states_reaching_cycle`; on an automaton's own acceptance, from
 `live_states`.  Acceptance comes from the automaton's type
 (`acceptance_pair`).
 
@@ -222,14 +223,6 @@ class LassoWord:
         if not self.cycle:
             raise AutomatonError("lasso cycle must be non-empty")
 
-    def prefix(self, n: int) -> Word:
-        out = list(self.stem)
-        i = 0
-        while len(out) < n:
-            out.append(self.cycle[i % len(self.cycle)])
-            i += 1
-        return tuple(out[:n])
-
 
 def run_star(a: StarAutomaton, word: Sequence[Event]) -> Optional[State]:
     """State reached on `word`, or None when some step is undefined."""
@@ -394,11 +387,6 @@ def reachable_trim(a: StarAutomaton) -> StarAutomaton:
     if len(reach) == len(a.states):
         return a
     return restrict(a, reach)
-
-
-def renumber_bfs(a: StarAutomaton) -> StarAutomaton:
-    """Renumber reachable states densely 0..n-1 in BFS order."""
-    return StarAutomaton.from_rows(a.alphabet, explore(a.initial, a.moves)[1], 0)
 
 
 def totalize(a: StarAutomaton) -> StarAutomaton:
@@ -597,17 +585,10 @@ def minimize_prefix_closed(a: StarAutomaton) -> StarAutomaton:
         if len(ids) == nblocks:
             break
         block, nblocks = newblock, len(ids)
-    reps: dict = {}
-    cell_of = {}
-    for q in states:
-        if block[q] not in reps:
-            reps[block[q]] = q
-        cell_of[q] = reps[block[q]]
-    out = StarAutomaton.from_rows(
-        a.alphabet,
-        {q: {e: cell_of[t] for e, t in rows[q].items()} for q in states if cell_of[q] == q},
-        cell_of[a.initial])
-    return renumber_bfs(out)
+    rep = {block[q]: q for q in states}  # a state of each block: all share one signature
+    quotient = explore(block[a.initial],
+                       lambda b: [(e, block[t]) for e, t in rows[rep[b]].items()])[1]
+    return StarAutomaton.from_rows(a.alphabet, quotient, 0)
 
 
 def tarjan_scc(states: Iterable[State], succ) -> list[list[State]]:
@@ -659,12 +640,35 @@ def tarjan_scc(states: Iterable[State], succ) -> list[list[State]]:
     return sccs
 
 
-def cyclic_sccs(states: Iterable[State], succ) -> Iterator[list[State]]:
-    """The strongly connected components that carry a cycle (more than one
-    state, or one state with a self-loop), in discovery order."""
+def good_sccs(states: Iterable[State], succ, goods: Iterable, inside=None
+              ) -> Iterator[list[State]]:
+    """The strongly connected components of `succ` on the states of `inside`
+    (every state when None) that carry a cycle (more than one state, or one
+    state with a self-loop) and meet every set in `goods`, in discovery
+    order; `states` fixes the order in which the search starts."""
+    if inside is not None:
+        states = [q for q in states if q in inside]
+        whole = succ
+
+        def succ(q):
+            return [t for t in whole(q) if t in inside]
     for comp in tarjan_scc(states, succ):
-        if len(comp) > 1 or comp[0] in succ(comp[0]):
+        if (len(comp) > 1 or comp[0] in succ(comp[0])) \
+                and not any(g.isdisjoint(comp) for g in goods):
             yield comp
+
+
+def backward_closure(seeds: Iterable[State], preds) -> set[State]:
+    """`seeds` and every state with a path into them: a state's predecessors
+    are `preds[state]`."""
+    found = set(seeds)
+    stack = list(found)
+    while stack:
+        for q in preds[stack.pop()]:
+            if q not in found:
+                found.add(q)
+                stack.append(q)
+    return found
 
 
 def states_reaching_cycle(states: Sequence[State], succ, good, inside=None) -> set[State]:
@@ -673,30 +677,14 @@ def states_reaching_cycle(states: Sequence[State], succ, good, inside=None) -> s
     `succ` must map `states` into `states`.  With `inside`, only cycles that
     stay within that set count; the path leading to the cycle may leave it.
     """
-    if inside is None:
-        cyc_states, cyc_succ = states, succ
-    else:
-        cyc_states = [q for q in states if q in inside]
-
-        def cyc_succ(q):
-            return [t for t in succ(q) if t in inside]
-    found: set[State] = set()
-    for comp in cyclic_sccs(cyc_states, cyc_succ):
-        if not good.isdisjoint(comp):
-            found.update(comp)
+    found = [q for comp in good_sccs(states, succ, (good,), inside) for q in comp]
     if not found:
-        return found
+        return set()
     preds: dict[State, list[State]] = {q: [] for q in states}
     for q in states:
         for t in succ(q):
             preds[t].append(q)
-    stack = list(found)
-    while stack:
-        for q in preds[stack.pop()]:
-            if q not in found:
-                found.add(q)
-                stack.append(q)
-    return found
+    return backward_closure(found, preds)
 
 
 def live_states(aut: BuchiAutomaton | RabinBuchiAutomaton) -> set[State]:

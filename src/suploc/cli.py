@@ -14,13 +14,13 @@ from .automata import (
     RabinBuchiAutomaton,
     StarAutomaton,
     alphabet_union,
+    check_alphabet,
     compose_plant,
     lockstep,
-    sink_tracker,
     sync_product,
 )
 from .localization import Kind, LocalController, Part, localize_all
-from .omega import StarLanguageHandle
+from .omega import StarLanguageHandle, prefix_tracker
 from .omegasynth import (
     OmegaSupervisor,
     assemble_fomega,
@@ -329,7 +329,7 @@ def _rebuild_supervisors(args):
     _, omega_b = _load(args.sup_omega, BuchiAutomaton)
     _, minimal = _load(args.minimal, BuchiAutomaton)
     sup_star = StarLanguageHandle(star_b.core)
-    sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, *sink_tracker(minimal.core))
+    sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, *prefix_tracker(minimal))
     return plant, sup_star, sup_omega
 
 
@@ -430,10 +430,14 @@ def cmd_pipeline(args) -> int:
     _, legal = _load(rel(cfg["legal_spec"]), LEGAL_TYPES)
     _, minimal = _load(rel(cfg["minimal_spec"]), BuchiAutomaton)
     # the legal product needs the legal specification over exactly the
-    # global alphabet, so that is the default
-    global_alpha = legal.alphabet
+    # global alphabet, so `alphabet_from` may only name that alphabet
     if "alphabet_from" in cfg:
-        global_alpha = _load(rel(cfg["alphabet_from"]))[1].alphabet
+        source = rel(cfg["alphabet_from"])
+        global_alpha = _load(source)[1].alphabet
+        if global_alpha.events != legal.alphabet.events:
+            raise AutomatonError(f"alphabet mismatch: {source} and the legal specification "
+                                 f"{rel(cfg['legal_spec'])} list other events or another order")
+        check_alphabet(global_alpha, legal.alphabet)
 
     out_dir = rel(cfg["output_dir"])
     os.makedirs(out_dir, exist_ok=True)
@@ -443,7 +447,7 @@ def cmd_pipeline(args) -> int:
         write(os.path.join(out_dir, fname), *content)
         finished.append(os.path.join(out_dir, fname))
 
-    plant = compose_plant(plant_parts, global_alpha)
+    plant = compose_plant(plant_parts, legal.alphabet)
     finish("plant.aut", save_automaton, "plant", plant)
     # after `plant.aut`, the run leaves exactly the files of the stages it finished
     stages = ("sup_star.aut", "legal_product.aut", "sup_omega.aut", "report.json")

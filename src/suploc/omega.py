@@ -23,12 +23,13 @@ from .automata import (
     RabinBuchiAutomaton,
     Rows,
     StarAutomaton,
+    State,
     Word,
     acceptance_pair,
     bfs_word,
     check_alphabet,
-    cyclic_sccs,
     explore,
+    good_sccs,
     live_states,
     pair_moves,
     reachable_states,
@@ -60,21 +61,27 @@ class StarLanguageHandle:
         return self.automaton.alphabet
 
 
-def pre_automaton(a: BuchiAutomaton | StarLanguageHandle) -> StarLanguageHandle:
-    """Automaton for the set of finite prefixes of the declared language.
-
-    For a star language this is just the trim structure.  For a Buchi
-    automaton, states that cannot reach an accepting cycle contribute no
-    prefixes and are pruned first.
-    """
-    if isinstance(a, StarLanguageHandle):
-        if a.is_empty:
-            return a
-        return StarLanguageHandle(reachable_trim(a.automaton))
+def pre_automaton(a: BuchiAutomaton | RabinBuchiAutomaton) -> StarLanguageHandle:
+    """Automaton for pre(S(a)), the finite prefixes of the accepted
+    behaviour: states that cannot reach an accepting cycle contribute no
+    prefixes and are pruned."""
     good = live_states(a)
     if a.core.initial not in good:
         return StarLanguageHandle(None)
     return StarLanguageHandle(reachable_trim(restrict(a.core, good)))
+
+
+def prefix_tracker(a: BuchiAutomaton | RabinBuchiAutomaton
+                   ) -> tuple[StarAutomaton, Optional[State]]:
+    """The automaton of pre(S(a)) totalized with a dead sink, which the
+    strings outside pre(S(a)) run into, and that sink (None when no string
+    leaves pre(S(a))).  When S(a) is empty, the run starts on the sink."""
+    pre = pre_automaton(a)
+    if pre.is_empty:
+        sink = "sink"
+        return StarAutomaton.from_rows(a.alphabet, {sink: dict.fromkeys(a.alphabet.events, sink)},
+                                       sink), sink
+    return sink_tracker(pre.automaton)
 
 
 def clo_automaton(a: BuchiAutomaton) -> BuchiAutomaton:
@@ -184,55 +191,37 @@ def omega_contained_single_pair(
     # the product, on visit indices: node i is the state pair order[i]
     order, rows = explore((a.core.initial, bt.initial), pair_moves(a.core, bt))
 
-    def moves_in(region):
-        return lambda i: [(e, j) for e, j in rows[i].items() if j in region]
-
-    def targets_in(region):
-        return lambda i: [j for j in rows[i].values() if j in region]
-
     def path(region, src, dst) -> Word:
         """Shortest non-empty event path src -> dst inside region."""
-        sub_order, sub_rows = explore(src, moves_in(region))
-        if dst != src:
-            return bfs_word(sub_rows, sub_order.index(dst))
-        i, e = next((i, e) for i, row in sub_rows.items() for e, j in row.items() if j == 0)
+        sub_order, sub_rows = explore(
+            src, lambda i: [(e, j) for e, j in rows[i].items() if j in region])
+        k = sub_order.index(dst)
+        i, e = next((i, e) for i, row in sub_rows.items() for e, j in row.items() if j == k)
         return bfs_word(sub_rows, i) + (e,)
 
-    def cycle_through(region, anchor, waypoints) -> Word:
-        """Event path: anchor -> each waypoint in turn -> anchor, inside region."""
-        word: Word = ()
-        cur = anchor
-        for goal in list(waypoints) + [anchor]:
-            if cur == goal and word:
-                continue
-            word += path(region, cur, goal)
-            cur = goal
-        return word
+    def targets(i):
+        return rows[i].values()
 
-    witness_cycle = None
-    anchor = None
-    # shape 1: cycle inside I_a, avoiding R_b (as the sink does), hitting R_a
-    region1 = {i for i, (qa, qb) in enumerate(order) if qa in ia and (qb == sink or qb not in rb)}
-    for comp in cyclic_sccs(sorted(region1), targets_in(region1)):
-        hits = [i for i in comp if order[i][0] in ra]
-        if hits:
-            anchor = min(hits)
-            witness_cycle = cycle_through(set(comp), anchor, [])
-            break
-    if witness_cycle is None:
-        # shape 2: cycle inside I_a hitting R_a and leaving I_b
-        region2 = {i for i, (qa, _qb) in enumerate(order) if qa in ia}
-        for comp in cyclic_sccs(sorted(region2), targets_in(region2)):
-            hits = [i for i in comp if order[i][0] in ra]
-            outs = [i for i in comp if order[i][1] == sink or order[i][1] not in ib]
-            if hits and outs:
-                anchor = min(hits)
-                witness_cycle = cycle_through(set(comp), anchor, [min(outs)])
-                break
-    if witness_cycle is None:
-        return True, None
-    lasso = LassoWord(bfs_word(rows, anchor), witness_cycle)
-    return False, _shrink_lasso(lasso, a, b)
+    nodes = range(len(order))
+    hits = {i for i in nodes if order[i][0] in ra}
+    in_a = {i for i in nodes if order[i][0] in ia}
+    # shape 1: a cycle inside I_a, avoiding R_b (as the sink does), hitting R_a
+    avoid_rb = {i for i in in_a if order[i][1] == sink or order[i][1] not in rb}
+    comp = next(good_sccs(nodes, targets, (hits,), avoid_rb), None)
+    if comp is not None:
+        anchor = waypoint = min(hits.intersection(comp))
+    else:
+        # shape 2: a cycle inside I_a hitting R_a and leaving I_b
+        out_b = {i for i in nodes if order[i][1] == sink or order[i][1] not in ib}
+        comp = next(good_sccs(nodes, targets, (hits, out_b), in_a), None)
+        if comp is None:
+            return True, None
+        anchor, waypoint = min(hits.intersection(comp)), min(out_b.intersection(comp))
+    region = set(comp)
+    cycle = path(region, anchor, waypoint)
+    if waypoint != anchor:
+        cycle += path(region, waypoint, anchor)
+    return False, _shrink_lasso(LassoWord(bfs_word(rows, anchor), cycle), a, b)
 
 
 def _shrink_lasso(w: LassoWord, a, b) -> LassoWord:

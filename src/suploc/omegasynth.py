@@ -43,14 +43,14 @@ from .automata import (
     buchi_intersection,
     check_alphabet,
     explore,
+    good_sccs,
     live_states,
     pair_moves,
     restrict,
-    sink_tracker,
     states_reaching_cycle,
     tarjan_scc,
 )
-from .omega import clo_automaton, omega_contained_single_pair
+from .omega import clo_automaton, omega_contained_single_pair, prefix_tracker
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,10 @@ class OmegaSupervisor:
     """Liveness supervisor realized over (legal-region state, tracker state).
 
     The events enabled at a supervisor state are the ones `automaton`
-    defines there.  `tracker` is the totalized automaton of the minimal
-    acceptable behavior whose sink state (`tracker_sink`) flags strings that
-    have left that behavior's prefixes.  A supervisor state's tracker
-    component is the one `lockstep(automaton, tracker)` pairs it with.
+    defines there.  `tracker` is `prefix_tracker` of the minimal acceptable
+    behavior: its sink state (`tracker_sink`) flags strings that have left
+    that behavior's prefixes.  A supervisor state's tracker component is
+    the one `lockstep(automaton, tracker)` pairs it with.
     """
 
     automaton: StarAutomaton
@@ -94,14 +94,12 @@ def build_rabin_buchi(
     check_alphabet(legal.alphabet, plant.alphabet, same=True)
     alphabet = plant.alphabet
 
-    # pre(E_l): legal states that still admit a pair-accepted continuation;
-    # the pruned tracker is then made total with an absorbing dead sink so
-    # the product's star layer accepts the plant's finite behavior exactly
-    # (strings outside pre(E_l) run into the sink, which satisfies nothing)
-    good = live_states(legal)
-    if legal.core.initial not in good:
+    # the tracker of pre(E_l) is total, so the product's star layer accepts
+    # the plant's finite behavior exactly (strings outside pre(E_l) run into
+    # the sink, which satisfies nothing)
+    tracker, sink = prefix_tracker(legal)
+    if tracker.initial == sink:
         raise AutomatonError("legal specification has empty omega-language")
-    tracker, sink = sink_tracker(restrict(legal.core, good))
     origin, rows = explore((plant.core.initial, tracker.initial), pair_moves(plant.core, tracker))
 
     core = StarAutomaton.from_rows(alphabet, rows, 0)
@@ -410,8 +408,8 @@ def _pattern_map_wins(core, phi, region, r_set, i_set, b_set) -> bool:
                 return False
     ordered = [q for q in core.states if q in region]
     succ = _pattern_succ(core, phi, region)
-    return not (states_reaching_cycle(ordered, succ, region - i_set)
-                or states_reaching_cycle(ordered, succ, b_set, inside=region - r_set))
+    return not (any(good_sccs(ordered, succ, (region - i_set,)))
+                or any(good_sccs(ordered, succ, (b_set,), region - r_set)))
 
 
 def restrict_sup(a: RabinBuchiAutomaton, c: ControllabilityResult) -> RabinBuchiAutomaton:
@@ -455,8 +453,8 @@ def assemble_fomega(
     """Realize the piecewise liveness supervisor as one automaton.
 
     States are pairs (legal-region state, tracker state) where the tracker is
-    the totalized automaton of the minimal behavior.  While the tracker is
-    off its sink the string is a prefix of the minimal behavior and every
+    `prefix_tracker` of the minimal behavior A.  While the tracker is off
+    its sink the string is in pre(A), the prefixes of S(A), and every
     defined event stays enabled; once the sink is reached, the maximal
     winning pattern of the legal region takes over.  A supervisor state is
     marked when its legal-region state is in the Buchi layer.  `asup` is
@@ -483,7 +481,7 @@ def assemble_fomega(
                     "prefix region of the restricted legal behavior is not "
                     "controllable; the controllability subset is inconsistent")
 
-    tracker, sink = sink_tracker(minimal.core)
+    tracker, sink = prefix_tracker(minimal)
 
     def succ(v):
         q, z = v

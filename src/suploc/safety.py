@@ -20,6 +20,7 @@ from .automata import (
     Event,
     StarAutomaton,
     State,
+    backward_closure,
     buchi_lift,
     check_alphabet,
     explore,
@@ -49,19 +50,13 @@ def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> StarLanguag
     # reachable product, on visit indices: node i is the state pair order[i]
     order, rows = explore((p.initial, s.initial), pair_moves(p, s))
     unc, plant_rows = alphabet.uncontrollable, p.rows
-    lost = {st for st, (q, _x) in enumerate(order)
-            if any(u in unc and u not in rows[st] for u in plant_rows[q])}
     preds: list[list[int]] = [[] for _ in order]
     for src, row in rows.items():
         for e, dst in row.items():
             if e in unc:
                 preds[dst].append(src)
-    stack = list(lost)
-    while stack:
-        for pr in preds[stack.pop()]:
-            if pr not in lost:
-                lost.add(pr)
-                stack.append(pr)
+    lost = backward_closure((st for st, (q, _x) in enumerate(order)
+                             if any(u in unc and u not in rows[st] for u in plant_rows[q])), preds)
     if 0 in lost:
         return StarLanguageHandle(None)
     product = StarAutomaton.from_rows(alphabet, rows, 0)

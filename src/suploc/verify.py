@@ -82,8 +82,9 @@ def check_finite_equivalence(
     controllers: list[LocalController],
 ) -> EquivalenceReport:
     """Exact decision of the collective finite behavior against the
-    supervisors', reported together with both factor equalities.  An empty
-    SUP* is an input error: no supervisor exists to compare with."""
+    supervisors' and of both factor equalities; `finite_ok` holds when all
+    three do.  An empty SUP* is an input error: no supervisor exists to
+    compare with."""
     if sup_star.is_empty:
         raise AutomatonError("SUP* is empty: there is no safety supervisor to verify against")
     alphabet = plant.alphabet
@@ -95,7 +96,7 @@ def check_finite_equivalence(
                                        sup_omega.automaton)
     ok_full, ce_full = product_compare([plant.core] + everyone, alphabet, sup_omega.automaton)
 
-    report = EquivalenceReport(finite_ok=ok_full)
+    report = EquivalenceReport(finite_ok=ok_star and ok_live and ok_full)
     report.sub_results = {
         "safety_factor": ok_star,
         "liveness_factor": ok_live,

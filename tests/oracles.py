@@ -18,7 +18,10 @@ lines with newlines, on the library's canonical numbering
 `run_lasso`, which picked the acceptance condition by a layer name, on the
 oracle's own visit set: the reference for reading it off the type.
 `rows_ok` checks the contract that `StarAutomaton.from_rows` trusts its
-callers to keep, on the automata the package builds.
+callers to keep, on the automata the package builds.  `minimal_prefix_states`
+and `bad_cycle_sets` reach states one path at a time, the definitions that
+`live_states` and the cycle search of `omega_contained_single_pair` decide
+on strongly connected components.
 """
 
 from collections import deque
@@ -283,6 +286,72 @@ def winning_region_by_enumeration(a: RabinBuchiAutomaton, alphabet) -> set:
         if len(won) == len(a.core.states):
             break
     return won
+
+
+# ---------------------------------------------------------------------------
+# omega-containment oracle
+
+
+def _pair(aut):
+    """(R, I) of a Buchi automaton (its set, every state) or of a
+    Rabin-Buchi automaton's single pair."""
+    if isinstance(aut, BuchiAutomaton):
+        return set(aut.accepting), set(aut.core.states)
+    (r, i), = aut.rabin_pairs
+    return set(r), set(i)
+
+
+def omega_product(a, b):
+    """The reachable states of the product of a with b, and its successor
+    function; b is partial, and a string b cannot run takes b's component
+    to None, which stays None."""
+    def succ(v):
+        qa, qb = v
+        out = []
+        for e in a.alphabet.events:
+            ta = a.core.transitions.get((qa, e))
+            if ta is not None:
+                out.append((ta, None if qb is None else b.core.transitions.get((qb, e))))
+        return out
+
+    start = (a.core.initial, b.core.initial)
+    return _reach(start, succ) | {start}, succ
+
+
+def bad_cycle_sets(a, b) -> list[frozenset]:
+    """Every strongly connected set of reachable states of the product of a
+    with b on which a run is accepted by a and rejected by b.
+
+    The product is `omega_product`'s, where None accepts nothing.  A set is
+    strongly connected when each of its states reaches every one of them
+    (itself included) by a non-empty path inside the set; such a set is the
+    infinity set of some ultimately periodic run, and every run's infinity
+    set is one.  Sets are tried exhaustively, among the subsets of each
+    maximal one."""
+    ra, ia = _pair(a)
+    rb, ib = _pair(b)
+    states, succ = omega_product(a, b)
+    out = []
+    blocks = {frozenset(t for t in _reach(v, succ) if v in _reach(t, succ)) for v in states}
+    for block in (sorted(c, key=repr) for c in blocks if c):
+        for mask in range(1, 2 ** len(block)):
+            cand = {v for k, v in enumerate(block) if mask >> k & 1}
+            if not all(cand <= _reach(v, succ, cand) for v in cand):
+                continue
+            a_side = {qa for qa, _qb in cand}
+            b_side = {qb for _qa, qb in cand}
+            a_accepts = bool(a_side & ra) and a_side <= ia
+            b_accepts = None not in b_side and bool(b_side & rb) and b_side <= ib
+            if a_accepts and not b_accepts:
+                out.append(frozenset(cand))
+    return out
+
+
+def omega_contained_by_subsets(a, b) -> bool:
+    """S(a) <= S(b), each by its Buchi set or single Rabin pair: no
+    strongly connected set of the product is accepted by a and rejected by
+    b (`bad_cycle_sets`)."""
+    return not bad_cycle_sets(a, b)
 
 
 # ---------------------------------------------------------------------------

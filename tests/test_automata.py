@@ -47,7 +47,6 @@ from suploc.automata import (
     omega_visit_set,
     pair_moves,
     reachable_trim,
-    renumber_bfs,
     restrict,
     run_lasso,
     run_star,
@@ -224,10 +223,16 @@ def test_run_lasso_rotation_stable():
         assert run_lasso(b, w) == run_lasso(b, padded)
 
 
+def lasso_prefix(w, n):
+    """The first n events of the lasso word w."""
+    return (w.stem + w.cycle * (n // len(w.cycle) + 1))[:n]
+
+
 def fall_off_length(core, w):
     """Length of the shortest prefix of w the automaton cannot run, or None."""
     bound = len(w.stem) + (len(core.states) + 1) * len(w.cycle)
-    return next((n for n in range(1, bound + 1) if run_star(core, w.prefix(n)) is None), None)
+    return next((n for n in range(1, bound + 1) if run_star(core, lasso_prefix(w, n)) is None),
+                None)
 
 
 def test_omega_visit_set_matches_oracle():
@@ -353,7 +358,8 @@ def test_operations_preserve_determinism(sf):
 
 def test_lasso_prefix_helper():
     w = LassoWord(("a",), ("b", "c"))
-    assert w.prefix(5) == ("a", "b", "c", "b", "c")
+    assert lasso_prefix(w, 5) == ("a", "b", "c", "b", "c")
+    assert lasso_prefix(w, 0) == () and lasso_prefix(w, 1) == ("a",)
     with pytest.raises(AutomatonError):
         LassoWord(("a",), ())
 
@@ -555,7 +561,7 @@ def test_constructions_index_by_rows(sf):
         wide = Alphabet.make(al.events + ("x",), al.controllable)
         keep = {a.initial} | set(rng.sample(a.states, rng.randint(0, len(a.states))))
         built += [StarAutomaton.from_rows(al, explore(a.initial, a.moves)[1], 0),
-                  restrict(a, keep), renumber_bfs(a), totalize(renumber_bfs(a)),
+                  restrict(a, keep), totalize(a),
                   extend_alphabet(a, wide), sync_product([a, b.core], al),
                   minimize_prefix_closed(a), buchi_intersection(b, all_accepting(a)).core,
                   buchi_intersection(b, c).core, clo_automaton(b).core]

@@ -166,6 +166,23 @@ def test_synth_safety_and_omega_roundtrip(corpus, tmp_path, capsys):
     assert {k: rep["sub_results"][k] for k in ("safety_factor", "collective", "liveness_factor")} \
         == {"safety_factor": False, "collective": False, "liveness_factor": True}
 
+    # SUP* without its a1 move from state 0: the collective walk still
+    # agrees with SUPw, but both factor equalities fail, and so does verify
+    sup_star = tmp_path / "sup_star.aut"
+    text = (out_dir / "sup_star.aut").read_text()
+    assert "trans 0 a1 1\n" in text
+    sup_star.write_text(text.replace("trans 0 a1 1\n", ""))
+    assert run_cli("verify", "--plant", out_dir / "plant.aut",
+                   "--sup-star", sup_star,
+                   "--sup-omega", out_dir / "sup_omega.aut",
+                   "--minimal", corpus / "minspec.aut",
+                   "--controllers", out_dir / "controllers",
+                   "--lassos", "200", "--report", tmp_path / "rep.json") == 4
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert rep["finite_ok"] is False and rep["counterexample"] == ["a1"]
+    assert {k: rep["sub_results"][k] for k in ("safety_factor", "collective", "liveness_factor")} \
+        == {"safety_factor": False, "collective": True, "liveness_factor": False}
+
 
 @pytest.mark.parametrize("count", ["-3", "many"])
 def test_lasso_count_must_be_non_negative(corpus, capsys, count):
@@ -584,6 +601,21 @@ def test_pipeline_without_alphabet_from(corpus_run):
     assert files == sorted(f.relative_to(got) for f in got.rglob("*") if f.is_file())
     for f in files:
         assert (ref / f).read_bytes() == (got / f).read_bytes(), f
+
+
+def test_alphabet_from_out_of_order_rejected_before_writing(corpus, capsys):
+    # alphabet_from must give the legal specification's events in its
+    # order: the other order is rejected before plant.aut, naming both files
+    minspec = corpus / "minspec.aut"
+    events = next(line for line in minspec.read_text().splitlines()
+                  if line.startswith("events "))
+    swapped = "events " + " ".join(reversed(events.split()[1:]))
+    minspec.write_text(minspec.read_text().replace(events, swapped))
+    assert run_cli("--quiet", "pipeline", corpus / "pipeline.cfg") == 2
+    assert capsys.readouterr().err == (
+        f"input error: alphabet mismatch: {minspec} and the legal specification "
+        f"{corpus / 'maxspec.aut'} list other events or another order\n")
+    assert not (corpus / "out").exists()
 
 
 def test_minimal_spec_with_states_named_sink(corpus_run):

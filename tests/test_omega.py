@@ -2,8 +2,22 @@ import random
 
 import pytest
 
-from harness import corpus, random_alphabet, random_buchi, random_lasso, random_star_automaton
-from oracles import enumerate_language, star_compare_by_explore
+from harness import (
+    corpus,
+    random_alphabet,
+    random_buchi,
+    random_lasso,
+    random_single_pair,
+    random_star_automaton,
+)
+from oracles import (
+    bad_cycle_sets,
+    enumerate_language,
+    lasso_accepted,
+    omega_contained_by_subsets,
+    omega_product,
+    star_compare_by_explore,
+)
 
 from suploc.automata import (
     Alphabet,
@@ -11,6 +25,7 @@ from suploc.automata import (
     BuchiAutomaton,
     LassoWord,
     StarAutomaton,
+    all_accepting,
     extend_alphabet,
     lasso_in_star,
     minimize_prefix_closed,
@@ -228,7 +243,7 @@ def test_pre_monotone_idempotent():
         h1 = pre_automaton(b)
         if h1.is_empty:
             continue
-        h2 = pre_automaton(h1)
+        h2 = pre_automaton(all_accepting(h1.automaton))
         ok, _ = star_equal(h1, h2)
         assert ok
 
@@ -293,7 +308,6 @@ def test_empty_languages():
     assert star_equal(empty, full) == star_equal(full, empty) == (False, ())
     assert star_contained(empty, full) == (True, None)
     assert star_contained(full, empty) == (False, ())
-    assert pre_automaton(empty) is empty
     assert sup_con_star(BuchiAutomaton(loop, frozenset({0})), empty).is_empty
 
 
@@ -303,3 +317,35 @@ def test_limit_membership_by_running():
     w_out = LassoWord(("a1",), ("a1",))
     assert lasso_in_star(mins.core, w_in)
     assert not lasso_in_star(mins.core, w_out)
+
+
+def test_omega_containment_matches_subset_oracle():
+    # the verdict against every strongly connected set of the product; a
+    # witness must lie in S(a) \ S(b).  Shape 2 of the search (a cycle
+    # that meets R_a and leaves I_b, when none avoids R_b) must be reached,
+    # also where no state of such a cycle does both, so that the witness
+    # cycle runs anchor -> waypoint -> anchor through two distinct states
+    rng = random.Random(2024)
+    pairs = shape2 = two_stops = 0
+    while pairs < 400:
+        al = random_alphabet(rng, rng.randint(2, 3))
+        make_a = rng.choice((random_buchi, random_single_pair))
+        a = make_a(rng, al, rng.randint(1, 4), density=rng.choice((0.5, 0.8)))
+        b = random_single_pair(rng, al, rng.randint(1, 4), density=rng.choice((0.5, 0.8)))
+        if len(omega_product(a, b)[0]) > 14:
+            continue
+        pairs += 1
+        ok, witness = omega_contained_single_pair(a, b)
+        assert ok == omega_contained_by_subsets(a, b)
+        if ok:
+            assert witness is None
+            continue
+        assert lasso_accepted(a, witness, "rabin") and not lasso_accepted(b, witness, "rabin")
+        bad = bad_cycle_sets(a, b)
+        (rb, ib), = b.rabin_pairs
+        ra = a.accepting if isinstance(a, BuchiAutomaton) else a.rabin_pairs[0][0]
+        if all(any(qb in rb for _qa, qb in s) for s in bad):  # no cycle avoids R_b
+            shape2 += 1
+            two_stops += not any(qa in ra and (qb is None or qb not in ib)
+                                 for s in bad for qa, qb in s)
+    assert shape2 > 0 and two_stops > 0, (shape2, two_stops)

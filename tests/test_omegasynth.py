@@ -1,14 +1,23 @@
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from harness import random_alphabet, random_buchi, random_lasso, random_single_pair
+from harness import (
+    random_alphabet,
+    random_buchi,
+    random_lasso,
+    random_pipeline,
+    random_single_pair,
+)
 from oracles import (
     greedy_pattern_map,
+    language_equal_upto,
+    piecewise_supervisor,
     prefix_region,
     restorable_drops,
     winning_region_by_enumeration,
@@ -29,7 +38,7 @@ from suploc.automata import (
     lockstep,
     run_lasso,
 )
-from suploc import omegasynth
+from suploc import cli, omegasynth
 from suploc.omega import (
     StarLanguageHandle,
     omega_contained_single_pair,
@@ -45,6 +54,7 @@ from suploc.omegasynth import (
     restrict_sup,
 )
 from suploc.safety import check_star_controllability
+from suploc.textio import load_automaton
 
 
 def test_legal_product_factory_counts(sf):
@@ -617,6 +627,58 @@ def test_supervisor_total_tracker_degenerate():
     ok, _ = star_equal(StarLanguageHandle(supw.automaton),
                        StarLanguageHandle(prod.core))
     assert ok
+
+
+def test_supervisor_keeps_legal_spec_when_minimal_has_nonlive_state(tmp_path):
+    # the minimal behaviour's state 1 reaches no accepting cycle, so e0 is
+    # no prefix of it: after e0 the pattern map decides.  A tracker that
+    # counts state 1 as on track keeps e2 enabled forever, and SUPw then
+    # admits e0 (e2)^w, which the plant accepts and the legal
+    # specification rejects
+    data = tmp_path / "nonlive-minimal"
+    shutil.copytree(Path(__file__).parent / "data" / "nonlive-minimal", data)
+    assert cli.main(["--quiet", "pipeline", str(data / "pipeline.cfg")]) == 0
+    _, supw = load_automaton(data / "out" / "sup_omega.aut")
+    _, plant = load_automaton(data / "out" / "plant.aut")
+    _, legal = load_automaton(data / "legal.aut")
+    assert not run_lasso(all_accepting(supw.core), LassoWord(("e0",), ("e2",)))
+    assert omega_contained_single_pair(buchi_intersection(all_accepting(supw.core), plant),
+                                       legal) == (True, None)
+
+
+def with_trap_state(minimal: BuchiAutomaton) -> BuchiAutomaton:
+    """`minimal` with one more transition, on its first undefined (state,
+    event) slot, into a fresh non-accepting state that loops on every event:
+    the same accepted behaviour, with a reachable state that is not live."""
+    core = minimal.core
+    q, e = next((q, e) for q in core.states for e in core.alphabet.events
+                if e not in core.rows[q])
+    trap = len(core.states)
+    trans = {**core.transitions, (q, e): trap}
+    trans.update({(trap, f): trap for f in core.alphabet.events})
+    return BuchiAutomaton(StarAutomaton(core.alphabet, (*core.states, trap), core.initial, trans),
+                          minimal.accepting)
+
+
+def test_supervisor_tracks_prefixes_of_minimal_behaviour_random():
+    # a non-live state of the minimal behaviour's automaton takes no string
+    # into pre(A): SUPw still equals the piecewise oracle, whose prefixes are
+    # the live states, and stays inside the legal specification
+    rng = random.Random(7)
+    built = 0
+    while built < 60:
+        inst = random_pipeline(rng)
+        if inst is None:
+            continue
+        built += 1
+        minimal = with_trap_state(inst["minimal"])
+        supw = assemble_fomega(inst["asup"], inst["ctr"], minimal, existence_verified=True)
+        oracle = piecewise_supervisor(inst["asup"], inst["ctr"].subset, inst["ctr"].phi,
+                                      minimal, 8)
+        assert language_equal_upto(supw.automaton, oracle, 8)
+        ok, witness = omega_contained_single_pair(
+            buchi_intersection(all_accepting(supw.automaton), inst["plant"]), inst["legal"])
+        assert ok, witness
 
 
 # Synthesis up to the control game on a pipeline input directory; prints the

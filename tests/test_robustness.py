@@ -6,15 +6,18 @@ Each run mutates one file of a fresh copy: it deletes, duplicates,
 truncates or swaps a line, or replaces or appends a token drawn from the
 same file.  `pipeline` runs on mutated copies of the corpus (its ``.aut``
 files and config); `verify` runs on mutated copies of the corpus
-pipeline's artifacts and controllers.
+pipeline's artifacts and controllers, and each of its exits 0 is checked
+again with `perfbench.checks.lockstep` on the mutated files.
 """
 
 import random
 import shutil
 
 from harness import corpus_texts
+from perfbench.checks import lockstep
 
-from suploc.cli import main
+from suploc.cli import _load_controllers, main
+from suploc.textio import load_automaton
 
 EXIT_CODES = {0, 2, 3, 4}  # success, input error, no supervisor, verification failed
 RUNS = 200
@@ -46,10 +49,11 @@ def mutate(text: str, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def probe(files: dict[str, str], where, argv, capsys) -> list[int]:
+def probe(files: dict[str, str], where, argv, capsys, on_success=None) -> list[int]:
     """The exit code of `argv` on each of `RUNS` seeded mutations of
     `files` ({path relative to `where`: text}), each written afresh into
-    the directory `where`."""
+    the directory `where`.  After each exit 0, `on_success()` (when given)
+    must return None, not a reason why the run should have failed."""
     codes = []
     for seed in range(RUNS):
         rng = random.Random(seed)
@@ -64,6 +68,8 @@ def probe(files: dict[str, str], where, argv, capsys) -> list[int]:
         except Exception as exc:
             raise AssertionError(f"seed {seed}, {mutated}: {exc!r} escaped main") from exc
         assert code in EXIT_CODES, (seed, mutated, code)
+        if code == 0 and on_success is not None:
+            assert on_success() is None, (seed, mutated)
         codes.append(code)
         capsys.readouterr()
     return codes
@@ -89,9 +95,20 @@ def test_mutated_artifacts_through_verify(tmp_path, capsys):
             *sorted((out / "controllers").iterdir())]
     files = {str(p.relative_to(out)): p.read_text(encoding="utf-8") for p in read}
     work = tmp_path / "artifacts"
+
+    def controllers_act_like_supervisors():
+        # an exit 0, checked on the files as mutated by the benchmark's own
+        # walk: the plant under every controller named in the manifest has
+        # the language of the plant under SUP* and SUPw
+        plant, sup_star, sup_omega = (load_automaton(work / f)[1].core
+                                      for f in ("plant.aut", "sup_star.aut", "sup_omega.aut"))
+        controllers = [c.automaton for c in _load_controllers(work / "controllers")]
+        return lockstep([plant, *controllers], [plant, sup_star, sup_omega],
+                        plant.alphabet.events)
+
     codes = probe(files, work,
                   ["--quiet", "verify", "--plant", work / "plant.aut",
                    "--sup-star", work / "sup_star.aut", "--sup-omega", work / "sup_omega.aut",
                    "--minimal", corpus / "minspec.aut", "--controllers", work / "controllers",
-                   "--lassos", LASSOS], capsys)
+                   "--lassos", LASSOS], capsys, controllers_act_like_supervisors)
     assert {0, 2, 4} <= set(codes)
