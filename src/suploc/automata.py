@@ -154,11 +154,6 @@ class StarAutomaton:
         """Targets of the transitions leaving q, in alphabet order."""
         return self.rows[q].values()
 
-    def step(self, q: State, e: Event) -> Optional[State]:
-        if e not in self.alphabet:
-            raise AutomatonError(f"unknown event {e!r}")
-        return self.rows[q].get(e)
-
     def is_total(self) -> bool:
         n = len(self.alphabet.events)
         return all(len(row) == n for row in self.rows.values())
@@ -222,16 +217,6 @@ class LassoWord:
     def __post_init__(self):
         if not self.cycle:
             raise AutomatonError("lasso cycle must be non-empty")
-
-
-def run_star(a: StarAutomaton, word: Sequence[Event]) -> Optional[State]:
-    """State reached on `word`, or None when some step is undefined."""
-    q = a.initial
-    for e in word:
-        q = a.step(q, e)
-        if q is None:
-            return None
-    return q
 
 
 def omega_visit_set(core: StarAutomaton, w: LassoWord) -> Optional[frozenset[State]]:

@@ -76,6 +76,19 @@ def _load(path, expect=None):
     return name, aut
 
 
+def _fit(path, aut, alphabet, source=None, role=""):
+    """`aut`, read from `path`, if it declares events of `alphabet` with their
+    controllability and, given `source` (where `alphabet` is read from), all in order."""
+    if source is not None and aut.alphabet.events != alphabet.events:
+        raise AutomatonError(f"alphabet mismatch: {source} and {role}{path} list other events "
+                             "or another order")
+    try:
+        check_alphabet(aut.alphabet, alphabet)
+    except AutomatonError as exc:
+        raise AutomatonError(f"{path}: {exc}") from None
+    return aut
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -164,7 +177,8 @@ def _synth_safety(plant: BuchiAutomaton, specs: list[StarAutomaton]):
 
 def cmd_synth_safety(args) -> int:
     _, plant = _load(args.plant, BuchiAutomaton)
-    _sup, closed = _synth_safety(plant, [_load_safety_spec(p) for p in args.spec])
+    specs = [_fit(p, _load_safety_spec(p), plant.alphabet) for p in args.spec]
+    _sup, closed = _synth_safety(plant, specs)
     _save(args.out, "sup-star", closed, args.dot)
     _emit(args, _sizes(closed))
     return EXIT_OK
@@ -189,8 +203,8 @@ def _synth_omega(closed: BuchiAutomaton, product, minimal: BuchiAutomaton):
 
 def cmd_synth_omega(args) -> int:
     _, closed = _load(args.plant, BuchiAutomaton)
-    _, legal = _load(args.legal, LEGAL_TYPES)
-    _, minimal = _load(args.minimal, BuchiAutomaton)
+    legal, minimal = (_fit(p, _load(p, kind)[1], closed.alphabet, args.plant)
+                      for p, kind in ((args.legal, LEGAL_TYPES), (args.minimal, BuchiAutomaton)))
     product = build_rabin_buchi(closed, legal)
     sup, ctr = _synth_omega(closed, product, minimal)
     saved = BuchiAutomaton(sup.automaton, sup.buchi_lift)
@@ -325,9 +339,8 @@ def _rebuild_supervisors(args):
     from the minimal behavior.
     """
     _, plant = _load(args.plant, BuchiAutomaton)
-    _, star_b = _load(args.sup_star, BuchiAutomaton)
-    _, omega_b = _load(args.sup_omega, BuchiAutomaton)
-    _, minimal = _load(args.minimal, BuchiAutomaton)
+    star_b, omega_b, minimal = (_fit(p, _load(p, BuchiAutomaton)[1], plant.alphabet, args.plant)
+                                for p in (args.sup_star, args.sup_omega, args.minimal))
     sup_star = StarLanguageHandle(star_b.core)
     sup_omega = OmegaSupervisor(omega_b.core, omega_b.accepting, *prefix_tracker(minimal))
     return plant, sup_star, sup_omega
@@ -394,21 +407,21 @@ def _write_controllers(controllers: list[LocalController], out_dir, dot: bool,
     return manifest
 
 
-def _load_controllers(directory) -> list[LocalController]:
+def _load_controllers(directory, alphabet) -> list[LocalController]:
     path = os.path.join(directory, "manifest.json")
     manifest = _read_json(path)
     try:
-        entries = [(e["name"] + ".aut", e["event"], Kind(e["kind"]), Part(e["part"]))
-                   for e in manifest]
+        entries = [(os.path.join(directory, e["name"] + ".aut"), e["event"], Kind(e["kind"]),
+                    Part(e["part"])) for e in manifest]
     except (KeyError, TypeError, ValueError) as exc:
         raise AutomatonError(f"{path}: not a controller manifest ({exc!r})")
-    return [LocalController(_load(os.path.join(directory, f), StarAutomaton)[1], event, kind, part)
-            for f, event, kind, part in entries]
+    return [LocalController(_fit(p, _load(p, StarAutomaton)[1], alphabet), event, kind, part)
+            for p, event, kind, part in entries]
 
 
 def cmd_verify(args) -> int:
     plant, sup_star, sup_omega = _rebuild_supervisors(args)
-    controllers = _load_controllers(args.controllers)
+    controllers = _load_controllers(args.controllers, plant.alphabet)
     report = check_infinite_equivalence(
         plant, sup_star, sup_omega, controllers, lasso_budget=args.lassos, seed=args.seed)
     payload = report.as_dict()
@@ -425,19 +438,19 @@ def cmd_pipeline(args) -> int:
     def rel(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    plant_parts = [_load(rel(p))[1] for p in cfg["plant_components"]]
-    specs = [_load_safety_spec(rel(p)) for p in cfg["safety_specs"]]
-    _, legal = _load(rel(cfg["legal_spec"]), LEGAL_TYPES)
+    parts = [(rel(p), _load(rel(p))[1]) for p in cfg["plant_components"]]
+    specs = [(rel(p), _load_safety_spec(rel(p))) for p in cfg["safety_specs"]]
+    source = legal_path = rel(cfg["legal_spec"])
+    _, legal = _load(legal_path, LEGAL_TYPES)
     _, minimal = _load(rel(cfg["minimal_spec"]), BuchiAutomaton)
-    # the legal product needs the legal specification over exactly the
-    # global alphabet, so `alphabet_from` may only name that alphabet
+    # every input over the global alphabet, the legal specification's: the
+    # legal product needs it over exactly that, so `alphabet_from` may only name it
     if "alphabet_from" in cfg:
         source = rel(cfg["alphabet_from"])
-        global_alpha = _load(source)[1].alphabet
-        if global_alpha.events != legal.alphabet.events:
-            raise AutomatonError(f"alphabet mismatch: {source} and the legal specification "
-                                 f"{rel(cfg['legal_spec'])} list other events or another order")
-        check_alphabet(global_alpha, legal.alphabet)
+        _fit(legal_path, legal, _load(source)[1].alphabet, source, "the legal specification ")
+    for path, aut in parts + specs:
+        _fit(path, aut, legal.alphabet)
+    _fit(rel(cfg["minimal_spec"]), minimal, legal.alphabet, source)
 
     out_dir = rel(cfg["output_dir"])
     os.makedirs(out_dir, exist_ok=True)
@@ -447,12 +460,12 @@ def cmd_pipeline(args) -> int:
         write(os.path.join(out_dir, fname), *content)
         finished.append(os.path.join(out_dir, fname))
 
-    plant = compose_plant(plant_parts, legal.alphabet)
+    plant = compose_plant([part for _path, part in parts], legal.alphabet)
     finish("plant.aut", save_automaton, "plant", plant)
     # after `plant.aut`, the run leaves exactly the files of the stages it finished
     stages = ("sup_star.aut", "legal_product.aut", "sup_omega.aut", "report.json")
     with _replacing(out_dir, finished, stages, "controllers"):
-        sup, closed = _synth_safety(plant, specs)
+        sup, closed = _synth_safety(plant, [spec for _path, spec in specs])
         finish("sup_star.aut", save_automaton, "sup-star", closed)
         product = build_rabin_buchi(closed, legal)
         finish("legal_product.aut", save_automaton, "legal-product", product)

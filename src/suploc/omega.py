@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from .automata import (
     Alphabet,
-    AutomatonError,
     BuchiAutomaton,
     LassoWord,
     RabinBuchiAutomaton,
@@ -32,7 +31,6 @@ from .automata import (
     good_sccs,
     live_states,
     pair_moves,
-    reachable_states,
     reachable_trim,
     restrict,
     run_lasso,
@@ -53,12 +51,6 @@ class StarLanguageHandle:
     @property
     def is_empty(self) -> bool:
         return self.automaton is None
-
-    @property
-    def alphabet(self):
-        if self.automaton is None:
-            raise AutomatonError("empty language handle has no alphabet")
-        return self.automaton.alphabet
 
 
 def pre_automaton(a: BuchiAutomaton | RabinBuchiAutomaton) -> StarLanguageHandle:
@@ -93,45 +85,19 @@ def clo_automaton(a: BuchiAutomaton) -> BuchiAutomaton:
     return BuchiAutomaton(handle.automaton, frozenset(handle.automaton.states))
 
 
-def is_deadlock_free(a: BuchiAutomaton) -> bool:
-    """True iff every reachable state reaches an accepting cycle."""
-    return len(live_states(a)) == len(reachable_states(a.core))
-
-
-def star_equal(a: StarLanguageHandle, b: StarLanguageHandle) -> tuple[bool, Optional[Word]]:
-    """Exact equality of prefix-closed languages, with a shortest-difference
-    witness string on failure."""
-    if a.is_empty or b.is_empty:
-        if a.is_empty and b.is_empty:
-            return True, None
-        return False, ()
-    return product_compare([a.automaton], a.alphabet, b.automaton, containment=False)
-
-
-def star_contained(a: StarLanguageHandle, b: StarLanguageHandle) -> tuple[bool, Optional[Word]]:
-    """Exact containment L(a) <= L(b), with a witness in L(a) \\ L(b)."""
-    if a.is_empty:
-        return True, None
-    if b.is_empty:
-        return False, ()
-    return product_compare([a.automaton], a.alphabet, b.automaton, containment=True)
-
-
-def product_compare(factors: Sequence[StarAutomaton], alphabet: Alphabet, b: StarAutomaton,
-                    containment: bool = False) -> tuple[bool, Optional[Word]]:
-    """Equality (or, with `containment`, inclusion) of the language of the
-    synchronous product of `factors` over `alphabet` with L(b), decided
-    without building the product.
+def product_compare(factors: Sequence[StarAutomaton], alphabet: Alphabet,
+                    b: StarAutomaton) -> tuple[bool, Optional[Word]]:
+    """Equality of the language of the synchronous product of `factors`
+    over `alphabet` with L(b), decided without building the product.
 
     One breadth-first walk of the factors' product paired with `b`, events
     in alphabet order: node i is the vector of the factors' states followed
     by b's state, numbered as `explore` numbers it, so the nodes and their
     order are those of the walk `explore` makes over `sync_product(factors,
     alphabet)` and `b` with `pair_moves`.  The walk stops at the first node
-    where the product enables an event that b does not (or, for equality,
-    the other way round) and returns `bfs_word` to that node followed by
-    the least such event.  Each factor must fit `alphabet` as in
-    `sync_product`, and b must have its events.
+    where the product and b enable different events and returns `bfs_word`
+    to that node followed by the least such event.  Each factor must fit
+    `alphabet` as in `sync_product`, and b must have its events.
     """
     for f in factors:
         check_alphabet(f.alphabet, alphabet)
@@ -151,7 +117,7 @@ def product_compare(factors: Sequence[StarAutomaton], alphabet: Alphabet, b: Sta
         for e, ks in movers:
             for k in ks:
                 if e not in here[k]:
-                    if not containment and e in row_b:
+                    if e in row_b:
                         return False, bfs_word(rows, i) + (e,)
                     break
             else:

@@ -12,14 +12,10 @@ canonical regardless of how the plant's liveness layers were composed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .automata import (
     AutomatonError,
     BuchiAutomaton,
-    Event,
     StarAutomaton,
-    State,
     backward_closure,
     buchi_lift,
     check_alphabet,
@@ -79,21 +75,3 @@ def controlled_plant(plant: BuchiAutomaton, sup: StarLanguageHandle) -> BuchiAut
     if sup.is_empty:
         raise AutomatonError("empty supervisor has no controlled plant")
     return BuchiAutomaton(sup.automaton, buchi_lift(sup.automaton, plant))
-
-
-def check_star_controllability(
-    plant: BuchiAutomaton, k: StarLanguageHandle
-) -> tuple[bool, Optional[tuple[State, Event]]]:
-    """Exact controllability check of a prefix-closed language against the
-    plant; on failure returns a (language state, uncontrollable event) witness."""
-    if k.is_empty:
-        return True, None
-    p = plant.core
-    s = k.automaton
-    check_alphabet(s.alphabet, p.alphabet, same=True)
-    unc = p.alphabet.uncontrollable
-    for q, x in explore((p.initial, s.initial), pair_moves(p, s))[0]:
-        for u in p.rows[q]:
-            if u in unc and u not in s.rows[x]:
-                return False, (x, u)
-    return True, None

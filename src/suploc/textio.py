@@ -260,11 +260,15 @@ def save_automaton(path, name: str, aut: AnyAutomaton) -> None:
     write_text(path, serialize_automaton(name, aut))
 
 
+DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})
+
+
 def to_dot(name: str, aut: AnyAutomaton) -> str:
     """GraphViz rendering; Buchi states are doubled, Rabin membership is
-    annotated on the node label."""
+    annotated on the node label.  In the name and the event labels, ``\\``
+    and ``"`` are escaped (`DOT_ESCAPES`); states are canonical numbers."""
     core, buchi, pairs = _canonical(aut)
-    out = [f'digraph "{name}" {{\n  rankdir=LR;\n  node [shape=circle];\n'
+    out = [f'digraph "{name.translate(DOT_ESCAPES)}" {{\n  rankdir=LR;\n  node [shape=circle];\n'
            '  __init [shape=point];\n']
     for q in core.states:
         label = str(q)
@@ -280,6 +284,7 @@ def to_dot(name: str, aut: AnyAutomaton) -> str:
     out.append(f'  __init -> "{core.initial}";\n')
     rows = core.rows
     for q in core.states:
-        out += [f'  "{q}" -> "{t}" [label="{e}"];\n' for e, t in rows[q].items()]
+        out += [f'  "{q}" -> "{t}" [label="{e.translate(DOT_ESCAPES)}"];\n'
+                for e, t in rows[q].items()]
     out.append("}\n")
     return "".join(out)

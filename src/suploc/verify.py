@@ -33,6 +33,7 @@ from .automata import (
     AutomatonError,
     BuchiAutomaton,
     LassoWord,
+    extend_alphabet,
     lasso_in_star,
     run_lasso,
 )
@@ -122,7 +123,8 @@ def check_infinite_equivalence(
     agree as well.  Tier 2 checks `lasso_budget` seeded random lassos on
     both sides: stem length uniform on 0..MAX_STEM, cycle length uniform on
     1..MAX_CYCLE, events uniform over the plant's alphabet, drawn one at a
-    time while the plant follows them (see the module docstring).  A lasso
+    time while the plant follows them (see the module docstring).  On both
+    tiers, an event a controller does not declare leaves it in place.  A lasso
     the plant cannot follow counts as checked and agreeing, since both sides
     are "in the plant and ...".  `sub_results["tier2_in_plant"]` counts the
     sampled lassos the plant accepts.  The same seed gives the same report.
@@ -134,6 +136,7 @@ def check_infinite_equivalence(
     tier1 = report.finite_ok
     report.sub_results["tier1"] = tier1
 
+    extended = [extend_alphabet(c.automaton, plant.alphabet) for c in controllers]
     draw = random.Random(seed).random
     events = plant.alphabet.events
     n_events = len(events)
@@ -157,7 +160,7 @@ def check_infinite_equivalence(
             w = LassoWord(tuple(word[:stem_len]), tuple(word[stem_len:]))
             in_plant = run_lasso(plant, w)
             in_plant_count += in_plant
-            lhs = in_plant and all(lasso_in_star(c.automaton, w) for c in controllers)
+            lhs = in_plant and all(lasso_in_star(c, w) for c in extended)
             rhs = (
                 in_plant
                 and lasso_in_star(sup_star.automaton, w)

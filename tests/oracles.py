@@ -10,8 +10,10 @@ shortcut; `profile_by_walk` builds one enable/disable profile from a
 reads off one shared walk per supervisor; `buchi_intersection_by_explore`
 and `star_compare_by_explore` are the earlier forms of `buchi_intersection`
 and of the prefix-closed language comparison, built on `explore` with a
-successor closure, the references for the inlined loops that replaced them;
-and `serialize_by_lines` and `dot_by_lines` are the earlier forms of
+successor closure, the references for the inlined loops that replaced them
+(`star_compare_by_explore` is also how the tests decide equality and
+containment of the star languages the stages build); and
+`serialize_by_lines` and `dot_by_lines` are the earlier forms of
 `textio.serialize_automaton` and `textio.to_dot`, which joined a list of
 lines with newlines, on the library's canonical numbering
 (`textio._canonical`).  `lasso_accepted` is the earlier layered form of
@@ -37,7 +39,6 @@ from suploc.automata import (
     explore,
     lockstep,
     pair_moves,
-    run_star,
 )
 from suploc.localization import EnableDisableProfile, Part
 from suploc.omegasynth import _pattern_map_wins
@@ -59,6 +60,17 @@ def enumerate_language(aut: StarAutomaton, max_len: int) -> set[tuple]:
                     out.add(w2)
         frontier = nxt
     return out
+
+
+def run_star(a: StarAutomaton, word):
+    """State reached on `word` by walking the rows, or None when some step
+    is undefined (an event outside the alphabet has no step)."""
+    q = a.initial
+    for e in word:
+        q = a.rows[q].get(e)
+        if q is None:
+            return None
+    return q
 
 
 def language_equal_upto(a: StarAutomaton, b: StarAutomaton, max_len: int) -> bool:
@@ -115,7 +127,7 @@ def visit_set_by_positions(core: StarAutomaton, w: LassoWord):
     while (q, pos) not in seen:
         seen[(q, pos)] = len(trace)
         trace.append(q)
-        q = core.step(q, w.cycle[pos])
+        q = core.rows[q].get(w.cycle[pos])
         if q is None:
             return None
         pos = (pos + 1) % len(w.cycle)
@@ -189,6 +201,13 @@ def states_reaching_good_cycle(states, succ, good, inside=None) -> set:
     region = set(states) if inside is None else set(inside)
     cyclic = {g for g in good if g in region and g in _reach(g, succ, region)}
     return {v for v in states if v in cyclic or cyclic & _reach(v, succ)}
+
+
+def deadlock_free(a: BuchiAutomaton) -> bool:
+    """Whether every reachable state of `a` reaches an accepting cycle."""
+    reach = bfs_order(a.core)
+    return states_reaching_good_cycle(reach, lambda q: a.core.rows[q].values(),
+                                      a.accepting) == set(reach)
 
 
 def valid_patterns(a: RabinBuchiAutomaton, alphabet, q) -> list[frozenset]:
@@ -587,9 +606,13 @@ def serialize_by_lines(name: str, aut) -> str:
 
 def dot_by_lines(name: str, aut) -> str:
     """The DOT rendering of `aut`, one line per list entry, joined with
-    newlines."""
+    newlines; a backslash or double quote in the name or an event label is
+    escaped by a backslash."""
+    def quoted(text):
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     core, buchi, pairs = _canonical(aut)
-    out = [f'digraph "{name}" {{', "  rankdir=LR;", '  node [shape=circle];',
+    out = [f'digraph {quoted(name)} {{', "  rankdir=LR;", '  node [shape=circle];',
            '  __init [shape=point];']
     for q in core.states:
         label = str(q)
@@ -610,7 +633,7 @@ def dot_by_lines(name: str, aut) -> str:
     out.append(f'  __init -> "{core.initial}";')
     for q in core.states:
         for e, t in core.rows[q].items():
-            out.append(f'  "{q}" -> "{t}" [label="{e}"];')
+            out.append(f'  "{q}" -> "{t}" [label={quoted(e)}];')
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -559,12 +559,91 @@ def test_inputs_disagreeing_on_controllability_rejected(corpus, capsys, fname, f
     assert other in text
     path.write_text(text.replace(other, flag))
     if fname == "minspec.aut":
-        cfg = json.loads((corpus / "pipeline.cfg").read_text())
-        del cfg["alphabet_from"]
-        (corpus / "pipeline.cfg").write_text(json.dumps(cfg))
+        without_alphabet_from(corpus)
     assert run_cli("--quiet", "pipeline", corpus / "pipeline.cfg") == 2
-    assert capsys.readouterr().err == (f"input error: event {event!r} is controllable "
+    assert capsys.readouterr().err == (f"input error: {path}: event {event!r} is controllable "
                                        "in one alphabet only\n")
+
+
+def without_alphabet_from(model: Path) -> Path:
+    """`model`'s pipeline configuration, rewritten without alphabet_from."""
+    cfg = json.loads((model / "pipeline.cfg").read_text())
+    del cfg["alphabet_from"]
+    (model / "pipeline.cfg").write_text(json.dumps(cfg))
+    return model / "pipeline.cfg"
+
+
+def test_safety_spec_over_foreign_events_rejected_before_writing(corpus, capsys):
+    spec = corpus / "bufspec2.aut"
+    spec.write_text(re.sub(r"^events .*", r"\g<0> zz:u", spec.read_text(), flags=re.M))
+    assert run_cli("--quiet", "pipeline", corpus / "pipeline.cfg") == 2
+    assert capsys.readouterr().err == (
+        f"input error: {spec}: component event(s) ['zz'] not in global alphabet\n")
+    assert not (corpus / "out").exists()
+
+
+@pytest.mark.parametrize("model, minimal", [("r0000", "minimal.aut"), ("corpus", "minspec.aut")])
+@pytest.mark.parametrize("change", ["reorder", "extra", "flip"])
+def test_minimal_spec_over_another_alphabet_rejected_before_writing(
+        corpus, tmp_path, capsys, model, minimal, change):
+    # without alphabet_from the legal specification gives the global
+    # alphabet, and the minimal behaviour must be over exactly that one
+    data = corpus if model == "corpus" else tmp_path / model
+    if model != "corpus":
+        shutil.copytree(DATA / model, data)
+    cfg, path = without_alphabet_from(data), data / minimal
+    text = path.read_text()
+    events = re.search(r"^events (.*)$", text, flags=re.M).group(1).split()
+    legal = "legal.aut" if model == "r0000" else "maxspec.aut"
+    if change == "flip":
+        first = events[0][:-1] + ("c" if events[0].endswith("u") else "u")
+        path.write_text(text.replace(events[0], first, 1))
+        message = f"{path}: event {events[0][:-2]!r} is controllable in one alphabet only"
+    else:
+        # the new events line: reversed, or with an event no transition uses added
+        new = events[::-1] if change == "reorder" else events + ["unused:c"]
+        path.write_text(text.replace(" ".join(events), " ".join(new), 1))
+        message = (f"alphabet mismatch: {data / legal} and {path} list other events "
+                   "or another order")
+    assert run_cli("--quiet", "pipeline", cfg) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not (data / "out").exists()
+
+
+def test_minimal_spec_disagreeing_on_controllability_named_by_every_stage(corpus_run, tmp_path,
+                                                                          capsys):
+    # `synth-omega`, `localize` and `verify` read the minimal behaviour too
+    out, spec = corpus_run / "out", tmp_path / "minspec.aut"
+    spec.write_text((corpus_run / "minspec.aut").read_text().replace("a1:c", "a1:u"))
+    supervisors = ["--plant", out / "plant.aut", "--sup-star", out / "sup_star.aut",
+                   "--sup-omega", out / "sup_omega.aut", "--minimal", spec]
+    runs = [["synth-omega", "--plant", out / "sup_star.aut", "--legal", corpus_run / "maxspec.aut",
+             "--minimal", spec, "--out", tmp_path / "supw.aut"],
+            ["localize", *supervisors, "--out-dir", tmp_path / "locs"],
+            ["verify", *supervisors, "--controllers", out / "controllers"]]
+    for argv in runs:
+        assert run_cli("--quiet", *argv) == 2, argv[0]
+        assert capsys.readouterr().err == (
+            f"input error: {spec}: event 'a1' is controllable in one alphabet only\n")
+    assert not (tmp_path / "supw.aut").exists() and not (tmp_path / "locs").exists()
+
+
+def test_verify_accepts_a_controller_over_its_own_events(tmp_path, capsys):
+    # the one-state controller that never disables e2, declared over e2
+    # alone: tier 1 and tier 2 both leave it in place on the other events
+    data = tmp_path / "r0475"
+    shutil.copytree(DATA / "r0475", data)
+    assert run_cli("--quiet", "pipeline", data / "pipeline.cfg") == 0
+    out = data / "out"
+    loc = out / "controllers" / "loc_e2_safety.aut"
+    assert "initial 0\ntrans 0 e0 0\ntrans 0 e1 0\ntrans 0 e2 0\ntrans 0 e3 0\n" in loc.read_text()
+    loc.write_text("automaton loc_e2_safety\ntype star\nevents e2:c\ninitial 0\ntrans 0 e2 0\n")
+    assert run_cli("verify", "--plant", out / "plant.aut", "--sup-star", out / "sup_star.aut",
+                   "--sup-omega", out / "sup_omega.aut", "--minimal", data / "minimal.aut",
+                   "--controllers", out / "controllers") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["finite_ok"] and report["infinite_ok"]
+    assert report["sub_results"]["tier2_disagreements"] == 0
 
 
 def test_swapped_supervisors_are_input_error(corpus_run, tmp_path, capsys):

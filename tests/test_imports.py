@@ -3,11 +3,11 @@ submodule.  Every module of the package and of the tests uses each name it
 imports, no module of the package imports an underscore name from another,
 only `automata` reads an automaton's `transitions`, every library function
 the benchmark traces exists, every function of the package has a use in the
-package, in the benchmark's trace or, for six checkers, in the tests, every
-function of the test support modules has a use, the CLI builds each
-supervisor in one stage function and exits 3 from one place, only
-`safety.controlled_plant` calls `buchi_lift`, only `textio` opens a file
-for writing, and only one function removes files."""
+package, in the benchmark's trace or, for a checker the acceptance suite
+imports, in the tests, every function of the test support modules has a
+use, the CLI builds each supervisor in one stage function and exits 3 from
+one place, only `safety.controlled_plant` calls `buchi_lift`, only
+`textio` opens a file for writing, and only one function removes files."""
 
 import ast
 import importlib
@@ -117,40 +117,31 @@ def dead_functions(sources: dict[str, str], kept) -> list[str]:
     return sorted(f"{m}.{f}" for m, f in defined if f not in named and f not in kept)
 
 
+def package_imports(source: str) -> set[str]:
+    """The names `source` imports from a suploc module."""
+    return {a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "suploc" for a in node.names}
+
+
 def test_checker_finds_dead_functions():
     sources = {"a": "def used():\n    return 1\n"
                     "def dead():\n    return dead()\n"
                     "def kept():\n    pass\n",
                "b": "from .a import used\nx = used()\n"}
     assert dead_functions(sources, {"kept"}) == ["a.dead"]
-
-
-# The checkers that no stage of the pipeline calls, each with a test that
-# calls it to check what the stages build.
-TEST_ONLY = {
-    "run_star": "test_verify.py::test_finite_equivalence_counterexample_replays",
-    "check_congruence": "test_localization.py::test_congruence_validates",
-    "is_deadlock_free": "test_omega.py::test_deadlock_free_counterexamples",
-    "star_equal": "test_omega.py::test_star_equal_depth_three_difference",
-    "star_contained": "test_omega.py::test_star_contained",
-    "check_star_controllability": "test_safety.py::test_check_controllability_witness",
-}
+    # a function only the tests call is kept when the acceptance suite imports it
+    acceptance = "from suploc.a import kept\nfrom oracles import dead\n"
+    assert dead_functions(sources, package_imports(acceptance)) == ["a.dead"]
 
 
 def test_every_function_has_a_use():
     # a module-level function of the package is named by the package,
-    # traced by the benchmark or one of the checkers above
+    # traced by the benchmark or, as a checker the pipeline does not call,
+    # imported by the acceptance suite, whose criteria are never edited
     traced = {name for names in TRACED.values() for name in names}
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    assert dead_functions(sources, traced | set(TEST_ONLY)) == []
-
-
-@pytest.mark.parametrize("checker", sorted(TEST_ONLY))
-def test_kept_checker_is_called_by_its_test(checker):
-    file_name, test_name = TEST_ONLY[checker].split("::")
-    test, = [fn for fn in ast.parse((TESTS / file_name).read_text(encoding="utf-8")).body
-             if isinstance(fn, ast.FunctionDef) and fn.name == test_name]
-    assert checker in callers(ast.unparse(test))
+    acceptance = package_imports((TESTS / "test_acceptance.py").read_text(encoding="utf-8"))
+    assert dead_functions(sources, traced | acceptance) == []
 
 
 def test_package_root_binds_no_name():

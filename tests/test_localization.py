@@ -3,7 +3,13 @@ import random
 import pytest
 
 from harness import random_alphabet, random_pipeline, random_star_automaton
-from oracles import enumerate_language, greedy_congruence, profile_by_walk
+from oracles import (
+    enumerate_language,
+    greedy_congruence,
+    profile_by_walk,
+    run_star,
+    star_compare_by_explore,
+)
 
 from suploc.automata import (
     Alphabet,
@@ -12,7 +18,6 @@ from suploc.automata import (
     StarAutomaton,
     all_accepting,
     reachable_states,
-    run_star,
 )
 from suploc import localization
 from suploc.localization import (
@@ -28,7 +33,7 @@ from suploc.localization import (
     profile_liveness,
     profile_safety,
 )
-from suploc.omega import StarLanguageHandle, star_contained
+from suploc.omega import StarLanguageHandle
 from suploc.safety import controlled_plant, sup_con_star
 
 
@@ -198,9 +203,7 @@ def test_local_controller_identity_congruence(sf):
     loc = build_local_controller(aut, ControlCongruence(cells, index), "a1", Kind.SAFETY)
     assert len(loc.automaton.states) == len(aut.states)
     # isomorphic: languages agree
-    from suploc.omega import star_equal
-    ok, _ = star_equal(StarLanguageHandle(loc.automaton), StarLanguageHandle(aut))
-    assert ok
+    assert star_compare_by_explore(loc.automaton, aut) == (True, None)
 
 
 def test_localize_all_factory_shape(sf):
@@ -300,11 +303,9 @@ def test_localize_all_profiles_match_walk_oracle_random(monkeypatch):
 
 
 def test_parent_language_contained_in_controllers(sf):
-    supw_handle = StarLanguageHandle(sf["supw"].automaton)
     for c in sf["controllers"]:
-        parent = sf["sup"] if c.kind is Kind.SAFETY else supw_handle
-        ok, _ = star_contained(parent, StarLanguageHandle(c.automaton))
-        assert ok
+        parent = sf["sup"] if c.kind is Kind.SAFETY else sf["supw"]
+        assert star_compare_by_explore(parent.automaton, c.automaton, True) == (True, None)
 
 
 def controller_property_holds(plant_star, parent, loc, scope=None, bound=9):

@@ -1,9 +1,9 @@
 import random
 
 from harness import corpus, random_lasso
-from oracles import enumerate_language, in_projected_product
+from oracles import enumerate_language, in_projected_product, run_star
 
-from suploc.automata import LassoWord, lasso_in_star, run_lasso, run_star, sync_product
+from suploc.automata import LassoWord, lasso_in_star, run_lasso, sync_product
 
 MACHINES_AND_BUFFERS = ("m1", "m2", "b1", "b2")
 

@@ -12,6 +12,7 @@ from harness import (
 )
 from oracles import (
     bad_cycle_sets,
+    deadlock_free,
     enumerate_language,
     lasso_accepted,
     omega_contained_by_subsets,
@@ -35,12 +36,9 @@ from suploc.automata import (
 from suploc.omega import (
     StarLanguageHandle,
     clo_automaton,
-    is_deadlock_free,
     omega_contained_single_pair,
     pre_automaton,
     product_compare,
-    star_contained,
-    star_equal,
 )
 from suploc.safety import sup_con_star
 
@@ -116,21 +114,25 @@ def test_clo_contains_original_sampled(sf):
 
 
 def test_deadlock_free_plant(sf):
-    assert is_deadlock_free(sf["plant"])
+    assert deadlock_free(sf["plant"])
 
 
 def test_deadlock_free_counterexamples():
     al = Alphabet.make(("a", "b"))
     stuck = StarAutomaton(al, (0, 1), 0, {(0, "a"): 1, (0, "b"): 0})
-    assert not is_deadlock_free(BuchiAutomaton(stuck, frozenset({0})))
+    assert not deadlock_free(BuchiAutomaton(stuck, frozenset({0})))
     loop = StarAutomaton(al, (0,), 0, {(0, "a"): 0})
-    assert is_deadlock_free(BuchiAutomaton(loop, frozenset({0})))
+    assert deadlock_free(BuchiAutomaton(loop, frozenset({0})))
+
+
+def star_equal(a: StarAutomaton, b: StarAutomaton):
+    """L(a) = L(b), by `product_compare` with the one factor a."""
+    return product_compare([a], a.alphabet, b)
 
 
 def test_star_equal_reflexive(sf):
-    h = sf["sup"]
-    ok, _ = star_equal(h, h)
-    assert ok
+    sup = sf["sup"].automaton
+    assert star_equal(sup, sup) == (True, None)
 
 
 def test_star_equal_containment_by_construction(sf):
@@ -139,8 +141,7 @@ def test_star_equal_containment_by_construction(sf):
     plant_core = sf["plant"].core
     sup_aut = sf["sup"].automaton
     meet = sync_product([plant_core, sup_aut], plant_core.alphabet)
-    ok, _ = star_equal(StarLanguageHandle(meet), sf["sup"])
-    assert ok
+    assert star_compare_by_explore(meet, sup_aut) == (True, None)
 
 
 def test_star_equal_depth_three_difference():
@@ -149,16 +150,13 @@ def test_star_equal_depth_three_difference():
                       {(0, "a"): 1, (1, "a"): 2, (2, "a"): 3, (3, "b"): 3})
     y = StarAutomaton(al, (0, 1, 2, 3), 0,
                       {(0, "a"): 1, (1, "a"): 2, (2, "a"): 3})
-    ok, witness = star_equal(StarLanguageHandle(x), StarLanguageHandle(y))
-    assert not ok
-    assert witness == ("a", "a", "a", "b")
+    assert star_equal(x, y) == (False, ("a", "a", "a", "b"))
 
 
 def test_star_equal_is_equivalence_spotcheck():
     rng = random.Random(31)
     al = random_alphabet(rng, 3)
-    autos = [StarLanguageHandle(random_star_automaton(rng, al, rng.randint(1, 4)))
-             for _ in range(20)]
+    autos = [random_star_automaton(rng, al, rng.randint(1, 4)) for _ in range(20)]
     for h in autos[:6]:
         assert star_equal(h, h)[0]
     for x in autos[:6]:
@@ -199,8 +197,8 @@ def near(rng, a: StarAutomaton) -> StarAutomaton:
 
 def test_product_compare_matches_built_product():
     # the walk of the factors' product against the product built by
-    # `sync_product` and compared by `star_equal`/`star_contained` and by
-    # the whole-product scan they replaced: same verdict, same witness
+    # `sync_product`, compared as one factor and by the whole-product scan
+    # the walk replaced: same verdict, same witness
     rng = random.Random(1729)
     verdicts = []
     for _ in range(600):
@@ -214,15 +212,10 @@ def test_product_compare_matches_built_product():
             b = near(rng, minimize_prefix_closed(built))
         else:
             b = random_star_automaton(rng, al, rng.randint(1, 6), density=rng.uniform(0.3, 1.0))
-        handles = StarLanguageHandle(built), StarLanguageHandle(b)
-        for containment, by_handles in ((False, star_equal), (True, star_contained)):
-            got = product_compare(factors, al, b, containment)
-            assert got == star_compare_by_explore(built, b, containment) == by_handles(*handles)
-            verdicts.append(got[0])
-    equal = verdicts[::2]
-    assert sum(equal) >= 150 and len(equal) - sum(equal) >= 250, sum(equal)
-    # containment holds where equality fails: a dropped move or a wider b
-    assert sum(verdicts[1::2]) - sum(equal) >= 50
+        got = product_compare(factors, al, b)
+        assert got == star_compare_by_explore(built, b) == star_equal(built, b)
+        verdicts.append(got[0])
+    assert sum(verdicts) >= 150 and len(verdicts) - sum(verdicts) >= 250, sum(verdicts)
 
 
 def test_product_compare_checks_alphabets():
@@ -244,8 +237,7 @@ def test_pre_monotone_idempotent():
         if h1.is_empty:
             continue
         h2 = pre_automaton(all_accepting(h1.automaton))
-        ok, _ = star_equal(h1, h2)
-        assert ok
+        assert star_compare_by_explore(h1.automaton, h2.automaton) == (True, None)
 
 
 def test_omega_containment_reflexive(sf):
@@ -289,13 +281,12 @@ def test_omega_containment_random_sound():
 
 
 def test_star_contained():
+    # the oracle's containment mode, the tests' check of L(a) <= L(b)
     al = Alphabet.make(("a", "b"))
     big = StarAutomaton(al, (0,), 0, {(0, "a"): 0, (0, "b"): 0})
     small = StarAutomaton(al, (0,), 0, {(0, "a"): 0})
-    ok, _ = star_contained(StarLanguageHandle(small), StarLanguageHandle(big))
-    assert ok
-    ok, witness = star_contained(StarLanguageHandle(big), StarLanguageHandle(small))
-    assert not ok and witness == ("b",)
+    assert star_compare_by_explore(small, big, True) == (True, None)
+    assert star_compare_by_explore(big, small, True) == (False, ("b",))
 
 
 def test_empty_languages():
@@ -303,11 +294,7 @@ def test_empty_languages():
     # with no automaton; a nonempty language holds the empty string
     empty = StarLanguageHandle(None)
     loop = StarAutomaton.from_rows(Alphabet.make(("a",), ("a",)), {0: {"a": 0}}, 0)
-    full = StarLanguageHandle(loop)
-    assert star_equal(empty, StarLanguageHandle(None)) == (True, None)
-    assert star_equal(empty, full) == star_equal(full, empty) == (False, ())
-    assert star_contained(empty, full) == (True, None)
-    assert star_contained(full, empty) == (False, ())
+    assert empty.is_empty and not StarLanguageHandle(loop).is_empty
     assert sup_con_star(BuchiAutomaton(loop, frozenset({0})), empty).is_empty
 
 

@@ -15,13 +15,17 @@ from harness import (
     random_single_pair,
 )
 from oracles import (
+    deadlock_free,
     greedy_pattern_map,
     language_equal_upto,
     piecewise_supervisor,
     prefix_region,
     restorable_drops,
+    run_star,
+    star_compare_by_explore,
     winning_region_by_enumeration,
 )
+from perfbench.checks import controllable_inside
 
 import suploc
 
@@ -39,11 +43,7 @@ from suploc.automata import (
     run_lasso,
 )
 from suploc import cli, omegasynth
-from suploc.omega import (
-    StarLanguageHandle,
-    omega_contained_single_pair,
-    star_equal,
-)
+from suploc.omega import omega_contained_single_pair
 from suploc.omegasynth import (
     ControllabilityResult,
     assemble_fomega,
@@ -53,7 +53,6 @@ from suploc.omegasynth import (
     inf_closure,
     restrict_sup,
 )
-from suploc.safety import check_star_controllability
 from suploc.textio import load_automaton
 
 
@@ -68,8 +67,7 @@ def test_legal_product_factory_counts(sf):
 def test_legal_product_star_layer(sf):
     # the star layer accepts exactly the safety-supervised behavior (the
     # legal tracker is total, so prefixes impose nothing)
-    ok, _ = star_equal(StarLanguageHandle(sf["prod"].core), sf["sup"])
-    assert ok
+    assert star_compare_by_explore(sf["prod"].core, sf["sup"].automaton) == (True, None)
 
 
 def test_legal_product_layers_on_toy():
@@ -505,9 +503,9 @@ def test_supervisor_requires_existence(sf):
 
 
 def test_supervisor_star_controllable_wrt_controlled_plant(sf):
-    ok, _ = check_star_controllability(
-        sf["closed"], StarLanguageHandle(sf["supw"].automaton))
-    assert ok
+    al = sf["closed"].alphabet
+    assert controllable_inside([sf["closed"].core], sf["supw"].automaton, al.uncontrollable,
+                               al.events) is None
 
 
 def test_supervisor_split_branches(sf):
@@ -589,7 +587,6 @@ def test_supervisor_alternation_word_and_repeat_disablement(sf):
     # the alternation word stays enabled forever
     assert lasso_in_star(aut, LassoWord((), ("a1", "b1", "g1", "a2", "b2", "g2")))
     # after two full routine-1 rounds the supervisor disables a1
-    from suploc.automata import run_star
     q = run_star(aut, ("a1", "b1", "g1", "a1", "b1", "g1"))
     assert q is not None
     assert (q, "a1") not in aut.transitions
@@ -599,13 +596,8 @@ def test_supervisor_alternation_word_and_repeat_disablement(sf):
 
 
 def test_supervisor_deadlock_free(sf):
-    assert_deadlock_free(sf["supw"])
-
-
-def assert_deadlock_free(supw):
-    closed = BuchiAutomaton(supw.automaton, supw.buchi_lift)
-    from suploc.omega import is_deadlock_free
-    assert is_deadlock_free(closed)
+    supw = sf["supw"]
+    assert deadlock_free(BuchiAutomaton(supw.automaton, supw.buchi_lift))
 
 
 def test_supervisor_total_tracker_degenerate():
@@ -624,9 +616,7 @@ def test_supervisor_total_tracker_degenerate():
     assert ok
     supw = assemble_fomega(asup, ctr, minimal, existence_verified=True)
     assert supw.tracker_sink is None
-    ok, _ = star_equal(StarLanguageHandle(supw.automaton),
-                       StarLanguageHandle(prod.core))
-    assert ok
+    assert star_compare_by_explore(supw.automaton, prod.core) == (True, None)
 
 
 def test_supervisor_keeps_legal_spec_when_minimal_has_nonlive_state(tmp_path):

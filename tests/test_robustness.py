@@ -7,7 +7,8 @@ truncates or swaps a line, or replaces or appends a token drawn from the
 same file.  `pipeline` runs on mutated copies of the corpus (its ``.aut``
 files and config); `verify` runs on mutated copies of the corpus
 pipeline's artifacts and controllers, and each of its exits 0 is checked
-again with `perfbench.checks.lockstep` on the mutated files.
+again with `perfbench.checks.lockstep` on the mutated files, each controller
+re-declared over the plant's events as `verify` reads it.
 """
 
 import random
@@ -16,6 +17,7 @@ import shutil
 from harness import corpus_texts
 from perfbench.checks import lockstep
 
+from suploc.automata import extend_alphabet
 from suploc.cli import _load_controllers, main
 from suploc.textio import load_automaton
 
@@ -99,10 +101,12 @@ def test_mutated_artifacts_through_verify(tmp_path, capsys):
     def controllers_act_like_supervisors():
         # an exit 0, checked on the files as mutated by the benchmark's own
         # walk: the plant under every controller named in the manifest has
-        # the language of the plant under SUP* and SUPw
+        # the language of the plant under SUP* and SUPw; an event a controller
+        # does not declare leaves it in place, where this walk would block it
         plant, sup_star, sup_omega = (load_automaton(work / f)[1].core
                                       for f in ("plant.aut", "sup_star.aut", "sup_omega.aut"))
-        controllers = [c.automaton for c in _load_controllers(work / "controllers")]
+        controllers = [extend_alphabet(c.automaton, plant.alphabet)
+                       for c in _load_controllers(work / "controllers", plant.alphabet)]
         return lockstep([plant, *controllers], [plant, sup_star, sup_omega],
                         plant.alphabet.events)
 

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from harness import random_alphabet, random_buchi, random_lasso, random_star_automaton
-from oracles import enumerate_language, supremal_controllable_finite
+from oracles import (
+    enumerate_language,
+    run_star,
+    star_compare_by_explore,
+    supremal_controllable_finite,
+)
+from perfbench.checks import controllable_inside
 
 from suploc.automata import (
     Alphabet,
@@ -12,10 +18,9 @@ from suploc.automata import (
     all_accepting,
     lasso_in_star,
     run_lasso,
-    run_star,
 )
-from suploc.omega import StarLanguageHandle, star_contained, star_equal
-from suploc.safety import check_star_controllability, controlled_plant, sup_con_star
+from suploc.omega import StarLanguageHandle
+from suploc.safety import controlled_plant, sup_con_star
 
 
 def test_factory_supervisor_counts(sf):
@@ -29,8 +34,7 @@ def test_no_constraint_keeps_plant(sf):
     plant = sf["plant"]
     spec = StarLanguageHandle(plant.core)
     sup = sup_con_star(plant, spec)
-    ok, _ = star_equal(sup, StarLanguageHandle(plant.core))
-    assert ok
+    assert star_compare_by_explore(sup.automaton, plant.core) == (True, None)
 
 
 def _toy_instance():
@@ -61,8 +65,7 @@ def test_supremal_matches_bruteforce_on_toy():
 def test_supremal_fixpoint(sf):
     plant = sf["plant"]
     again = sup_con_star(plant, sf["sup"])
-    ok, _ = star_equal(again, sf["sup"])
-    assert ok
+    assert star_compare_by_explore(again.automaton, sf["sup"].automaton) == (True, None)
 
 
 def test_supremal_maximality_bruteforce_random():
@@ -90,10 +93,9 @@ def test_supremal_maximality_bruteforce_random():
 
 
 def test_supervisor_contained_in_plant_and_spec(sf):
-    ok, _ = star_contained(sf["sup"], StarLanguageHandle(sf["plant"].core))
-    assert ok
-    ok, _ = star_contained(sf["sup"], sf["spec"])
-    assert ok
+    sup = sf["sup"].automaton
+    for outer in (sf["plant"].core, sf["spec"].automaton):
+        assert star_compare_by_explore(sup, outer, True) == (True, None)
 
 
 def test_empty_supremal_is_value_not_error():
@@ -140,20 +142,16 @@ def test_controlled_plant_omega_language_random_toys():
         done += 1
 
 
+# `controllable_inside`, the benchmark's walk, is the tests' controllability check
 def test_check_controllability_of_synthesis_output(sf):
-    ok, _ = check_star_controllability(sf["plant"], sf["sup"])
-    assert ok
+    al = sf["plant"].alphabet
+    assert controllable_inside([sf["plant"].core], sf["sup"].automaton, al.uncontrollable,
+                               al.events) is None
 
 
 def test_check_controllability_witness():
     al = Alphabet.make(("c", "u"), ("c",))
-    plant = all_accepting(StarAutomaton(al, (0, 1), 0, {(0, "u"): 1}))
-    k = StarLanguageHandle(StarAutomaton(al, (0,), 0, {}))
-    ok, witness = check_star_controllability(plant, k)
-    assert not ok
-    assert witness == (0, "u")
-
-
-def test_check_controllability_empty_vacuous(sf):
-    ok, _ = check_star_controllability(sf["plant"], StarLanguageHandle(None))
-    assert ok
+    plant = StarAutomaton(al, (0, 1), 0, {(0, "u"): 1})
+    k = StarAutomaton(al, (0,), 0, {})
+    assert controllable_inside([plant], k, al.uncontrollable, al.events) == (
+        "after (empty string): disables uncontrollable ['u']")

@@ -1,6 +1,7 @@
 import builtins
 import os
 import random
+import re
 import shutil
 import stat
 
@@ -172,6 +173,19 @@ def test_dot_export(sf):
     assert "doublecircle" in dot
     dot2 = to_dot("prod", sf["prod"])
     assert "R1" in dot2
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    # the parser accepts `"` and `\` in event labels, so the name of a
+    # controller may hold them too; in DOT's quoted strings each gets a backslash
+    _, aut = parse_automaton('automaton x\ntype star\nevents a"1:c b\\2:u\ninitial 0\n'
+                             'trans 0 a"1 0\ntrans 0 b\\2 0\n')
+    dot = to_dot('loc_a"1_live_c1', aut)
+    assert dot.startswith('digraph "loc_a\\"1_live_c1" {\n')
+    assert '[label="a\\"1"]' in dot and '[label="b\\\\2"]' in dot
+    # outside the escapes, every line holds whole quoted strings
+    assert all(re.sub(r"\\.", "", line).count('"') % 2 == 0 for line in dot.splitlines())
+    assert dot == dot_by_lines('loc_a"1_live_c1', aut)
 
 
 def relabelled(aut, name_of, order):

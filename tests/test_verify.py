@@ -12,6 +12,7 @@ from harness import (
     random_star_automaton,
 )
 from conftest import _pipeline
+from oracles import run_star
 from suploc import automata, verify
 from suploc.automata import (
     Alphabet,
@@ -21,7 +22,6 @@ from suploc.automata import (
     StarAutomaton,
     lasso_in_star,
     run_lasso,
-    run_star,
     sync_product,
 )
 from suploc.localization import (
