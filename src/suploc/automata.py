@@ -4,10 +4,13 @@ State identifiers are arbitrary hashable values (``None`` is reserved as the
 reject result of a run).  Every operation that builds a new state space does
 so with `explore`, the one place where the numbering policy lives: states are
 numbered densely, breadth-first from the initial state, iterating events in
-alphabet order, so the outputs are reproducible.  Liveness questions ("can
-this state reach a cycle through a good state?") all go through
-`good_sccs`, and the states that reach such a cycle come from
-`states_reaching_cycle`; on an automaton's own acceptance, from
+alphabet order, so the outputs are reproducible.  `product_moves` is the one
+successor of a synchronous product of automata over one alphabet; a
+component over fewer events is first lifted by `extend_alphabet`, the one
+place where an event outside a component's alphabet leaves it in place.
+Liveness questions ("can this state reach a cycle through a good state?")
+all go through `good_sccs`, and the states that reach such a cycle come
+from `states_reaching_cycle`; on an automaton's own acceptance, from
 `live_states`.  Acceptance comes from the automaton's type
 (`acceptance_pair`).
 
@@ -314,18 +317,26 @@ def bfs_word(rows: Rows, target: int) -> Word:
     return tuple(reversed(word))
 
 
-def pair_moves(a: StarAutomaton, b: StarAutomaton):
-    """Successor function of the synchronous product of two automata over the
-    same alphabet: the events defined in both, in alphabet order."""
-    rows_a, rows_b = a.rows, b.rows
+def product_moves(autos: Sequence[StarAutomaton]):
+    """Successor function of the synchronous product of automata over one
+    alphabet: at a vector of their states, the events defined in every
+    automaton, in alphabet order, each with the vector of targets.  It walks
+    the shortest row and looks each event up in the other rows."""
+    all_rows = [a.rows for a in autos]
 
     def succ(v):
-        row_a, row_b = rows_a[v[0]], rows_b[v[1]]
-        if len(row_a) <= len(row_b):
-            return [(e, (ta, tb)) for e, ta in row_a.items()
-                    if (tb := row_b.get(e)) is not None]
-        return [(e, (ta, tb)) for e, tb in row_b.items()
-                if (ta := row_a.get(e)) is not None]
+        rows = [r[q] for r, q in zip(all_rows, v)]
+        out = []
+        for e in min(rows, key=len):
+            w = []
+            for row in rows:
+                t = row.get(e)
+                if t is None:
+                    break
+                w.append(t)
+            else:
+                out.append((e, tuple(w)))
+        return out
     return succ
 
 
@@ -336,18 +347,17 @@ def lockstep(lead: StarAutomaton, *followers: StarAutomaton) -> list[tuple]:
     Requires L(lead) to be contained in every follower's language; a follower
     undefined along a string of `lead` raises.
     """
-    lead_rows = lead.rows
-    follower_rows = [f.rows for f in followers]
+    autos = (lead, *followers)
+    moves, lead_rows = product_moves(autos), lead.rows
 
     def succ(v):
-        lead_row = lead_rows[v[0]]
-        rows = [fr[q] for fr, q in zip(follower_rows, v[1:])]
-        try:
-            return [(e, (t, *[row[e] for row in rows])) for e, t in lead_row.items()]
-        except KeyError as exc:
-            raise AutomatonError(f"a following automaton is undefined on event {exc.args[0]!r} "
-                                 "along a string of the leading one") from None
-    return explore((lead.initial, *(f.initial for f in followers)), succ)[0]
+        out, lead_row = moves(v), lead_rows[v[0]]
+        if len(out) < len(lead_row):
+            missing = next(e for e in lead_row if e not in dict(out))
+            raise AutomatonError(f"a following automaton is undefined on event {missing!r} "
+                                 "along a string of the leading one")
+        return out
+    return explore(tuple(a.initial for a in autos), succ)[0]
 
 
 def reachable_states(a: StarAutomaton) -> list[State]:
@@ -430,11 +440,15 @@ def check_alphabet(part: Alphabet, alphabet: Alphabet, *, same: bool = False) ->
 
 def extend_alphabet(a: StarAutomaton | BuchiAutomaton, alphabet: Alphabet):
     """Re-declare `a` over `alphabet`, a superset of its events that agrees
-    on their controllability; every added event self-loops at every state,
-    so the automaton ignores it."""
+    on their controllability: every added event self-loops at every state,
+    so the automaton ignores it.  `a` itself is returned when it is over
+    `alphabet` already."""
     if isinstance(a, BuchiAutomaton):
-        return BuchiAutomaton(extend_alphabet(a.core, alphabet), a.accepting)
+        core = extend_alphabet(a.core, alphabet)
+        return a if core is a.core else BuchiAutomaton(core, a.accepting)
     check_alphabet(a.alphabet, alphabet)
+    if a.alphabet.events == alphabet.events:
+        return a
     old = a.alphabet.position
     return StarAutomaton.from_rows(
         alphabet,
@@ -444,37 +458,17 @@ def extend_alphabet(a: StarAutomaton | BuchiAutomaton, alphabet: Alphabet):
 
 
 def sync_product(components: Sequence[StarAutomaton], alphabet: Alphabet) -> StarAutomaton:
-    """Synchronous product over a global alphabet.
-
-    An event shared by several components moves them together; an event
-    absent from a component's alphabet leaves that component in place.  Only
-    reachable product states are materialized, renumbered in BFS order.
-    Every component must agree with `alphabet` on which events are
-    controllable.
+    """Synchronous product over a global alphabet of the components lifted
+    by `extend_alphabet`: an event shared by several components moves them
+    together, and one outside a component's alphabet leaves it in place.
+    Only reachable product states are materialized, renumbered in BFS
+    order.  The product of no components is one state looping on every event.
     """
-    for c in components:
-        check_alphabet(c.alphabet, alphabet)
-    comp_rows = [c.rows for c in components]
-    # per event, in alphabet order: the positions of the components it moves
-    movers = [(e, [k for k, c in enumerate(components) if e in c.alphabet])
-              for e in alphabet.events]
-
-    def succ(vec):
-        rows = [cr[q] for cr, q in zip(comp_rows, vec)]
-        out = []
-        for e, ks in movers:
-            for k in ks:
-                if e not in rows[k]:
-                    break
-            else:
-                nxt = list(vec)
-                for k in ks:
-                    nxt[k] = rows[k][e]
-                out.append((e, tuple(nxt)))
-        return out
-
+    if not components:
+        return StarAutomaton.from_rows(alphabet, {0: dict.fromkeys(alphabet.events, 0)}, 0)
+    lifted = [extend_alphabet(c, alphabet) for c in components]
     return StarAutomaton.from_rows(
-        alphabet, explore(tuple(c.initial for c in components), succ)[1], 0)
+        alphabet, explore(tuple(c.initial for c in lifted), product_moves(lifted))[1], 0)
 
 
 def all_accepting(a: StarAutomaton) -> BuchiAutomaton:
@@ -495,12 +489,14 @@ def buchi_intersection(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     """
     check_alphabet(a.alphabet, b.alphabet, same=True)
     if set(a.core.states) <= a.accepting or set(b.core.states) <= b.accepting:
-        order, rows = explore((a.core.initial, b.core.initial), pair_moves(a.core, b.core))
+        order, rows = explore((a.core.initial, b.core.initial), product_moves((a.core, b.core)))
         acc = (i for i, (qa, qb) in enumerate(order)
                if qa in a.accepting and qb in b.accepting)
     else:
-        # `explore`'s loop with the phase-counter successor inlined: this
-        # runs once per product state
+        # `explore`'s loop with the phase-counter successor inlined: as
+        # `explore` over a closure around `product_moves`, composing the
+        # 4-machine factory's plant took 16.7-16.8 ms instead of 7.6-8.3 ms
+        # (best of 40, Python 3.11 on a Xeon)
         rows_a, rows_b, acc_a, acc_b = a.core.rows, b.core.rows, a.accepting, b.accepting
         init = (a.core.initial, b.core.initial, 0)
         num = {init: 0}

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .automata import (
-    Alphabet,
     BuchiAutomaton,
     LassoWord,
     RabinBuchiAutomaton,
@@ -28,9 +27,10 @@ from .automata import (
     bfs_word,
     check_alphabet,
     explore,
+    extend_alphabet,
     good_sccs,
     live_states,
-    pair_moves,
+    product_moves,
     reachable_trim,
     restrict,
     run_lasso,
@@ -85,55 +85,56 @@ def clo_automaton(a: BuchiAutomaton) -> BuchiAutomaton:
     return BuchiAutomaton(handle.automaton, frozenset(handle.automaton.states))
 
 
-def product_compare(factors: Sequence[StarAutomaton], alphabet: Alphabet,
+def product_compare(factors: Sequence[StarAutomaton],
                     b: StarAutomaton) -> tuple[bool, Optional[Word]]:
     """Equality of the language of the synchronous product of `factors`
-    over `alphabet` with L(b), decided without building the product.
+    over b's alphabet with L(b), decided without building the product.
 
     One breadth-first walk of the factors' product paired with `b`, events
     in alphabet order: node i is the vector of the factors' states followed
     by b's state, numbered as `explore` numbers it, so the nodes and their
     order are those of the walk `explore` makes over `sync_product(factors,
-    alphabet)` and `b` with `pair_moves`.  The walk stops at the first node
-    where the product and b enable different events and returns `bfs_word`
-    to that node followed by the least such event.  Each factor must fit
-    `alphabet` as in `sync_product`, and b must have its events.
+    b.alphabet)` and `b` with `product_moves`.  The walk stops at the first
+    node where the product and b enable different events and returns
+    `bfs_word` to that node followed by the least such event.
     """
-    for f in factors:
-        check_alphabet(f.alphabet, alphabet)
-    check_alphabet(b.alphabet, alphabet, same=True)
+    events = b.alphabet.events
+    factors = [extend_alphabet(f, b.alphabet) for f in factors]
     factor_rows, rows_b = [f.rows for f in factors], b.rows
-    n = len(factors)
-    # per event, in alphabet order: the positions of the factors it moves
-    movers = [(e, [k for k, f in enumerate(factors) if e in f.alphabet]) for e in alphabet.events]
+    # `explore`'s loop with `product_moves` inlined, so that the walk stops
+    # at the first node where the two sides differ: as `explore` over a
+    # closure around `product_moves`, the check of the 4-machine factory took
+    # 5.2-5.5 ms instead of 4.0-4.3 ms (best of 40, Python 3.11 on a Xeon)
     init = (*(f.initial for f in factors), b.initial)
     num = {init: 0}
     order = [init]
     rows: Rows = {}
     for i, v in enumerate(order):  # `order` grows while it is walked: the queue
         here = [fr[q] for fr, q in zip(factor_rows, v)]
-        row_b = rows_b[v[n]]
+        row_b = rows_b[v[-1]]
         row = rows[i] = {}
-        for e, ks in movers:
-            for k in ks:
-                if e not in here[k]:
-                    if e in row_b:
-                        return False, bfs_word(rows, i) + (e,)
+        for e in min(here, key=len, default=events):
+            w = []
+            for r in here:
+                t = r.get(e)
+                if t is None:
                     break
+                w.append(t)
             else:
                 tb = row_b.get(e)
                 if tb is None:
-                    return False, bfs_word(rows, i) + (e,)
-                nxt = list(v)
-                for k in ks:
-                    nxt[k] = here[k][e]
-                nxt[n] = tb
-                w = tuple(nxt)
+                    break  # the product enables e and b does not
+                w = (*w, tb)
                 j = num.get(w)
                 if j is None:
                     j = num[w] = len(order)
                     order.append(w)
                 row[e] = j
+        else:
+            if len(row) == len(row_b):
+                continue
+        bad = next(e for e in events if (e in row_b) != all(e in r for r in here))
+        return False, bfs_word(rows, i) + (bad,)
     return True, None
 
 
@@ -155,7 +156,7 @@ def omega_contained_single_pair(
     rb, ib = acceptance_pair(b)
     bt, sink = sink_tracker(b.core)
     # the product, on visit indices: node i is the state pair order[i]
-    order, rows = explore((a.core.initial, bt.initial), pair_moves(a.core, bt))
+    order, rows = explore((a.core.initial, bt.initial), product_moves((a.core, bt)))
 
     def path(region, src, dst) -> Word:
         """Shortest non-empty event path src -> dst inside region."""

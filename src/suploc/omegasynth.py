@@ -45,7 +45,7 @@ from .automata import (
     explore,
     good_sccs,
     live_states,
-    pair_moves,
+    product_moves,
     restrict,
     states_reaching_cycle,
     tarjan_scc,
@@ -100,7 +100,8 @@ def build_rabin_buchi(
     tracker, sink = prefix_tracker(legal)
     if tracker.initial == sink:
         raise AutomatonError("legal specification has empty omega-language")
-    origin, rows = explore((plant.core.initial, tracker.initial), pair_moves(plant.core, tracker))
+    origin, rows = explore((plant.core.initial, tracker.initial),
+                           product_moves((plant.core, tracker)))
 
     core = StarAutomaton.from_rows(alphabet, rows, 0)
     rabin_r = frozenset(i for i, (q, l) in enumerate(origin) if l in r_set and l != sink)

@@ -21,7 +21,7 @@ from .automata import (
     check_alphabet,
     explore,
     minimize_prefix_closed,
-    pair_moves,
+    product_moves,
     restrict,
 )
 from .omega import StarLanguageHandle
@@ -44,7 +44,7 @@ def sup_con_star(plant: BuchiAutomaton, spec: StarLanguageHandle) -> StarLanguag
     alphabet = p.alphabet
 
     # reachable product, on visit indices: node i is the state pair order[i]
-    order, rows = explore((p.initial, s.initial), pair_moves(p, s))
+    order, rows = explore((p.initial, s.initial), product_moves((p, s)))
     unc, plant_rows = alphabet.uncontrollable, p.rows
     preds: list[list[int]] = [[] for _ in order]
     for src, row in rows.items():

@@ -88,14 +88,12 @@ def check_finite_equivalence(
     compare with."""
     if sup_star.is_empty:
         raise AutomatonError("SUP* is empty: there is no safety supervisor to verify against")
-    alphabet = plant.alphabet
     safety = [c.automaton for c in controllers if c.kind.value == "safety"]
     liveness = [c.automaton for c in controllers if c.kind.value == "liveness"]
     everyone = [c.automaton for c in controllers]
-    ok_star, ce_star = product_compare([plant.core] + safety, alphabet, sup_star.automaton)
-    ok_live, ce_live = product_compare([sup_star.automaton] + liveness, alphabet,
-                                       sup_omega.automaton)
-    ok_full, ce_full = product_compare([plant.core] + everyone, alphabet, sup_omega.automaton)
+    ok_star, ce_star = product_compare([plant.core] + safety, sup_star.automaton)
+    ok_live, ce_live = product_compare([sup_star.automaton] + liveness, sup_omega.automaton)
+    ok_full, ce_full = product_compare([plant.core] + everyone, sup_omega.automaton)
 
     report = EquivalenceReport(finite_ok=ok_star and ok_live and ok_full)
     report.sub_results = {

@@ -9,10 +9,14 @@ shortcut; `profile_by_walk` builds one enable/disable profile from a
 `lockstep` walk of its own, the reference for the profiles `localize_all`
 reads off one shared walk per supervisor; `buchi_intersection_by_explore`
 and `star_compare_by_explore` are the earlier forms of `buchi_intersection`
-and of the prefix-closed language comparison, built on `explore` with a
-successor closure, the references for the inlined loops that replaced them
-(`star_compare_by_explore` is also how the tests decide equality and
-containment of the star languages the stages build); and
+and of the prefix-closed language comparison, built on `explore` with the
+two-automaton successor `pair_moves`, the references for the inlined loops
+that replaced them (`star_compare_by_explore` is also how the tests decide
+equality and containment of the star languages the stages build);
+`pair_moves` and `sync_product_by_movers` are the earlier product
+successors, which kept the rule for an event outside a component's
+alphabet to themselves, the references for `product_moves` and for
+`sync_product` over components lifted by `extend_alphabet`; and
 `serialize_by_lines` and `dot_by_lines` are the earlier forms of
 `textio.serialize_automaton` and `textio.to_dot`, which joined a list of
 lines with newlines, on the library's canonical numbering
@@ -38,7 +42,6 @@ from suploc.automata import (
     check_alphabet,
     explore,
     lockstep,
-    pair_moves,
 )
 from suploc.localization import EnableDisableProfile, Part
 from suploc.omegasynth import _pattern_map_wins
@@ -533,6 +536,51 @@ def greedy_congruence(aut: StarAutomaton, consistent_pair, seed_cells=None):
     cells = sorted(part, key=lambda c: min(order.index(x) for x in c))
     index = {x: k for k, c in enumerate(cells) for x in c}
     return [frozenset(c) for c in cells], index
+
+
+def pair_moves(a: StarAutomaton, b: StarAutomaton):
+    """Successor function of the synchronous product of two automata over the
+    same alphabet: the events defined in both, in alphabet order, each with
+    the pair of targets."""
+    rows_a, rows_b = a.rows, b.rows
+
+    def succ(v):
+        row_a, row_b = rows_a[v[0]], rows_b[v[1]]
+        if len(row_a) <= len(row_b):
+            return [(e, (ta, tb)) for e, ta in row_a.items()
+                    if (tb := row_b.get(e)) is not None]
+        return [(e, (ta, tb)) for e, tb in row_b.items()
+                if (ta := row_a.get(e)) is not None]
+    return succ
+
+
+def sync_product_by_movers(components, alphabet) -> StarAutomaton:
+    """The synchronous product as `sync_product` built it on the components
+    as declared: per event, in alphabet order, the components whose
+    alphabet holds it must all define it and move together, and the others
+    stay in place."""
+    for c in components:
+        check_alphabet(c.alphabet, alphabet)
+    comp_rows = [c.rows for c in components]
+    movers = [(e, [k for k, c in enumerate(components) if e in c.alphabet])
+              for e in alphabet.events]
+
+    def succ(vec):
+        rows = [cr[q] for cr, q in zip(comp_rows, vec)]
+        out = []
+        for e, ks in movers:
+            for k in ks:
+                if e not in rows[k]:
+                    break
+            else:
+                nxt = list(vec)
+                for k in ks:
+                    nxt[k] = rows[k][e]
+                out.append((e, tuple(nxt)))
+        return out
+
+    return StarAutomaton.from_rows(
+        alphabet, explore(tuple(c.initial for c in components), succ)[1], 0)
 
 
 def buchi_intersection_by_explore(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:

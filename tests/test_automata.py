@@ -20,9 +20,11 @@ from oracles import (
     in_projected_product,
     language_equal_upto,
     lasso_accepted,
+    pair_moves,
     rows_ok,
     run_star,
     states_reaching_good_cycle,
+    sync_product_by_movers,
     visit_set_by_positions,
 )
 from perfbench.autfile import write_model
@@ -46,7 +48,7 @@ from suploc.automata import (
     lockstep,
     minimize_prefix_closed,
     omega_visit_set,
-    pair_moves,
+    product_moves,
     reachable_trim,
     restrict,
     run_lasso,
@@ -119,6 +121,72 @@ def test_sync_product_associative_random():
         left = sync_product([sync_product(parts[:2], al), parts[2]], al)
         right = sync_product([parts[0], sync_product(parts[1:], al)], al)
         assert language_equal_upto(left, right, 6)
+
+
+def test_sync_product_matches_frozen_form():
+    # components lifted by `extend_alphabet` and walked with `product_moves`
+    # give the rows and numbering of the earlier form, in which an event
+    # moved only the components declaring it; one component of each list
+    # is over a single event
+    rng = random.Random(2718)
+    for _ in range(300):
+        al = random_alphabet(rng, rng.randint(1, 5))
+        one = rng.choice(al.events)
+        parts = [random_star_automaton(rng, Alphabet.make((one,), al.controllable & {one}),
+                                       rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 3)):
+            events = [e for e in al.events if rng.random() < 0.6] or [rng.choice(al.events)]
+            part = Alphabet.make(events, al.controllable.intersection(events))
+            parts.append(random_star_automaton(rng, part, rng.randint(1, 5),
+                                               density=rng.uniform(0.3, 1.0)))
+        rng.shuffle(parts)
+        got, want = sync_product(parts, al), sync_product_by_movers(parts, al)
+        assert got == want and repr(got) == repr(want)
+
+
+def test_product_moves_matches_pair_moves():
+    rng = random.Random(1414)
+    for _ in range(200):
+        al = random_alphabet(rng, rng.randint(1, 5))
+        a, b = (random_star_automaton(rng, al, rng.randint(1, 6), density=rng.uniform(0.3, 1.0))
+                for _ in "ab")
+        init = (a.initial, b.initial)
+        assert explore(init, product_moves((a, b))) == explore(init, pair_moves(a, b))
+
+
+def test_sync_product_of_no_components():
+    # what `suploc pipeline` builds as the safety specification when
+    # `safety_specs` is empty: one state that allows every event
+    al = Alphabet.make(("a", "b", "c"), ("a",))
+    prod = sync_product([], al)
+    assert prod.states == (0,) and prod.rows == {0: {"a": 0, "b": 0, "c": 0}}
+    assert repr(prod) == repr(sync_product_by_movers([], al))
+
+
+def test_extend_alphabet_keeps_an_automaton_over_the_alphabet():
+    rng = random.Random(577)
+    al = random_alphabet(rng, 3)
+    a = random_star_automaton(rng, al, 4)
+    b = BuchiAutomaton(a, frozenset({a.initial}))
+    assert extend_alphabet(a, a.alphabet) is a
+    assert extend_alphabet(a, Alphabet.make(al.events, al.controllable)) is a
+    assert extend_alphabet(b, al) is b
+    wide = Alphabet.make(al.events + ("x",), al.controllable)
+    assert extend_alphabet(b, wide).core == extend_alphabet(a, wide) != a
+
+
+def test_lockstep_names_the_first_undefined_event_below_the_initial_state():
+    # after "a" the lead allows b and c; each follower lacks one of them
+    al = Alphabet.make(("a", "b", "c"))
+    lead = StarAutomaton(al, (0, 1), 0, {(0, "a"): 1, (1, "b"): 1, (1, "c"): 0})
+    no_c = StarAutomaton(al, (0, 1), 0, {(0, "a"): 1, (1, "b"): 1})
+    no_b = StarAutomaton(al, (0, 1), 0, {(0, "a"): 1, (1, "c"): 0})
+    for followers, event in (((no_c,), "c"), ((no_b,), "b"), ((no_c, no_b), "b"),
+                             ((no_b, no_c), "b")):
+        with pytest.raises(AutomatonError) as err:
+            lockstep(lead, *followers)
+        assert str(err.value) == (f"a following automaton is undefined on event {event!r} "
+                                  "along a string of the leading one")
 
 
 def test_sync_product_disjoint_projection():
@@ -447,7 +515,7 @@ def test_operand_disagreeing_on_controllability_rejected(entry):
     calls = {
         "buchi_lift": lambda: buchi_lift(flipped, buchi),
         "sup_con_star": lambda: sup_con_star(buchi, handle),
-        "product_compare": lambda: product_compare([core], core.alphabet, flipped),
+        "product_compare": lambda: product_compare([core], flipped),
         "omega_contained_single_pair": lambda: omega_contained_single_pair(
             buchi, BuchiAutomaton(flipped, frozenset({0}))),
         "controllability_subset": lambda: controllability_subset(
@@ -523,7 +591,7 @@ def test_product_walks_make_no_keyed_reads(monkeypatch):
         lookups.append(key)
         return inner(view, key)
     monkeypatch.setattr(TransitionView, "__getitem__", counted)
-    product = explore((s.initial, p.initial), pair_moves(s, p))[0]
+    product = explore((s.initial, p.initial), product_moves((s, p)))[0]
     joint = lockstep(s, p)
     sync = sync_product([p, s], p.alphabet)
     assert lookups == []

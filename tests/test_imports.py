@@ -2,7 +2,7 @@
 submodule.  Every module of the package and of the tests uses each name it
 imports, no module of the package imports an underscore name from another,
 only `automata` reads an automaton's `transitions`, every library function
-the benchmark traces exists, every function of the package has a use in the
+the benchmark traces and every library name its sources read exists, every function of the package has a use in the
 package, in the benchmark's trace or, for a checker the acceptance suite
 imports, in the tests, every function of the test support modules has a
 use, the CLI builds each supervisor in one stage function and exits 3 from
@@ -20,6 +20,7 @@ from perfbench.spans import TRACED
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "suploc"
+BENCH = TESTS.parent / "perfbench"
 IMPORTING = (
     [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))]
     + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))])
@@ -101,6 +102,73 @@ def test_benchmark_traced_functions_exist():
     missing = [f"{layer}.{name}" for layer, names in TRACED.items() for name in names
                if not callable(getattr(sys.modules[f"suploc.{layer}"], name, None))]
     assert missing == []
+
+
+def suploc_reads(source: str) -> list[tuple[str, str]]:
+    """(module, name) of each name `source` reads from a suploc module: a
+    name it imports from the module, or an attribute of a dotted path that
+    starts at a name an import binds to a suploc module (the path's part
+    before the attribute is the module when it names one)."""
+    tree = ast.parse(source)
+    bound, out = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "suploc":
+                    bound[a.asname or "suploc"] = a.name if a.asname else "suploc"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "suploc":
+            out.update((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            path = ast.unparse(node.value).split(".")
+            if path[0] in bound and all(p.isidentifier() for p in path):
+                out.add((".".join([bound[path[0]], *path[1:]]), node.attr))
+    return sorted(out)
+
+
+def missing_suploc_names(reads) -> list[str]:
+    """``module.name`` of each (module, name) of `reads` whose module
+    imports and lacks the name; a path that names no module is skipped."""
+    out = []
+    for module, name in reads:
+        try:
+            found = importlib.import_module(module)
+        except ImportError:
+            continue
+        if not hasattr(found, name):
+            out.append(f"{module}.{name}")
+    return out
+
+
+def test_checker_finds_missing_suploc_names():
+    source = ("import suploc.automata as automata\n"
+              "import suploc.textio\n"
+              "from suploc.omega import StarLanguageHandle, no_such_handle\n"
+              "automata.sync_product([], al).rows\n"
+              "automata.no_such_product([], al)\n"
+              "automata.StarAutomaton.from_rows\n"
+              "suploc.textio.no_such_writer\n")
+    reads = suploc_reads(source)
+    assert reads == [("suploc", "textio"),
+                     ("suploc.automata", "StarAutomaton"),
+                     ("suploc.automata", "no_such_product"),
+                     ("suploc.automata", "sync_product"),
+                     ("suploc.automata.StarAutomaton", "from_rows"),
+                     ("suploc.omega", "StarLanguageHandle"),
+                     ("suploc.omega", "no_such_handle"),
+                     ("suploc.textio", "no_such_writer")]
+    assert missing_suploc_names(reads) == [
+        "suploc.automata.no_such_product", "suploc.omega.no_such_handle",
+        "suploc.textio.no_such_writer"]
+
+
+def test_benchmark_reads_existing_names():
+    # the benchmark's sources are not run by the tests; a renamed or
+    # deleted library name they read would only fail a benchmark run
+    reads = {r for p in sorted(BENCH.glob("*.py"))
+             for r in suploc_reads(p.read_text(encoding="utf-8"))}
+    assert ("suploc.automata", "sync_product") in reads
+    assert missing_suploc_names(sorted(reads)) == []
 
 
 def dead_functions(sources: dict[str, str], kept) -> list[str]:

@@ -18,6 +18,7 @@ from oracles import (
     omega_contained_by_subsets,
     omega_product,
     star_compare_by_explore,
+    sync_product_by_movers,
 )
 
 from suploc.automata import (
@@ -127,7 +128,7 @@ def test_deadlock_free_counterexamples():
 
 def star_equal(a: StarAutomaton, b: StarAutomaton):
     """L(a) = L(b), by `product_compare` with the one factor a."""
-    return product_compare([a], a.alphabet, b)
+    return product_compare([a], b)
 
 
 def test_star_equal_reflexive(sf):
@@ -137,7 +138,6 @@ def test_star_equal_reflexive(sf):
 
 def test_star_equal_containment_by_construction(sf):
     # supervised behavior against plant ^ supervised behavior
-    from suploc.automata import sync_product
     plant_core = sf["plant"].core
     sup_aut = sf["sup"].automaton
     meet = sync_product([plant_core, sup_aut], plant_core.alphabet)
@@ -197,14 +197,14 @@ def near(rng, a: StarAutomaton) -> StarAutomaton:
 
 def test_product_compare_matches_built_product():
     # the walk of the factors' product against the product built by
-    # `sync_product`, compared as one factor and by the whole-product scan
-    # the walk replaced: same verdict, same witness
+    # `sync_product_by_movers`, compared as one factor and by the
+    # whole-product scan the walk replaced: same verdict, same witness
     rng = random.Random(1729)
     verdicts = []
     for _ in range(600):
         al = random_alphabet(rng, rng.randint(1, 4))
         factors = random_factors(rng, al)
-        built = sync_product(factors, al)
+        built = sync_product_by_movers(factors, al)
         kind = rng.randrange(3)
         if kind == 0:
             b = minimize_prefix_closed(built)
@@ -212,7 +212,7 @@ def test_product_compare_matches_built_product():
             b = near(rng, minimize_prefix_closed(built))
         else:
             b = random_star_automaton(rng, al, rng.randint(1, 6), density=rng.uniform(0.3, 1.0))
-        got = product_compare(factors, al, b)
+        got = product_compare(factors, b)
         assert got == star_compare_by_explore(built, b) == star_equal(built, b)
         verdicts.append(got[0])
     assert sum(verdicts) >= 150 and len(verdicts) - sum(verdicts) >= 250, sum(verdicts)
@@ -223,9 +223,10 @@ def test_product_compare_checks_alphabets():
     one = StarAutomaton(Alphabet.make(("a",)), (0,), 0, {(0, "a"): 0})
     b = StarAutomaton(al, (0,), 0, {(0, "a"): 0})
     with pytest.raises(AutomatonError, match="controllable"):
-        product_compare([one], al, b)
-    with pytest.raises(AutomatonError, match="alphabet mismatch"):
-        product_compare([b], al, StarAutomaton(Alphabet.make(("a",), ("a",)), (0,), 0, {}))
+        product_compare([one], b)
+    # the product is taken over b's alphabet, which must hold every factor's events
+    with pytest.raises(AutomatonError, match=r"event\(s\) \['b'\] not in global alphabet"):
+        product_compare([b], StarAutomaton(Alphabet.make(("a",), ("a",)), (0,), 0, {}))
 
 
 def test_pre_monotone_idempotent():

@@ -75,6 +75,24 @@ def test_finite_equivalence_builds_no_product(factory, monkeypatch):
     assert calls == {"sync_product": 1, "from_rows": 1}
 
 
+def test_infinite_equivalence_copies_no_controller(factory, monkeypatch):
+    # counted work: every controller is declared over the plant's events,
+    # so neither tier re-declares one and no automaton is built from rows
+    f = factory(3)
+    controllers = localize_all(f["plant"], f["sup"], f["closed"], f["supw"])
+    assert {c.automaton.alphabet for c in controllers} == {f["plant"].alphabet}
+    calls = []
+    inner_rows = StarAutomaton.from_rows
+
+    def counted_rows(cls, *args):
+        calls.append(args)
+        return inner_rows(*args)
+    monkeypatch.setattr(StarAutomaton, "from_rows", classmethod(counted_rows))
+    report = check_infinite_equivalence(f["plant"], f["sup"], f["supw"], controllers)
+    assert report.finite_ok and report.infinite_ok and report.checked_lassos == 500
+    assert calls == []
+
+
 def test_finite_equivalence_supervisors_as_controllers(sf):
     # using the parent supervisors themselves as controllers is equivalent
     sup_copy = [
