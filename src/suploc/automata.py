@@ -11,8 +11,9 @@ place where an event outside a component's alphabet leaves it in place.
 Liveness questions ("can this state reach a cycle through a good state?")
 all go through `good_sccs`, and the states that reach such a cycle come
 from `states_reaching_cycle`; on an automaton's own acceptance, from
-`live_states`.  Acceptance comes from the automaton's type
-(`acceptance_pair`).
+`live_states`.  Every omega-automaton is one record, `OmegaAutomaton`,
+whose acceptance is its `pair` (R, I); `BuchiAutomaton` and
+`RabinBuchiAutomaton` are its two shapes.
 
 The successor index is `StarAutomaton.rows`, per state ``{event: target}``
 in alphabet order; an automaton stores no other transition data.  Input is
@@ -165,48 +166,62 @@ class StarAutomaton:
         return sum(map(len, self.rows.values()))
 
 
-@dataclass(frozen=True)
-class BuchiAutomaton:
-    core: StarAutomaton
-    accepting: frozenset[State]
-
-    def __post_init__(self):
-        if not self.accepting <= set(self.core.states):
-            raise AutomatonError("accepting set not a subset of states")
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.core.alphabet
+Pair = tuple[frozenset[State], frozenset[State]]
 
 
 @dataclass(frozen=True)
-class RabinBuchiAutomaton:
-    """One transition structure carrying a Buchi set and one Rabin pair,
-    held as the 1-tuple `rabin_pairs`.
+class OmegaAutomaton:
+    """One transition structure carrying a Buchi layer and at most one Rabin
+    pair, held as the tuple `rabin_pairs`.
 
-    The Rabin convention is: a run is accepted by the pair (R, I) iff the
-    set of states visited infinitely often meets R and stays inside I.
+    `pair` is the acceptance (R, I): a run is accepted when the set of
+    states it visits infinitely often meets R and stays inside I.  It is
+    the Rabin pair when there is one, else (buchi, every state), so a
+    Buchi layer is asked on its own as ``BuchiAutomaton(aut.core,
+    aut.buchi)``.  `pair` is derived, so it takes no part in construction,
+    equality, hashing or repr.
     """
 
     core: StarAutomaton
     buchi: frozenset[State]
-    rabin_pairs: tuple[tuple[frozenset[State], frozenset[State]], ...]
+    rabin_pairs: tuple[Pair, ...]
+    pair: Pair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.rabin_pairs) != 1:
-            raise AutomatonError(f"expected one Rabin pair, got {len(self.rabin_pairs)}")
-        states = set(self.core.states)
-        if not self.buchi <= states:
-            raise AutomatonError("buchi set not a subset of states")
-        r, i = self.rabin_pairs[0]
-        if not (r <= states and i <= states):
-            raise AutomatonError("rabin pair not a subset of states")
+        if len(self.rabin_pairs) > 1:
+            raise AutomatonError(f"expected at most one Rabin pair, got {len(self.rabin_pairs)}")
+        states = frozenset(self.core.states)
+        if not self.buchi.union(*(s for p in self.rabin_pairs for s in p)) <= states:
+            raise AutomatonError("acceptance set not a subset of states")
+        object.__setattr__(self, "pair", self.rabin_pairs[0] if self.rabin_pairs
+                           else (self.buchi, states))
 
     @property
     def alphabet(self) -> Alphabet:
         return self.core.alphabet
 
-    def single_pair(self) -> tuple[frozenset[State], frozenset[State]]:
+
+class BuchiAutomaton(OmegaAutomaton):
+    """The record with no Rabin pair: a run is accepted when it visits
+    `accepting` infinitely often."""
+
+    def __init__(self, core: StarAutomaton, accepting: frozenset[State]):
+        super().__init__(core, accepting, ())
+
+    @property
+    def accepting(self) -> frozenset[State]:
+        return self.buchi
+
+
+class RabinBuchiAutomaton(OmegaAutomaton):
+    """The record with exactly one Rabin pair."""
+
+    def __post_init__(self):
+        if len(self.rabin_pairs) != 1:
+            raise AutomatonError(f"expected one Rabin pair, got {len(self.rabin_pairs)}")
+        super().__post_init__()
+
+    def single_pair(self) -> Pair:
         return self.rabin_pairs[0]
 
 
@@ -249,28 +264,11 @@ def omega_visit_set(core: StarAutomaton, w: LassoWord) -> Optional[frozenset[Sta
     return frozenset(trace[pass_start[q]:])
 
 
-def run_lasso(aut: BuchiAutomaton | RabinBuchiAutomaton, w: LassoWord) -> bool:
-    """Whether the automaton accepts the lasso word, by the acceptance its
-    type carries (see `acceptance_pair`)."""
+def run_lasso(aut: OmegaAutomaton, w: LassoWord) -> bool:
+    """Whether the automaton accepts the lasso word, by its `pair`."""
     omega = omega_visit_set(aut.core, w)
-    if omega is None:
-        return False
-    if isinstance(aut, BuchiAutomaton):
-        return not omega.isdisjoint(aut.accepting)
-    r, i = aut.single_pair()
-    return not omega.isdisjoint(r) and omega <= i
-
-
-def acceptance_pair(aut: BuchiAutomaton | RabinBuchiAutomaton
-                    ) -> tuple[frozenset[State], frozenset[State]]:
-    """(R, I) view of an automaton's acceptance: a run is accepted when the
-    states it visits infinitely often meet R and stay inside I.  A Buchi
-    set F is (F, every state); a Rabin-Buchi automaton answers with its
-    single pair, and its Buchi layer is asked as
-    ``BuchiAutomaton(aut.core, aut.buchi)``."""
-    if isinstance(aut, BuchiAutomaton):
-        return aut.accepting, frozenset(aut.core.states)
-    return aut.single_pair()
+    r, i = aut.pair
+    return omega is not None and not omega.isdisjoint(r) and omega <= i
 
 
 def lasso_in_star(a: StarAutomaton, w: LassoWord) -> bool:
@@ -668,10 +666,9 @@ def states_reaching_cycle(states: Sequence[State], succ, good, inside=None) -> s
     return backward_closure(found, preds)
 
 
-def live_states(aut: BuchiAutomaton | RabinBuchiAutomaton) -> set[State]:
+def live_states(aut: OmegaAutomaton) -> set[State]:
     """Reachable states from which some run is accepted: those that reach a
-    cycle meeting R and staying inside I, for the (R, I) of
-    `acceptance_pair`."""
-    r, i = acceptance_pair(aut)
+    cycle meeting R and staying inside I, for the automaton's (R, I) `pair`."""
+    r, i = aut.pair
     core = aut.core
     return states_reaching_cycle(reachable_states(core), core.targets, r, inside=i)

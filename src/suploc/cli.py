@@ -230,11 +230,10 @@ def cmd_info(args) -> int:
         "controllable": sorted(core.alphabet.controllable),
         "uncontrollable": sorted(core.alphabet.uncontrollable),
     }
-    if isinstance(aut, BuchiAutomaton):
-        info["buchi"] = len(aut.accepting)
-    if isinstance(aut, RabinBuchiAutomaton):
+    if core is not aut:  # an omega-automaton
         info["buchi"] = len(aut.buchi)
-        info["rabin_pairs"] = [[len(r), len(i)] for r, i in aut.rabin_pairs]
+        if aut.rabin_pairs:
+            info["rabin_pairs"] = [[len(r), len(i)] for r, i in aut.rabin_pairs]
     _emit(args, info)
     return EXIT_OK
 

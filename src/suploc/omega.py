@@ -18,12 +18,11 @@ from typing import Optional, Sequence
 from .automata import (
     BuchiAutomaton,
     LassoWord,
-    RabinBuchiAutomaton,
+    OmegaAutomaton,
     Rows,
     StarAutomaton,
     State,
     Word,
-    acceptance_pair,
     bfs_word,
     check_alphabet,
     explore,
@@ -53,7 +52,7 @@ class StarLanguageHandle:
         return self.automaton is None
 
 
-def pre_automaton(a: BuchiAutomaton | RabinBuchiAutomaton) -> StarLanguageHandle:
+def pre_automaton(a: OmegaAutomaton) -> StarLanguageHandle:
     """Automaton for pre(S(a)), the finite prefixes of the accepted
     behaviour: states that cannot reach an accepting cycle contribute no
     prefixes and are pruned."""
@@ -63,8 +62,7 @@ def pre_automaton(a: BuchiAutomaton | RabinBuchiAutomaton) -> StarLanguageHandle
     return StarLanguageHandle(reachable_trim(restrict(a.core, good)))
 
 
-def prefix_tracker(a: BuchiAutomaton | RabinBuchiAutomaton
-                   ) -> tuple[StarAutomaton, Optional[State]]:
+def prefix_tracker(a: OmegaAutomaton) -> tuple[StarAutomaton, Optional[State]]:
     """The automaton of pre(S(a)) totalized with a dead sink, which the
     strings outside pre(S(a)) run into, and that sink (None when no string
     leaves pre(S(a))).  When S(a) is empty, the run starts on the sink."""
@@ -138,12 +136,10 @@ def product_compare(factors: Sequence[StarAutomaton],
     return True, None
 
 
-def omega_contained_single_pair(
-    a: BuchiAutomaton | RabinBuchiAutomaton,
-    b: BuchiAutomaton | RabinBuchiAutomaton,
-) -> tuple[bool, Optional[LassoWord]]:
-    """Decide S(a) <= S(b), each by the acceptance its type carries (see
-    `acceptance_pair`); on failure return a lasso in S(a) \\ S(b).
+def omega_contained_single_pair(a: OmegaAutomaton, b: OmegaAutomaton
+                                ) -> tuple[bool, Optional[LassoWord]]:
+    """Decide S(a) <= S(b), each by its `pair`; on failure return a lasso in
+    S(a) \\ S(b).
 
     Searches the synchronized product with b's `sink_tracker` (b trimmed and
     totalized with a dead sink) for a reachable cycle accepting for a's
@@ -152,8 +148,7 @@ def omega_contained_single_pair(
     cycle inside I_a hitting both R_a and the complement of I_b.
     """
     check_alphabet(a.alphabet, b.alphabet, same=True)
-    ra, ia = acceptance_pair(a)
-    rb, ib = acceptance_pair(b)
+    (ra, ia), (rb, ib) = a.pair, b.pair
     bt, sink = sink_tracker(b.core)
     # the product, on visit indices: node i is the state pair order[i]
     order, rows = explore((a.core.initial, bt.initial), product_moves((a.core, bt)))

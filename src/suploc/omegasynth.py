@@ -36,10 +36,10 @@ from .automata import (
     BuchiAutomaton,
     Event,
     LassoWord,
+    OmegaAutomaton,
     RabinBuchiAutomaton,
     StarAutomaton,
     State,
-    acceptance_pair,
     buchi_intersection,
     check_alphabet,
     explore,
@@ -78,10 +78,7 @@ class OmegaSupervisor:
     tracker_sink: State
 
 
-def build_rabin_buchi(
-    plant: BuchiAutomaton,
-    legal: BuchiAutomaton | RabinBuchiAutomaton,
-) -> RabinBuchiAutomaton:
+def build_rabin_buchi(plant: BuchiAutomaton, legal: OmegaAutomaton) -> RabinBuchiAutomaton:
     """Product of the controlled plant with the legal specification.
 
     The star layer accepts L(plant) ^ pre(E_l); the Buchi layer accepts the
@@ -90,7 +87,7 @@ def build_rabin_buchi(
     state is off the sink); the Rabin pair of the legal automaton is lifted
     through the product.
     """
-    r_set, i_set = acceptance_pair(legal)
+    r_set, i_set = legal.pair
     check_alphabet(legal.alphabet, plant.alphabet, same=True)
     alphabet = plant.alphabet
 
@@ -229,7 +226,7 @@ def _attractor(player, target, nodes, moves, lost):
     return attr, strat
 
 
-def controllability_subset(a: RabinBuchiAutomaton, alphabet: Alphabet) -> ControllabilityResult:
+def controllability_subset(a: OmegaAutomaton, alphabet: Alphabet) -> ControllabilityResult:
     """States from which a supervisor can win the liveness control objective,
     together with a maximal winning control pattern per state.
 
@@ -240,7 +237,7 @@ def controllability_subset(a: RabinBuchiAutomaton, alphabet: Alphabet) -> Contro
     states without a live continuation under the maximal pattern map are
     pruned and the game re-solved until stable.
     """
-    r_set, i_set = a.single_pair()
+    r_set, i_set = a.pair
     core = a.core
     check_alphabet(core.alphabet, alphabet, same=True)
 
@@ -413,7 +410,7 @@ def _pattern_map_wins(core, phi, region, r_set, i_set, b_set) -> bool:
                 or any(good_sccs(ordered, succ, (b_set,), region - r_set)))
 
 
-def restrict_sup(a: RabinBuchiAutomaton, c: ControllabilityResult) -> RabinBuchiAutomaton:
+def restrict_sup(a: OmegaAutomaton, c: ControllabilityResult) -> OmegaAutomaton:
     """sup C(E_l) on the product: the words whose run never leaves the
     controllability subset C and satisfies the pair there.
 
@@ -422,7 +419,7 @@ def restrict_sup(a: RabinBuchiAutomaton, c: ControllabilityResult) -> RabinBuchi
     When C has lost the initial state, the core is kept and only the pair is
     masked to C, so no run can satisfy it outside C.
     """
-    r_set, i_set = a.single_pair()
+    r_set, i_set = a.pair
     if c.subset.issuperset(a.core.states):
         return a
     pair = ((r_set & c.subset, i_set & c.subset),)
@@ -438,14 +435,14 @@ def inf_closure(minimal: BuchiAutomaton, plant_omega: BuchiAutomaton) -> BuchiAu
 
 
 def existence_check(
-    inf_a: BuchiAutomaton, sup_e: RabinBuchiAutomaton
+    inf_a: BuchiAutomaton, sup_e: OmegaAutomaton
 ) -> tuple[bool, Optional[LassoWord]]:
     """The supervisor existence condition: inf F(A) <= sup C(E_l)."""
     return omega_contained_single_pair(inf_a, sup_e)
 
 
 def assemble_fomega(
-    asup: RabinBuchiAutomaton,
+    asup: OmegaAutomaton,
     c: ControllabilityResult,
     minimal: BuchiAutomaton,
     *,

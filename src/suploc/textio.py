@@ -14,7 +14,10 @@ Format (UTF-8, '#' comments and blank lines ignored, strict keys):
 The lines may come in any order, except that every ``trans`` line must
 follow the ``events`` line: a transition's event is checked against the
 declared events as the line is read.  Only ``trans`` and ``buchi`` lines
-may repeat, so a Rabin-Buchi automaton has one pair.  An event label may
+may repeat, so a Rabin-Buchi automaton has one pair.  A ``star`` text
+carries no acceptance line and a ``buchi`` text no ``rabin`` line.  Every
+`automata.OmegaAutomaton` is written from its ``buchi`` set and its
+``rabin_pairs``, whatever its shape.  An event label may
 not contain ``/`` or a NUL character, since the pipeline names each local
 controller's file after its event.
 
@@ -41,13 +44,14 @@ from .automata import (
     Alphabet,
     AutomatonError,
     BuchiAutomaton,
+    OmegaAutomaton,
     RabinBuchiAutomaton,
     Rows,
     StarAutomaton,
     explore,
 )
 
-AnyAutomaton = Union[StarAutomaton, BuchiAutomaton, RabinBuchiAutomaton]
+AnyAutomaton = Union[StarAutomaton, OmegaAutomaton]
 
 # the value of the ``type`` line, per automaton type
 TYPE_NAMES = {StarAutomaton: "star", BuchiAutomaton: "buchi", RabinBuchiAutomaton: "rabin-buchi"}
@@ -158,6 +162,8 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
         raise ParseError(None, "star automata carry no acceptance lines")
     if kind == "buchi" and buchi is None:
         raise ParseError(None, "buchi automata need a 'buchi' line")
+    if kind == "buchi" and pair is not None:
+        raise ParseError(None, "buchi automata carry no 'rabin' line")
     if kind == "rabin-buchi" and (buchi is None or pair is None):
         raise ParseError(None, "rabin-buchi automata need 'buchi' and 'rabin' lines")
 
@@ -193,7 +199,8 @@ def _bfs_numbered(core: StarAutomaton) -> bool:
 
 
 def _canonical(aut: AnyAutomaton):
-    """Renumber states densely in BFS order, mapping acceptance sets along.
+    """Renumber states densely in BFS order, mapping acceptance sets along:
+    the core, the Buchi set (None for a star automaton) and the Rabin pairs.
 
     An automaton whose numbering is already that one (`_bfs_numbered`: the
     states are 0..n-1, 0 is initial and the BFS from 0 meets them in that
@@ -211,9 +218,7 @@ def _canonical(aut: AnyAutomaton):
         def mapped(states):
             return frozenset(num[q] for q in states if q in num)
     if isinstance(aut, StarAutomaton):
-        return core, None, None
-    if isinstance(aut, BuchiAutomaton):
-        return core, mapped(aut.accepting), None
+        return core, None, ()
     return core, mapped(aut.buchi), tuple((mapped(r), mapped(i)) for r, i in aut.rabin_pairs)
 
 
@@ -228,8 +233,7 @@ def serialize_automaton(name: str, aut: AnyAutomaton) -> str:
         out += [f"trans {q} {e} {t}\n" for e, t in rows[q].items()]
     if buchi is not None:
         out.append("buchi " + " ".join(str(q) for q in sorted(buchi)) + "\n")
-    if pairs is not None:
-        (r, i), = pairs
+    for r, i in pairs:
         out.append("rabin R " + " ".join(str(q) for q in sorted(r))
                    + " ; I " + " ".join(str(q) for q in sorted(i)) + "\n")
     return "".join(out)
@@ -275,7 +279,7 @@ def to_dot(name: str, aut: AnyAutomaton) -> str:
         attrs = []
         if buchi is not None and q in buchi:
             attrs.append("shape=doublecircle")
-        if pairs is not None:
+        if pairs:
             tags = [tag for tag, part in zip(("R1", "I1"), pairs[0]) if q in part]
             if tags:
                 label += "\\n" + ",".join(tags)

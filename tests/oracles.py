@@ -23,6 +23,10 @@ lines with newlines, on the library's canonical numbering
 (`textio._canonical`).  `lasso_accepted` is the earlier layered form of
 `run_lasso`, which picked the acceptance condition by a layer name, on the
 oracle's own visit set: the reference for reading it off the type.
+`acceptance_pair_by_type` and `run_lasso_by_type` are the earlier
+`automata.acceptance_pair` and `run_lasso`, which chose the acceptance
+rule by the automaton's class, the references for `OmegaAutomaton.pair`
+and the one-formula `run_lasso` that reads it.
 `rows_ok` checks the contract that `StarAutomaton.from_rows` trusts its
 callers to keep, on the automata the package builds.  `minimal_prefix_states`
 and `bad_cycle_sets` reach states one path at a time, the definitions that
@@ -42,6 +46,7 @@ from suploc.automata import (
     check_alphabet,
     explore,
     lockstep,
+    omega_visit_set,
 )
 from suploc.localization import EnableDisableProfile, Part
 from suploc.omegasynth import _pattern_map_wins
@@ -155,6 +160,27 @@ def lasso_accepted(aut, w: LassoWord, layer: str) -> bool:
     else:
         raise ValueError(f"unknown acceptance layer {layer!r}")
     return bool(omega & r) and omega <= i
+
+
+def acceptance_pair_by_type(aut):
+    """(R, I) of an automaton as its class chose it: a Buchi set F is
+    (F, every state), a Rabin-Buchi automaton answers with its single pair."""
+    if isinstance(aut, BuchiAutomaton):
+        return aut.accepting, frozenset(aut.core.states)
+    return aut.single_pair()
+
+
+def run_lasso_by_type(aut, w: LassoWord) -> bool:
+    """Whether the automaton accepts the lasso word, by the rule its class
+    carries: a Buchi automaton when the infinity set meets its set, a
+    Rabin-Buchi automaton when it meets R and stays inside I."""
+    omega = omega_visit_set(aut.core, w)
+    if omega is None:
+        return False
+    if isinstance(aut, BuchiAutomaton):
+        return not omega.isdisjoint(aut.accepting)
+    r, i = aut.single_pair()
+    return not omega.isdisjoint(r) and omega <= i
 
 
 # ---------------------------------------------------------------------------

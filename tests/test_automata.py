@@ -19,9 +19,11 @@ from oracles import (
     enumerate_language,
     in_projected_product,
     language_equal_upto,
+    acceptance_pair_by_type,
     lasso_accepted,
     pair_moves,
     rows_ok,
+    run_lasso_by_type,
     run_star,
     states_reaching_good_cycle,
     sync_product_by_movers,
@@ -495,6 +497,24 @@ def test_live_states_matches_oracle():
 
             want = states_reaching_good_cycle(bfs_order(a.core), succ, good, inside=inside)
             assert live_states(a) == want
+
+
+def test_pair_and_run_lasso_match_frozen_forms():
+    # one acceptance rule, `pair`, gives what the class-dispatched forms gave
+    rng = random.Random(2727)
+    accepted = [0, 0]
+    for k in range(300):
+        al = random_alphabet(rng, rng.randint(1, 4))
+        make = (random_buchi, random_single_pair)[k % 2]
+        aut = make(rng, al, rng.randint(1, 7), density=rng.uniform(0.4, 1.0))
+        assert aut.pair == acceptance_pair_by_type(aut)
+        for _ in range(20):
+            w = random_lasso(rng, al, max_stem=4, max_cycle=4)
+            got = run_lasso(aut, w)
+            assert got == run_lasso_by_type(aut, w), (k, w)
+            accepted[got] += 1
+    # both answers occur often enough for the comparison to mean something
+    assert min(accepted) > 500, accepted
 
 
 def _flagged(controllable):

@@ -3,9 +3,14 @@
 The benchmark builds automata with the mapping constructor, reads
 `.transitions` and runs its own pipeline and checks; a change to any of
 these would otherwise show only as a benchmark run with incorrect outputs.
+One short traced run checks the path that wraps every traced function in
+a span.
 """
 
+import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +39,15 @@ def test_benchmark_pipeline_passes_its_checks(tmp_path, case, verdict):
 def test_benchmark_pipeline_matches_cli(tmp_path):
     assert checks.corpus_identity(str(ROOT)) is None
     assert checks.cli_identity(str(ROOT), str(tmp_path)) is None
+
+
+def test_traced_benchmark_run_is_correct():
+    # `--trace 1` wraps every function `perfbench.spans.TRACED` names and
+    # checks the outputs with `perfbench.checks`, which tells the automaton
+    # classes apart; the run removes its own work directory
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "factory-n4", "--seed", "0",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True

@@ -727,8 +727,11 @@ def test_input_errors_name_no_line(corpus, tmp_path, capsys):
     noinit.write_text("automaton x\ntype star\nevents a:u\n")
     nobuchi = tmp_path / "nobuchi.aut"
     nobuchi.write_text("automaton x\ntype buchi\nevents a:u\ninitial 0\n")
+    rabin = tmp_path / "rabin.aut"
+    rabin.write_text("automaton x\ntype buchi\nevents a:u\ninitial 0\nbuchi 0\nrabin R 0 ; I 0\n")
     for path, message in [(noinit, "missing 'initial' line"),
-                          (nobuchi, "buchi automata need a 'buchi' line")]:
+                          (nobuchi, "buchi automata need a 'buchi' line"),
+                          (rabin, "buchi automata carry no 'rabin' line")]:
         assert run_cli("info", path) == 2
         assert capsys.readouterr().err == f"parse error: {path}: {message}\n"
 

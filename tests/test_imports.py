@@ -6,8 +6,11 @@ the benchmark traces and every library name its sources read exists, every funct
 package, in the benchmark's trace or, for a checker the acceptance suite
 imports, in the tests, every function of the test support modules has a
 use, the CLI builds each supervisor in one stage function and exits 3 from
-one place, only `safety.controlled_plant` calls `buchi_lift`, only
-`textio` opens a file for writing, and only one function removes files."""
+one place, only `safety.controlled_plant` calls `buchi_lift`, no module of
+the package picks an acceptance rule by class (an `isinstance` naming
+`RabinBuchiAutomaton`, or `acceptance_pair`: every omega-question reads
+`OmegaAutomaton.pair`), only `textio` opens a file for writing, and only
+one function removes files."""
 
 import ast
 import importlib
@@ -262,6 +265,41 @@ def test_one_caller_of_buchi_lift():
     found = {(p.stem, fn) for p in sorted(SRC.glob("*.py"))
              for fn in callers(p.read_text(encoding="utf-8")).get("buchi_lift", ())}
     assert found == {("safety", "controlled_plant")}
+
+
+def acceptance_dispatches(source: str) -> list[int]:
+    """Lines of `source` that pick an acceptance rule by class: an
+    ``isinstance`` call whose class argument names ``RabinBuchiAutomaton``,
+    or a definition, import or attribute read of ``acceptance_pair``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            named = {getattr(n, "id", getattr(n, "attr", None))
+                     for a in node.args[1:] for n in ast.walk(a)}
+            if "RabinBuchiAutomaton" in named:
+                out.append(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.alias, ast.Attribute)) and \
+                getattr(node, "name", getattr(node, "attr", None)) == "acceptance_pair":
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_checker_finds_acceptance_dispatches():
+    source = ("isinstance(a, RabinBuchiAutomaton)\n"
+              "isinstance(a, (BuchiAutomaton, automata.RabinBuchiAutomaton))\n"
+              "isinstance(a, BuchiAutomaton)\n"
+              "RabinBuchiAutomaton(core, buchi, pairs)\n"
+              "from .automata import acceptance_pair\n"
+              "def acceptance_pair(aut):\n    return aut.pair\n"
+              "r, i = automata.acceptance_pair(a)\n"
+              "r, i = a.pair\n")
+    assert acceptance_dispatches(source) == [1, 2, 5, 6, 8]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_acceptance_is_read_from_the_record(module):
+    # a Buchi automaton and a Rabin-Buchi one follow one rule, their `pair`
+    assert acceptance_dispatches((SRC / module).read_text(encoding="utf-8")) == []
 
 
 def write_opens(source: str) -> list[int]:

@@ -26,10 +26,12 @@ from suploc.automata import (
     AutomatonError,
     BuchiAutomaton,
     LassoWord,
+    RabinBuchiAutomaton,
     StarAutomaton,
     all_accepting,
     extend_alphabet,
     lasso_in_star,
+    live_states,
     minimize_prefix_closed,
     run_lasso,
     sync_product,
@@ -337,3 +339,30 @@ def test_omega_containment_matches_subset_oracle():
             two_stops += not any(qa in ra and (qb is None or qb not in ib)
                                  for s in bad for qa, qb in s)
     assert shape2 > 0 and two_stops > 0, (shape2, two_stops)
+
+
+def test_buchi_and_its_pair_form_accept_alike():
+    # a Buchi set F and the Rabin pair (F, every state) are one acceptance
+    # rule: the same lassos, live states and containment verdicts and witnesses
+    rng = random.Random(2728)
+    verdicts = [0, 0]
+    for _ in range(150):
+        al = random_alphabet(rng, rng.randint(1, 3))
+        b = random_buchi(rng, al, rng.randint(1, 5), density=rng.uniform(0.4, 1.0))
+        twin = RabinBuchiAutomaton(b.core, b.accepting,
+                                   ((b.accepting, frozenset(b.core.states)),))
+        assert live_states(twin) == live_states(b)
+        for _ in range(20):
+            w = random_lasso(rng, al, max_stem=4, max_cycle=4)
+            assert run_lasso(twin, w) == run_lasso(b, w)
+        assert omega_contained_single_pair(b, twin) == (True, None)
+        assert omega_contained_single_pair(twin, b) == (True, None)
+        other = rng.choice((random_buchi, random_single_pair))(
+            rng, al, rng.randint(1, 5), density=rng.uniform(0.4, 1.0))
+        for got, want in ((omega_contained_single_pair(twin, other),
+                           omega_contained_single_pair(b, other)),
+                          (omega_contained_single_pair(other, twin),
+                           omega_contained_single_pair(other, b))):
+            assert got == want
+            verdicts[want[0]] += 1
+    assert min(verdicts) > 50, verdicts

@@ -140,6 +140,9 @@ def test_missing_sections():
             ("automaton x\ntype star\nevents a:u\n", "missing 'initial' line"),
             ("automaton x\ntype star\nevents a:u\ninitial 0\nbuchi 0\n",
              "star automata carry no acceptance lines"),
+            # the pair was dropped and its states became unreachable core states
+            ("automaton x\ntype buchi\nevents a:c\ninitial 0\ntrans 0 a 0\nbuchi 0\n"
+             "rabin R 7 ; I 7 8\n", "buchi automata carry no 'rabin' line"),
             ("automaton x\ntype rabin-buchi\nevents a:u\ninitial 0\nbuchi 0\n",
              "rabin-buchi automata need 'buchi' and 'rabin' lines")]:
         with pytest.raises(ParseError) as err:
@@ -226,7 +229,7 @@ def test_serialization_ignores_numbering():
         assert serialize_automaton("x", parsed) == text
         # the canonical form itself is BFS-numbered: the shortcut serializes it
         core, buchi, pairs = textio._canonical(aut)
-        canonical = (core if buchi is None else BuchiAutomaton(core, buchi) if pairs is None
+        canonical = (core if buchi is None else BuchiAutomaton(core, buchi) if not pairs
                      else RabinBuchiAutomaton(core, buchi, pairs))
         assert textio._canonical(canonical)[0] is core
         assert serialize_automaton("x", canonical) == text
