@@ -4,10 +4,14 @@ State identifiers are arbitrary hashable values (``None`` is reserved as the
 reject result of a run).  Every operation that builds a new state space does
 so with `explore`, the one place where the numbering policy lives: states are
 numbered densely, breadth-first from the initial state, iterating events in
-alphabet order, so the outputs are reproducible.  `product_moves` is the one
-successor of a synchronous product of automata over one alphabet; a
-component over fewer events is first lifted by `extend_alphabet`, the one
-place where an event outside a component's alphabet leaves it in place.
+alphabet order, so the outputs are reproducible.  The one exception is
+`ImplicitProduct`, which numbers a joint state when a walk first meets it;
+that numbering is private to the object, never written or compared.
+`product_moves` is the one successor of a synchronous product of automata
+over one alphabet, built whole (`sync_product`) or on demand
+(`ImplicitProduct`); a component over fewer events is first lifted by
+`extend_alphabet`, the one place where an event outside a component's
+alphabet leaves it in place.
 Liveness questions ("can this state reach a cycle through a good state?")
 all go through `good_sccs`, and the states that reach such a cycle come
 from `states_reaching_cycle`; on an automaton's own acceptance, from
@@ -237,7 +241,8 @@ class LassoWord:
             raise AutomatonError("lasso cycle must be non-empty")
 
 
-def omega_visit_set(core: StarAutomaton, w: LassoWord) -> Optional[frozenset[State]]:
+def omega_visit_set(core: StarAutomaton | ImplicitProduct, w: LassoWord
+                    ) -> Optional[frozenset[State]]:
     """States visited infinitely often by the unique run on w, or None if the
     run falls off the transition function (an event outside the alphabet
     has no transition).
@@ -271,7 +276,7 @@ def run_lasso(aut: OmegaAutomaton, w: LassoWord) -> bool:
     return omega is not None and not omega.isdisjoint(r) and omega <= i
 
 
-def lasso_in_star(a: StarAutomaton, w: LassoWord) -> bool:
+def lasso_in_star(a: StarAutomaton | ImplicitProduct, w: LassoWord) -> bool:
     """Whether every finite prefix of w stays inside the automaton's language."""
     return omega_visit_set(a, w) is not None
 
@@ -336,6 +341,44 @@ def product_moves(autos: Sequence[StarAutomaton]):
                 out.append((e, tuple(w)))
         return out
     return succ
+
+
+class ImplicitProduct:
+    """The synchronous product of automata over `alphabet`, built only where
+    it is walked.  It has the `initial` state and the `rows` that
+    `omega_visit_set` reads: joint state 0 is the vector of the automata's
+    initial states, and a row that is read but missing is computed by
+    `product_moves` from its joint state's vector, then stored.  The product
+    of no automata is one state looping on every event."""
+
+    initial = 0
+
+    def __init__(self, autos: Sequence[StarAutomaton], alphabet: Alphabet):
+        self.rows: Rows = _ProductRows(autos, alphabet)
+
+
+class _ProductRows(dict):
+    """The rows of an `ImplicitProduct`, each computed on its first read;
+    `vectors[i]` is joint state i's vector of component states."""
+
+    def __init__(self, autos: Sequence[StarAutomaton], alphabet: Alphabet):
+        super().__init__()
+        self.moves = product_moves(autos)
+        self.vectors = [tuple(a.initial for a in autos)]
+        self.number = {self.vectors[0]: 0}
+        if not autos:
+            self[0] = dict.fromkeys(alphabet.events, 0)
+
+    def __missing__(self, i):
+        vectors, number = self.vectors, self.number
+        row = self[i] = {}
+        for e, w in self.moves(vectors[i]):
+            j = number.get(w)
+            if j is None:
+                j = number[w] = len(vectors)
+                vectors.append(w)
+            row[e] = j
+        return row
 
 
 def lockstep(lead: StarAutomaton, *followers: StarAutomaton) -> list[tuple]:

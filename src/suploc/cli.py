@@ -31,7 +31,7 @@ from .omegasynth import (
     restrict_sup,
 )
 from .safety import controlled_plant, sup_con_star
-from .textio import TYPE_NAMES, ParseError, load_automaton, save_automaton, to_dot, write_text
+from .textio import ParseError, load_automaton, save_automaton, to_dot, type_name, write_text
 from .verify import VerificationError, check_infinite_equivalence
 
 EXIT_OK = 0
@@ -223,7 +223,7 @@ def cmd_info(args) -> int:
     name, aut = _load(args.file)
     info: dict = {"name": name}
     core = aut if isinstance(aut, StarAutomaton) else aut.core
-    info["type"] = TYPE_NAMES[type(aut)]
+    info["type"] = type_name(aut)
     info["states"] = len(core.states)
     info["transitions"] = core.n_transitions()
     info["events"] = {

@@ -17,9 +17,9 @@ declared events as the line is read.  Only ``trans`` and ``buchi`` lines
 may repeat, so a Rabin-Buchi automaton has one pair.  A ``star`` text
 carries no acceptance line and a ``buchi`` text no ``rabin`` line.  Every
 `automata.OmegaAutomaton` is written from its ``buchi`` set and its
-``rabin_pairs``, whatever its shape.  An event label may
-not contain ``/`` or a NUL character, since the pipeline names each local
-controller's file after its event.
+``rabin_pairs``, whatever its class, and its ``type`` line from its shape
+(`type_name`).  An event label may not contain ``/`` or a NUL character,
+since the pipeline names each local controller's file after its event.
 
 `write_text` writes every file the library and the CLI produce.  It opens
 the file without truncating it, writes over the old bytes and then cuts the
@@ -53,8 +53,17 @@ from .automata import (
 
 AnyAutomaton = Union[StarAutomaton, OmegaAutomaton]
 
-# the value of the ``type`` line, per automaton type
-TYPE_NAMES = {StarAutomaton: "star", BuchiAutomaton: "buchi", RabinBuchiAutomaton: "rabin-buchi"}
+# the values of the ``type`` line
+TYPE_NAMES = ("star", "buchi", "rabin-buchi")
+
+
+def type_name(aut: AnyAutomaton) -> str:
+    """The ``type`` line of `aut`, from its shape: ``star`` for a star
+    automaton, else ``buchi`` with no Rabin pair and ``rabin-buchi`` with
+    one."""
+    if isinstance(aut, StarAutomaton):
+        return "star"
+    return "rabin-buchi" if aut.rabin_pairs else "buchi"
 
 
 class ParseError(AutomatonError):
@@ -107,7 +116,7 @@ def parse_automaton(text: str) -> tuple[str, AnyAutomaton]:
                 raise ParseError(line_no, "automaton takes exactly one name")
             name = args[0]
         elif key == "type":
-            if len(args) != 1 or args[0] not in TYPE_NAMES.values():
+            if len(args) != 1 or args[0] not in TYPE_NAMES:
                 raise ParseError(line_no, f"unknown type {' '.join(args)!r}")
             kind = args[0]
         elif key == "events":
@@ -227,7 +236,7 @@ def serialize_automaton(name: str, aut: AnyAutomaton) -> str:
     evs = " ".join(
         f"{e}:{'c' if e in core.alphabet.controllable else 'u'}" for e in core.alphabet.events
     )
-    out = [f"automaton {name}\ntype {TYPE_NAMES[type(aut)]}\nevents {evs}\ninitial {core.initial}\n"]
+    out = [f"automaton {name}\ntype {type_name(aut)}\nevents {evs}\ninitial {core.initial}\n"]
     rows = core.rows
     for q in core.states:
         out += [f"trans {q} {e} {t}\n" for e, t in rows[q].items()]

@@ -18,8 +18,9 @@ uniform over the alphabet, one at a time while the plant follows them.  Both
 sides of the equality require the lasso to lie in the plant, so a lasso
 whose plant run is undefined is rejected by both whatever its remaining
 events are, and its drawing stops there.  A lasso the plant follows through
-its stem and one pass of its cycle is drawn in full and evaluated on the
-plant, every controller and both supervisors.
+its stem and one pass of its cycle is drawn in full; one the plant accepts
+is run on the `automata.ImplicitProduct` of the controllers and on that of
+both supervisors, whose rows are computed when a lasso first reaches them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Optional
 from .automata import (
     AutomatonError,
     BuchiAutomaton,
+    ImplicitProduct,
     LassoWord,
     extend_alphabet,
     lasso_in_star,
@@ -121,11 +123,12 @@ def check_infinite_equivalence(
     agree as well.  Tier 2 checks `lasso_budget` seeded random lassos on
     both sides: stem length uniform on 0..MAX_STEM, cycle length uniform on
     1..MAX_CYCLE, events uniform over the plant's alphabet, drawn one at a
-    time while the plant follows them (see the module docstring).  On both
-    tiers, an event a controller does not declare leaves it in place.  A lasso
-    the plant cannot follow counts as checked and agreeing, since both sides
-    are "in the plant and ...".  `sub_results["tier2_in_plant"]` counts the
-    sampled lassos the plant accepts.  The same seed gives the same report.
+    time while the plant follows them, then run on two implicit products
+    (see the module docstring).  On both tiers, an event a controller does
+    not declare leaves it in place.  A lasso the plant cannot follow counts
+    as checked and agreeing, since both sides are "in the plant and ...".
+    `sub_results["tier2_in_plant"]` counts the sampled lassos the plant
+    accepts.  The same seed gives the same report.
     """
     report = check_finite_equivalence(plant, sup_star, sup_omega, controllers)
     # tier 1: the premise (finite equality) was just decided exactly, and
@@ -134,7 +137,9 @@ def check_infinite_equivalence(
     tier1 = report.finite_ok
     report.sub_results["tier1"] = tier1
 
-    extended = [extend_alphabet(c.automaton, plant.alphabet) for c in controllers]
+    collective = ImplicitProduct(
+        [extend_alphabet(c.automaton, plant.alphabet) for c in controllers], plant.alphabet)
+    supervisors = ImplicitProduct([sup_star.automaton, sup_omega.automaton], plant.alphabet)
     draw = random.Random(seed).random
     events = plant.alphabet.events
     n_events = len(events)
@@ -158,13 +163,7 @@ def check_infinite_equivalence(
             w = LassoWord(tuple(word[:stem_len]), tuple(word[stem_len:]))
             in_plant = run_lasso(plant, w)
             in_plant_count += in_plant
-            lhs = in_plant and all(lasso_in_star(c, w) for c in extended)
-            rhs = (
-                in_plant
-                and lasso_in_star(sup_star.automaton, w)
-                and lasso_in_star(sup_omega.automaton, w)
-            )
-            if lhs != rhs:
+            if in_plant and lasso_in_star(collective, w) != lasso_in_star(supervisors, w):
                 disagreements += 1
                 if first_bad is None:
                     first_bad = w

@@ -62,3 +62,17 @@ def factory():
     corpus with a round-robin legal specification in place of the
     alternation tracker."""
     return lru_cache(maxsize=None)(lambda n: _pipeline(*compose_model(factory_texts(n))))
+
+
+@pytest.fixture(scope="session")
+def data_case():
+    """`data_case(name)`: the pipeline on the admitted instance
+    ``tests/data/<name>``, controllers included, built once per name."""
+    def build(name):
+        data = Path(__file__).parent / "data" / name
+        files = {p.name: p.read_text(encoding="utf-8") for p in sorted(data.iterdir())
+                 if p.suffix == ".aut" or p.name == "pipeline.cfg"}
+        out = _pipeline(*compose_model(files))
+        out["controllers"] = localize_all(out["plant"], out["sup"], out["closed"], out["supw"])
+        return out
+    return lru_cache(maxsize=None)(build)

@@ -27,6 +27,10 @@ oracle's own visit set: the reference for reading it off the type.
 `automata.acceptance_pair` and `run_lasso`, which chose the acceptance
 rule by the automaton's class, the references for `OmegaAutomaton.pair`
 and the one-formula `run_lasso` that reads it.
+`check_infinite_equivalence_by_automaton` is the earlier tier 2 of
+`verify.check_infinite_equivalence`, which ran each lasso the plant accepts
+on every controller and then on both supervisors, one automaton at a time:
+the reference for running it on the two memoized `ImplicitProduct`s.
 `rows_ok` checks the contract that `StarAutomaton.from_rows` trusts its
 callers to keep, on the automata the package builds.  `minimal_prefix_states`
 and `bad_cycle_sets` reach states one path at a time, the definitions that
@@ -34,9 +38,12 @@ and `bad_cycle_sets` reach states one path at a time, the definitions that
 on strongly connected components.
 """
 
+import random
 from collections import deque
 from itertools import product as iproduct
+from math import floor
 
+from suploc import verify
 from suploc.automata import (
     BuchiAutomaton,
     LassoWord,
@@ -45,8 +52,11 @@ from suploc.automata import (
     bfs_word,
     check_alphabet,
     explore,
+    extend_alphabet,
+    lasso_in_star,
     lockstep,
     omega_visit_set,
+    run_lasso,
 )
 from suploc.localization import EnableDisableProfile, Part
 from suploc.omegasynth import _pattern_map_wins
@@ -726,3 +736,62 @@ def rows_ok(aut: StarAutomaton) -> bool:
         if None in places or places != sorted(places) or any(t not in rows for t in row.values()):
             return False
     return True
+
+
+def check_infinite_equivalence_by_automaton(plant, sup_star, sup_omega, controllers,
+                                            lasso_budget: int = 500, seed: int = 0):
+    """`verify.check_infinite_equivalence` as it ran tier 2 one automaton at
+    a time: tier 1 is `verify.check_finite_equivalence`, and each lasso the
+    plant accepts is run on every controller, lifted by `extend_alphabet`,
+    then on SUP* and on SUPw.  The draws, counts, counterexample and error
+    are the library's."""
+    report = verify.check_finite_equivalence(plant, sup_star, sup_omega, controllers)
+    tier1 = report.finite_ok
+    report.sub_results["tier1"] = tier1
+
+    extended = [extend_alphabet(c.automaton, plant.alphabet) for c in controllers]
+    draw = random.Random(seed).random
+    events = plant.alphabet.events
+    n_events = len(events)
+    plant_rows = plant.core.rows
+    disagreements = 0
+    in_plant_count = 0
+    first_bad = None
+    for _ in range(lasso_budget):
+        stem_len = floor(draw() * (verify.MAX_STEM + 1))
+        cycle_len = 1 + floor(draw() * verify.MAX_CYCLE)
+        word = []
+        q = plant.core.initial
+        for _ in range(stem_len + cycle_len):
+            e = events[floor(draw() * n_events)]
+            q = plant_rows[q].get(e)
+            if q is None:
+                break
+            word.append(e)
+        else:
+            w = LassoWord(tuple(word[:stem_len]), tuple(word[stem_len:]))
+            in_plant = run_lasso(plant, w)
+            in_plant_count += in_plant
+            lhs = in_plant and all(lasso_in_star(c, w) for c in extended)
+            rhs = (
+                in_plant
+                and lasso_in_star(sup_star.automaton, w)
+                and lasso_in_star(sup_omega.automaton, w)
+            )
+            if lhs != rhs:
+                disagreements += 1
+                if first_bad is None:
+                    first_bad = w
+    report.checked_lassos = max(lasso_budget, 0)
+    report.seed = seed
+    report.sub_results["tier2_disagreements"] = disagreements
+    report.sub_results["tier2_in_plant"] = in_plant_count
+    report.infinite_ok = tier1 and disagreements == 0
+    if first_bad is not None and report.counterexample is None:
+        report.counterexample = first_bad
+    if tier1 and disagreements:
+        raise verify.VerificationError(
+            f"tier-2 sampling found {disagreements} disagreements against a "
+            f"tier-1 proof; this indicates an implementation bug (seed={seed}); "
+            f"first lasso {list(first_bad.stem)} ; {list(first_bad.cycle)}")
+    return report

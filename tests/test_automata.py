@@ -37,6 +37,7 @@ from suploc.automata import (
     Alphabet,
     AutomatonError,
     BuchiAutomaton,
+    ImplicitProduct,
     LassoWord,
     RabinBuchiAutomaton,
     StarAutomaton,
@@ -46,6 +47,7 @@ from suploc.automata import (
     buchi_lift,
     explore,
     extend_alphabet,
+    lasso_in_star,
     live_states,
     lockstep,
     minimize_prefix_closed,
@@ -163,6 +165,32 @@ def test_sync_product_of_no_components():
     prod = sync_product([], al)
     assert prod.states == (0,) and prod.rows == {0: {"a": 0, "b": 0, "c": 0}}
     assert repr(prod) == repr(sync_product_by_movers([], al))
+
+
+def test_implicit_product_is_the_sync_product_built_on_demand():
+    # lassos get the verdicts of `sync_product`; rows read in index order
+    # build `sync_product`'s breadth-first rows; no automaton allows every
+    # event
+    rng = random.Random(4242)
+    accepted = 0
+    for _ in range(150):
+        al = random_alphabet(rng, rng.randint(1, 4))
+        parts = [random_star_automaton(rng, al, rng.randint(1, 5), density=rng.uniform(0.3, 1.0))
+                 for _ in range(rng.randint(0, 3))]
+        eager = sync_product(parts, al)
+        lazy = ImplicitProduct(parts, al)
+        for _ in range(20):
+            w = random_lasso(rng, al)
+            verdict = lasso_in_star(lazy, w)
+            assert verdict == lasso_in_star(eager, w)
+            accepted += verdict
+        assert len(lazy.rows) <= len(eager.states)
+        rows, i, top = ImplicitProduct(parts, al).rows, 0, 0
+        while i <= top:
+            top = max([top, *rows[i].values()])
+            i += 1
+        assert StarAutomaton.from_rows(al, dict(rows), 0) == eager
+    assert 0 < accepted < 150 * 20
 
 
 def test_extend_alphabet_keeps_an_automaton_over_the_alphabet():

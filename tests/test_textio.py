@@ -18,7 +18,13 @@ from harness import (
 from oracles import dot_by_lines, serialize_by_lines
 
 from suploc import textio
-from suploc.automata import Alphabet, BuchiAutomaton, RabinBuchiAutomaton, StarAutomaton
+from suploc.automata import (
+    Alphabet,
+    BuchiAutomaton,
+    OmegaAutomaton,
+    RabinBuchiAutomaton,
+    StarAutomaton,
+)
 from suploc.cli import main
 from suploc.localization import localize_all
 from suploc.textio import ParseError, parse_automaton, serialize_automaton, to_dot, write_text
@@ -233,6 +239,20 @@ def test_serialization_ignores_numbering():
                      else RabinBuchiAutomaton(core, buchi, pairs))
         assert textio._canonical(canonical)[0] is core
         assert serialize_automaton("x", canonical) == text
+
+
+def test_bare_record_is_written_by_its_shape():
+    # an `OmegaAutomaton` built directly, neither subclass, is written as
+    # the subclass instance with the same fields: ``buchi`` with no pair,
+    # ``rabin-buchi`` with one
+    rng = random.Random(1357)
+    for make in (random_buchi, random_single_pair) * 20:
+        aut = make(rng, random_alphabet(rng, 3), rng.randint(1, 6))
+        bare = OmegaAutomaton(aut.core, aut.buchi, aut.rabin_pairs)
+        assert type(bare) is OmegaAutomaton
+        assert serialize_automaton("x", bare) == serialize_automaton("x", aut)
+    core = StarAutomaton(Alphabet.make(("a",)), (0,), 0, {(0, "a"): 0})
+    assert "\ntype buchi\n" in serialize_automaton("x", OmegaAutomaton(core, frozenset({0}), ()))
 
 
 def test_canonical_shortcut_fires_on_bfs_numbering(sf):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -9,15 +10,17 @@ from harness import (
     mutate_controller,
     random_alphabet,
     random_lasso,
+    random_pipeline,
     random_star_automaton,
 )
 from conftest import _pipeline
-from oracles import run_star
+from oracles import check_infinite_equivalence_by_automaton, run_star
 from suploc import automata, verify
 from suploc.automata import (
     Alphabet,
     AutomatonError,
     BuchiAutomaton,
+    ImplicitProduct,
     LassoWord,
     StarAutomaton,
     lasso_in_star,
@@ -233,11 +236,18 @@ def test_tier2_catches_mutant_controller(monkeypatch):
                         lambda *a: EquivalenceReport(finite_ok=True))
     with pytest.raises(VerificationError) as caught:
         check_infinite_equivalence(*args, lasso_budget=50, seed=1)
+    # the per-automaton reference counts the same disagreements and names
+    # the same first lasso
+    with pytest.raises(VerificationError) as reference:
+        check_infinite_equivalence_by_automaton(*args, lasso_budget=50, seed=1)
+    assert str(reference.value) == str(caught.value)
 
     # without the tier-1 proof the same draws come back as a report
     monkeypatch.setattr(verify, "check_finite_equivalence",
                         lambda *a: EquivalenceReport(finite_ok=False))
     report = check_infinite_equivalence(*args, lasso_budget=50, seed=1)
+    assert report.as_dict() == check_infinite_equivalence_by_automaton(
+        *args, lasso_budget=50, seed=1).as_dict()
     assert report.infinite_ok is False
     assert report.sub_results["tier2_disagreements"] > 0
     w = report.counterexample
@@ -248,6 +258,143 @@ def test_tier2_catches_mutant_controller(monkeypatch):
     rhs = (in_plant and lasso_in_star(p["sup"].automaton, w)
            and lasso_in_star(p["supw"].automaton, w))
     assert lhs != rhs
+
+
+DATA_CASES = ("r0475", "r0480", "r0647", "r0742", "r0932", "r1158")
+
+
+def assert_reports_match_reference(p, controllers) -> int:
+    """Tier 2 on the two implicit products gives the per-automaton
+    reference's report at several seeds and budgets; returns how many of
+    the lassos drawn the plant accepts."""
+    args = (p["plant"], p["sup"], p["supw"], controllers)
+    in_plant = 0
+    for seed in (0, 7, 31):
+        for budget in (0, 1, 500):
+            report = check_infinite_equivalence(*args, lasso_budget=budget, seed=seed)
+            assert report.as_dict() == check_infinite_equivalence_by_automaton(
+                *args, lasso_budget=budget, seed=seed).as_dict(), (seed, budget)
+            in_plant += report.sub_results["tier2_in_plant"]
+    return in_plant
+
+
+def admitted_random_pipelines(count: int, seed: int) -> list[dict]:
+    """The first `count` admitted `random_pipeline` instances of a seeded
+    draw, with their controllers."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = random_pipeline(rng)
+        if p is not None:
+            p["controllers"] = localize_all(p["plant"], p["sup"], p["closed"], p["supw"])
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("case", DATA_CASES)
+def test_tier2_matches_per_automaton_reference_on_data(data_case, case):
+    p = data_case(case)
+    assert assert_reports_match_reference(p, p["controllers"]) > 0
+
+
+def test_tier2_matches_per_automaton_reference_on_random_pipelines():
+    assert sum(assert_reports_match_reference(p, p["controllers"])
+               for p in admitted_random_pipelines(15, 2029)) > 0
+
+
+def over_own_events(a: StarAutomaton) -> StarAutomaton:
+    """`a` re-declared over the events it does not self-loop on everywhere."""
+    own = [e for e in a.alphabet.events if any(row.get(e) != q for q, row in a.rows.items())]
+    alphabet = Alphabet.make(own, a.alphabet.controllable.intersection(own))
+    return StarAutomaton.from_rows(
+        alphabet, {q: {e: t for e, t in row.items() if e in alphabet} for q, row in a.rows.items()},
+        a.initial)
+
+
+def test_tier2_lifts_controllers_over_their_own_events(data_case):
+    # the `extend_alphabet` path: each controller declared over the events
+    # it does not ignore gives the report of the controller as localized
+    pipelines = [data_case(case) for case in DATA_CASES] + admitted_random_pipelines(5, 2029)
+    shrunk = 0
+    for p in pipelines:
+        own = [dataclasses.replace(c, automaton=over_own_events(c.automaton))
+               for c in p["controllers"]]
+        shrunk += sum(c.automaton.alphabet != p["plant"].alphabet for c in own)
+        assert_reports_match_reference(p, own)
+        args = (p["plant"], p["sup"], p["supw"])
+        assert check_infinite_equivalence(*args, own).as_dict() == \
+            check_infinite_equivalence(*args, p["controllers"]).as_dict()
+    assert shrunk > 0
+
+
+def test_tier2_with_no_controllers(data_case):
+    # the product of no controllers accepts every lasso, as `all([])` did
+    pipelines = [data_case("r0480")] + admitted_random_pipelines(5, 2029)
+    assert sum(assert_reports_match_reference(p, []) for p in pipelines) > 0
+
+
+def record_products(monkeypatch) -> list[tuple[ImplicitProduct, list]]:
+    """Each `ImplicitProduct` that `verify` builds from now on, with the
+    automata it was built over."""
+    built = []
+
+    class Recorded(ImplicitProduct):
+        def __init__(self, autos, alphabet):
+            super().__init__(autos, alphabet)
+            built.append((self, list(autos)))
+    monkeypatch.setattr(verify, "ImplicitProduct", Recorded)
+    return built
+
+
+def test_tier2_builds_no_row_when_no_lasso_is_in_the_plant(factory, monkeypatch):
+    # counted work: the plant accepts none of the factory's lassos, so
+    # neither product computes a row
+    f = factory(3)
+    controllers = localize_all(f["plant"], f["sup"], f["closed"], f["supw"])
+    products = record_products(monkeypatch)
+    report = check_infinite_equivalence(f["plant"], f["sup"], f["supw"], controllers)
+    assert report.infinite_ok and report.sub_results["tier2_in_plant"] == 0
+    assert [len(product.rows) for product, _ in products] == [0, 0]
+
+
+def test_tier2_builds_only_the_rows_lassos_visit(data_case, monkeypatch):
+    # counted work: each product computes a row exactly for the joint
+    # states some lasso run on it visits, no more than `sync_product`
+    # would build, and neither `sync_product` nor `explore` runs
+    p = data_case("r0480")
+    products = record_products(monkeypatch)
+    runs = []
+
+    def recording_lasso_in_star(a, w):
+        runs.append((a, w))
+        return lasso_in_star(a, w)
+    monkeypatch.setattr(verify, "lasso_in_star", recording_lasso_in_star)
+    calls = Counter()
+
+    def counted(name, inner):
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+        return call
+    for name in ("sync_product", "explore"):
+        monkeypatch.setattr(automata, name, counted(name, getattr(automata, name)))
+    report = check_infinite_equivalence(p["plant"], p["sup"], p["supw"], p["controllers"])
+    assert report.infinite_ok and report.sub_results["tier2_in_plant"] == 197
+    assert calls == Counter()
+    assert len(products) == 2
+    for product, autos in products:
+        lassos = [w for a, w in runs if a is product]
+        assert len(lassos) == 197
+        visited = set()
+        for w in lassos:
+            q = product.initial
+            for e in w.stem + w.cycle * (len(product.rows) + 1):
+                visited.add(q)
+                q = product.rows.get(q).get(e)  # `get`: no row is computed here
+                if q is None:
+                    break
+        assert visited == set(product.rows)
+        assert 0 < len(product.rows) <= len(sync_product(autos, p["plant"].alphabet).states)
 
 
 def test_lemma1_harness():
